@@ -182,10 +182,6 @@ LaneRun lane_throughput(std::size_t shards, std::size_t threads,
   sc.lookahead = 200;
   sc.threads = threads;
   sc.mailbox_capacity = 1024;
-  // Baseline lock: the committed lane hash mixes the window count, which
-  // is a property of the PR-5 fixed-window schedule — pin that mode here
-  // (adaptive scaling is gated in bench_simcore's imbalanced scenario).
-  sc.window_mode = WindowMode::kFixedWindow;
   ShardedSimulator engine(sc);
   std::vector<std::uint64_t> hashes(shards, 1469598103934665603ull);
   std::vector<std::unique_ptr<LaneActor>> actors;

@@ -154,11 +154,6 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   sc.lookahead = 200;
   sc.threads = threads;
   sc.mailbox_capacity = 256;
-  // Legacy regression lock: this table's committed baseline hash encodes
-  // the PR-5 fixed-window schedule (window count included), so it pins
-  // kFixedWindow forever. The adaptive engine is gated by the imbalanced
-  // scenario below.
-  sc.window_mode = WindowMode::kFixedWindow;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(shards);
 
@@ -243,24 +238,26 @@ struct ImbalancedMeshResult {
   }
 };
 
-/// The fixed-window engine's worst case (DESIGN.md §7.8): shard 0 fires
+constexpr SimTime kImbPeriod = 20000;
+constexpr int kImbEpochs = 60;
+constexpr SimDuration kImbLookahead = 200;
+
+/// A global-window engine's worst case (DESIGN.md §7.8): shard 0 fires
 /// continuously and holds the global floor, shards 1..63 wake in short
-/// synchronized bursts once per 20 us period and sleep in between. Fixed
-/// windows march every shard forward one lookahead (200 ns) at a time —
-/// 100 all-stall barrier rounds per quiet gap — while adaptive horizons
-/// let the hot shard cross each gap in a single fat window and the cold
-/// burst rounds spread over the worker threads via the steal queues.
-ImbalancedMeshResult imbalanced_mesh(WindowMode mode, std::size_t threads) {
+/// synchronized bursts once per 20 us period and sleep in between. One
+/// global window `[floor, floor + lookahead)` would march every shard
+/// forward 200 ns at a time — 100 all-stall barrier rounds per quiet gap,
+/// kImbEpochs * kImbPeriod / kImbLookahead rounds in all — while per-shard
+/// horizons let the hot shard cross each gap in a single fat window and the
+/// cold burst rounds spread over the worker threads via the steal queues.
+ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   constexpr std::size_t kShards = 64;
-  constexpr SimTime kPeriod = 20000;
-  constexpr int kEpochs = 60;
   constexpr std::uint64_t kBurst = 16;
   ShardedConfig sc;
   sc.shards = kShards;
-  sc.lookahead = 200;
+  sc.lookahead = kImbLookahead;
   sc.threads = threads;
   sc.mailbox_capacity = 1024;
-  sc.window_mode = mode;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(kShards);
 
@@ -290,7 +287,7 @@ ImbalancedMeshResult imbalanced_mesh(WindowMode mode, std::size_t threads) {
     std::size_t shard;
     SimTime next_burst;
     std::uint64_t burst_left = kBurst;
-    int epochs_left = kEpochs;
+    int epochs_left = kImbEpochs;
     Rng rng;
     void fire() {
       Simulator& sim = eng->shard(shard);
@@ -308,19 +305,19 @@ ImbalancedMeshResult imbalanced_mesh(WindowMode mode, std::size_t threads) {
       eng->post(shard, to, sim.now() + 200 + rng.uniform_u64(50),
                 [e, hs, to] { hs[to].mix(e->shard(to).now()); });
       if (--epochs_left <= 0) return;
-      next_burst += kPeriod;
+      next_burst += kImbPeriod;
       burst_left = kBurst;
       sim.schedule_at(next_burst, [this] { fire(); });
     }
   };
 
-  Hot hot{&engine, hashes.data(), kPeriod * kEpochs, Rng(0x4077)};
+  Hot hot{&engine, hashes.data(), kImbPeriod * kImbEpochs, Rng(0x4077)};
   engine.shard(0).schedule_at(1, [&hot] { hot.fire(); });
   std::vector<Cold> colds;
   colds.reserve(kShards - 1);
   for (std::size_t s = 1; s < kShards; ++s) {
     colds.push_back(Cold{&engine, hashes.data(), s,
-                         static_cast<SimTime>(100 + s * 3), kBurst, kEpochs,
+                         static_cast<SimTime>(100 + s * 3), kBurst, kImbEpochs,
                          Rng(0xC01D + s)});
   }
   for (auto& c : colds) {
@@ -471,62 +468,52 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- imbalanced topology: adaptive lookahead vs fixed windows -----------
-  // 1 hot shard + 63 periodic-burst cold shards, both window modes, run
-  // sequentially and at --sim-threads. Deterministic columns (events,
-  // rounds, shard windows, messages, hash) are identical across thread
-  // counts — enforced in-binary below — and the rounds / stall-% contrast
-  // is the adaptive engine's acceptance metric: fixed windows burn ~100
-  // all-stall barrier rounds per quiet gap, adaptive crosses each gap in
-  // one window, so the parallel run stops being barrier-bound.
-  imbalanced_mesh(WindowMode::kAdaptive, 1);  // warm-up
-  const auto fix_seq = imbalanced_mesh(WindowMode::kFixedWindow, 1);
-  const auto fix_par =
-      imbalanced_mesh(WindowMode::kFixedWindow, bench::sim_threads());
-  const auto ada_seq = imbalanced_mesh(WindowMode::kAdaptive, 1);
-  const auto ada_par =
-      imbalanced_mesh(WindowMode::kAdaptive, bench::sim_threads());
-  const bool imb_hashes_match =
-      fix_seq.hash == fix_par.hash && ada_seq.hash == ada_par.hash;
-  const double fix_speedup = fix_seq.wall_s / fix_par.wall_s;
-  const double ada_speedup = ada_seq.wall_s / ada_par.wall_s;
-  const double improvement = ada_speedup / fix_speedup;
-  Table imb({"mode", "threads", "events", "rounds", "shard windows",
-             "stall %", "messages", "events/sec", "hash"});
-  const auto imb_row = [&imb](const char* name,
-                              const ImbalancedMeshResult& r) {
-    imb.add_row({name, fmt_u64(r.threads) + "t", fmt_u64(r.events),
+  // --- imbalanced topology: per-shard horizons ---------------------------
+  // 1 hot shard + 63 periodic-burst cold shards, run sequentially and at
+  // --sim-threads. Deterministic columns (events, rounds, shard windows,
+  // messages, hash) are identical across thread counts — enforced in-binary
+  // below — and the round count is the horizons' acceptance metric: a
+  // global window would burn ~100 all-stall barrier rounds per quiet gap,
+  // per-shard horizons cross each gap in one window, so the parallel run
+  // stops being barrier-bound.
+  imbalanced_mesh(1);  // warm-up
+  const auto imb_seq = imbalanced_mesh(1);
+  const auto imb_par = imbalanced_mesh(bench::sim_threads());
+  const bool imb_hashes_match = imb_seq.hash == imb_par.hash;
+  const double imb_speedup = imb_seq.wall_s / imb_par.wall_s;
+  const std::uint64_t global_window_rounds =
+      static_cast<std::uint64_t>(kImbEpochs) * kImbPeriod / kImbLookahead;
+  Table imb({"threads", "events", "rounds", "shard windows", "stall %",
+             "messages", "events/sec", "hash"});
+  const auto imb_row = [&imb](const ImbalancedMeshResult& r) {
+    imb.add_row({fmt_u64(r.threads) + "t", fmt_u64(r.events),
                  fmt_u64(r.rounds), fmt_u64(r.shard_windows),
                  fmt_pct(r.stall_frac()), fmt_u64(r.messages),
                  fmt_sci(static_cast<double>(r.events) / r.wall_s, 3),
                  fmt_u64(r.hash)});
   };
-  imb_row("fixed/seq", fix_seq);
-  imb_row("fixed/par", fix_par);
-  imb_row("adaptive/seq", ada_seq);
-  imb_row("adaptive/par", ada_par);
+  imb_row(imb_seq);
+  imb_row(imb_par);
   bench::print_table(
       imb,
-      "imbalanced mesh, 1 hot + 63 burst-idle shards (adaptive horizons\n"
-      "cross the quiet gaps in one round; hashes must match within each\n"
-      "mode across thread counts):");
-  std::cout << "imbalanced speedup: fixed " << fmt_ratio(fix_speedup)
-            << ", adaptive " << fmt_ratio(ada_speedup) << " ("
-            << fmt_ratio(improvement) << " better; stall "
-            << fmt_pct(fix_seq.stall_frac()) << " -> "
-            << fmt_pct(ada_seq.stall_frac()) << ", steals "
-            << fmt_u64(ada_par.steals) << ")\n\n";
+      "imbalanced mesh, 1 hot + 63 burst-idle shards (per-shard horizons\n"
+      "cross the quiet gaps in one round; hashes must match across thread\n"
+      "counts):");
+  std::cout << "imbalanced speedup " << fmt_ratio(imb_speedup) << " (rounds "
+            << fmt_u64(imb_seq.rounds) << " vs " << global_window_rounds
+            << " for one global window; stall "
+            << fmt_pct(imb_seq.stall_frac()) << ", steals "
+            << fmt_u64(imb_par.steals) << ")\n\n";
   if (!imb_hashes_match) {
     std::cerr << "FATAL: imbalanced-mesh hash mismatch across thread "
-                 "counts (fixed " << fix_seq.hash << " vs " << fix_par.hash
-              << ", adaptive " << ada_seq.hash << " vs " << ada_par.hash
+                 "counts (" << imb_seq.hash << " vs " << imb_par.hash
               << ")\n";
     return 1;
   }
-  if (ada_seq.rounds * 4 >= fix_seq.rounds) {
-    std::cerr << "FATAL: adaptive horizons stopped collapsing quiet gaps ("
-              << ada_seq.rounds << " rounds vs fixed " << fix_seq.rounds
-              << ")\n";
+  if (imb_seq.rounds * 4 >= global_window_rounds) {
+    std::cerr << "FATAL: per-shard horizons stopped collapsing quiet gaps ("
+              << imb_seq.rounds << " rounds vs " << global_window_rounds
+              << " for one global window)\n";
     return 1;
   }
 
@@ -550,15 +537,11 @@ int main(int argc, char** argv) {
             << 100.0 * static_cast<double>(par.stalled) /
                    static_cast<double>(par.shard_windows + par.stalled)
             << ", \"sharded_steals\": " << par.steals
-            << ", \"imb_fixed_speedup\": " << fix_speedup
-            << ", \"imb_adaptive_speedup\": " << ada_speedup
-            << ", \"imb_speedup_improvement\": " << improvement
-            << ", \"imb_fixed_stall_pct\": " << 100.0 * fix_seq.stall_frac()
+            << ", \"imb_adaptive_speedup\": " << imb_speedup
             << ", \"imb_adaptive_stall_pct\": "
-            << 100.0 * ada_seq.stall_frac()
-            << ", \"imb_rounds_fixed\": " << fix_seq.rounds
-            << ", \"imb_rounds_adaptive\": " << ada_seq.rounds
-            << ", \"imb_steals\": " << ada_par.steals
+            << 100.0 * imb_seq.stall_frac()
+            << ", \"imb_rounds_adaptive\": " << imb_seq.rounds
+            << ", \"imb_steals\": " << imb_par.steals
             << ", \"imb_hash_match\": " << (imb_hashes_match ? 1 : 0)
             << "}\n";
   return 0;

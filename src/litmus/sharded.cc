@@ -78,7 +78,6 @@ class ShardedLitmusRun {
           sc.shards = program.nodes;
           sc.lookahead = config.hop;
           sc.threads = config.sim_threads;
-          sc.window_mode = WindowMode::kFixedWindow;
           return sc;
         }()) {
     program_.validate();

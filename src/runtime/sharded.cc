@@ -45,11 +45,9 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
   sc.lookahead = std::max<SimDuration>(internode_->min_cross_latency(0), 1);
   sc.threads = config_.threads;
   sc.mailbox_capacity = config_.mailbox_capacity;
-  sc.window_mode = config_.adaptive_windows ? WindowMode::kAdaptive
-                                            : WindowMode::kFixedWindow;
   // Per-pair lookahead straight from the interconnect: route_latency is a
   // shortest-path metric (triangle inequality holds), which is what the
-  // adaptive engine's relayed-causality argument needs, and post_task
+  // engine's relayed-causality argument needs, and post_task
   // already charges exactly this latency, so the per-pair post contract is
   // met with zero slack. The LCA walk is mutation-free (implicit routing
   // is ECO_CHECKed above), so shard threads may query it concurrently.

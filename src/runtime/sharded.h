@@ -45,12 +45,6 @@ struct ShardedRuntimeConfig {
   /// only wall-clock time: --sim-threads N is byte-identical to 1.
   std::size_t threads = 1;
   std::size_t mailbox_capacity = 1024;
-  /// Adaptive per-shard windows (sim/parallel.h WindowMode::kAdaptive):
-  /// each node's horizon comes from the interconnect's per-pair head
-  /// latencies (route_latency is a metric, so the adaptive engine's
-  /// relay-safety requirement holds by construction) instead of one global
-  /// min-latency window. Off = the legacy fixed-window schedule.
-  bool adaptive_windows = true;
   /// Template for each node's machine; nodes is forced to 1 (the shard IS
   /// the node) and workers_per_node to the field above. The PGAS l1 link
   /// parameters double as the inter-node links of the forwarding network.

@@ -239,24 +239,15 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
                 "post() called outside a running shard action");
   ECO_CHECK_MSG(tls_run_context.shard == from,
                 "post() `from` must be the shard executing this action");
-  SimDuration bound = pair_lookahead(from, to);
-  if (config_.window_mode == WindowMode::kFixedWindow) {
-    // Fixed horizons are uniform-lookahead wide whatever the pair's own
-    // distance, so the uniform contract must hold as well.
-    bound = std::max(bound, config_.lookahead);
-  }
-  ECO_CHECK_MSG(t >= shards_[from]->sim.now() + bound,
+  ECO_CHECK_MSG(t >= shards_[from]->sim.now() + pair_lookahead(from, to),
                 "cross-shard event inside the conservative lookahead window");
   Shard& src = *shards_[from];
-  if (config_.window_mode == WindowMode::kAdaptive) {
-    // Self-chain echo cap (parallel.h file comment): any causal chain
-    // seeded by this message returns to `from` no earlier than
-    // t + dest_floor(from) — the return chain's last leg alone costs at
-    // least the cheapest latency into `from` — so the posting shard's
-    // window must stop before that time. kFixedWindow needs no cap: there
-    // t >= now + lookahead >= the global window end already.
-    src.sim.tighten_run_bound(t + dest_floor_[from]);
-  }
+  // Self-chain echo cap (parallel.h file comment): any causal chain seeded
+  // by this message returns to `from` no earlier than t + dest_floor(from)
+  // — the return chain's last leg alone costs at least the cheapest
+  // latency into `from` — so the posting shard's window must stop before
+  // that time.
+  src.sim.tighten_run_bound(t + dest_floor_[from]);
   tls_run_context.lane->push(t, static_cast<std::uint32_t>(from),
                              static_cast<std::uint32_t>(to), src.post_seq++,
                              std::move(action));
@@ -286,19 +277,14 @@ void ShardedSimulator::rethrow_shard_error() {
 }
 
 SimTime ShardedSimulator::shard_horizon(std::size_t d) const {
-  // Every mode's horizon is clamped to the run_until() bound: events at or
-  // after it belong to the next segment. The clamp keeps the horizon a
-  // pure function of published state, so determinism is unaffected.
-  switch (config_.window_mode) {
-    case WindowMode::kFixedWindow:
-      return std::min(plan_fixed_end_, run_bound_);
-    case WindowMode::kAdaptive:
-      break;
-  }
-  // Both adaptive paths bound d by its *peers'* pending work only: at the
-  // round start no chain originating on d has been seeded yet, and the
-  // moment one is (d posts during its window) the echo cap in
-  // post_message() tightens the running window — see parallel.h.
+  // The horizon is clamped to the run_until() bound: events at or after it
+  // belong to the next segment. The clamp keeps the horizon a pure
+  // function of published state, so determinism is unaffected.
+  //
+  // Both paths bound d by its *peers'* pending work only: at the round
+  // start no chain originating on d has been seeded yet, and the moment
+  // one is (d posts during its window) the echo cap in post_message()
+  // tightens the running window — see parallel.h.
   if (!pair_matrix_.empty()) {
     // Exact column minimum over the dense pair matrix: the earliest any
     // peer's pending work could reach d.
@@ -324,19 +310,15 @@ void ShardedSimulator::prepare_run() {
   const std::size_t nthreads = threads_;
   // Pre-reserve every per-round buffer so the steady state allocates
   // nothing (sim_alloc_test gates this at --sim-threads > 1): the drain
-  // scratch holds one lane, a merge buffer holds as many runs as reach its
-  // slot in the reduction tree (slot 0's final run holds everything).
-  std::size_t padded = 1;
-  while (padded < nthreads) padded <<= 1;
+  // scratch holds one lane, a gather buffer every lane (one destination
+  // range may receive the whole round's messages).
+  std::size_t total_cap = 0;
+  for (const auto& lane : lanes_) total_cap += lane->capacity();
   for (std::size_t t = 0; t < nthreads; ++t) {
     WorkerSlot& slot = *slots_[t];
-    const std::size_t cap = lanes_[t]->capacity();
     slot.msgs.clear();
-    slot.msgs.reserve(cap);
-    const std::size_t reach = t == 0 ? padded : (t & (~t + 1));
-    slot.run_a.reserve(reach * cap);
-    slot.run_b.reserve(reach * cap);
-    slot.run = &slot.run_a;
+    slot.msgs.reserve(lanes_[t]->capacity());
+    slot.gather.reserve(total_cap);
     const std::size_t lo = t * nshards / nthreads;
     const std::size_t hi = (t + 1) * nshards / nthreads;
     slot.queue.reserve(hi - lo);
@@ -372,7 +354,7 @@ void ShardedSimulator::fold_range(std::size_t tid) {
 void ShardedSimulator::plan_round() {
   rethrow_shard_error();
   // Fold the per-thread partials: O(threads) here instead of the old
-  // O(shards) worker-0 rescan — the top of the next-event reduction tree.
+  // O(shards) worker-0 rescan — the second level of the next-event fold.
   SimTime floor = kNever;
   SimTime src1 = kNever, src2 = kNever;
   std::uint32_t src_arg = 0;
@@ -418,8 +400,6 @@ void ShardedSimulator::plan_round() {
     done_.store(true, std::memory_order_relaxed);
     return;
   }
-  plan_floor_ = floor;
-  plan_fixed_end_ = floor + config_.lookahead;
   plan_src1_ = src1;
   plan_src2_ = src2;
   plan_src_arg_ = src_arg;
@@ -457,71 +437,46 @@ void ShardedSimulator::execute_round(std::size_t tid) {
       }
     }
   }
-  // Drain this thread's lane and sort it into a merge run — the leaves of
-  // the message reduction tree.
+  // Drain this thread's lane; the merge step after the barrier reads it.
   me.msgs.clear();
   lanes_[tid]->drain(me.msgs);
-  std::vector<MergeItem>& run = me.run_a;
-  run.clear();
-  me.run = &run;
-  for (std::size_t i = 0; i < me.msgs.size(); ++i) {
-    const ShardMessage& m = me.msgs[i];
-    run.push_back(MergeItem{m.time, m.src, m.dst, m.seq,
-                            static_cast<std::uint32_t>(tid),
-                            static_cast<std::uint32_t>(i)});
-  }
-  std::sort(run.begin(), run.end(), MergeKeyLess{});
 }
 
-void ShardedSimulator::merge_runs(std::size_t tid, RoundGate* gate) {
-  // Pairwise tree merge of the per-thread sorted runs: level k merges
-  // slots 2^k apart, so after log2(threads) levels slot 0 holds the one
-  // canonically-ordered run. Each level is a disjoint set of two-run
-  // merges running in parallel; the level barrier publishes the children.
-  const std::size_t nthreads = threads_;
-  for (std::size_t half = 1; half < nthreads; half <<= 1) {
-    if (tid % (2 * half) == 0 && tid + half < nthreads) {
-      WorkerSlot& a = *slots_[tid];
-      WorkerSlot& b = *slots_[tid + half];
-      std::vector<MergeItem>& out =
-          a.run == &a.run_a ? a.run_b : a.run_a;
-      out.resize(a.run->size() + b.run->size());
-      std::merge(a.run->begin(), a.run->end(), b.run->begin(), b.run->end(),
-                 out.begin(), MergeKeyLess{});
-      a.run = &out;
-    }
-    if (gate) gate->sync();
-  }
-}
-
-void ShardedSimulator::insert_and_fold(std::size_t tid, std::size_t total) {
+void ShardedSimulator::insert_and_fold(std::size_t tid) {
   const std::size_t nshards = shards_.size();
   const std::size_t lo = tid * nshards / threads_;
   const std::size_t hi = (tid + 1) * nshards / threads_;
-  if (total > 0) {
-    // The final run is sorted by destination first: each thread binary-
-    // searches its contiguous destination range and inserts in canonical
-    // order, so destination seq numbers come out thread-count invariant.
-    const std::vector<MergeItem>& run = *slots_[0]->run;
-    const auto dst_less = [](const MergeItem& m, std::size_t d) {
-      return m.dst < d;
-    };
-    const auto begin =
-        std::lower_bound(run.begin(), run.end(), lo, dst_less);
-    const auto end = std::lower_bound(begin, run.end(), hi, dst_less);
-    for (auto it = begin; it != end; ++it) {
-      shards_[it->dst]->sim.schedule_at(
-          it->time, std::move(slots_[it->lane]->msgs[it->pos].action));
+  // Gather the messages bound for [lo, hi) from every lane and insert them
+  // in canonical order, so destination seq numbers come out thread-count
+  // invariant. Other threads move actions out of the same `msgs` vectors
+  // concurrently, but only those of their own destinations; this thread
+  // reads the key fields alone for every other message.
+  std::vector<MergeItem>& gather = slots_[tid]->gather;
+  gather.clear();
+  for (std::size_t t = 0; t < threads_; ++t) {
+    const std::vector<ShardMessage>& msgs = slots_[t]->msgs;
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const ShardMessage& m = msgs[i];
+      if (m.dst < lo || m.dst >= hi) continue;
+      gather.push_back(MergeItem{m.time, m.src, m.dst, m.seq,
+                                 static_cast<std::uint32_t>(t),
+                                 static_cast<std::uint32_t>(i)});
     }
+  }
+  std::sort(gather.begin(), gather.end(), MergeKeyLess{});
+  for (const MergeItem& it : gather) {
+    shards_[it.dst]->sim.schedule_at(
+        it.time, std::move(slots_[it.lane]->msgs[it.pos].action));
   }
   fold_range(tid);
 }
 
 void ShardedSimulator::drive(std::size_t tid, RoundGate* gate,
                              std::exception_ptr* failure) {
-  // Round schedule (barriers in parallel runs only):
-  //   plan (worker 0) | gate | execute | gate | tree merge (log2 gates)
-  //   insert + fold | gate | next plan ...
+  // Round schedule (barriers in parallel runs only), three gates a round
+  // whatever the thread count:
+  //   plan (worker 0) | gate | execute | gate | gather + insert + fold |
+  //   gate | next plan ...
   for (;;) {
     if (tid == 0) {
       if (failure != nullptr) {
@@ -538,16 +493,8 @@ void ShardedSimulator::drive(std::size_t tid, RoundGate* gate,
     if (gate) gate->sync();  // plan published (or done)
     if (done_.load(std::memory_order_relaxed)) return;
     execute_round(tid);
-    if (gate) gate->sync();  // every run sorted, every window finished
-    // Sum lane sizes from msgs, not the run pointers: a fast thread may
-    // already be inside merge_runs() swapping run pointers while a slow
-    // one is still counting, but msgs is only ever written by its owner
-    // on the other side of the gate above (the counts are equal — a run
-    // starts as one item per drained message).
-    std::size_t total = 0;
-    for (const auto& slot : slots_) total += slot->msgs.size();
-    if (total > 0) merge_runs(tid, gate);
-    insert_and_fold(tid, total);
+    if (gate) gate->sync();  // every window finished, every lane drained
+    insert_and_fold(tid);
     if (gate) gate->sync();  // partials published for the next plan
   }
 }

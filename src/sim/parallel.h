@@ -8,26 +8,21 @@
 // ShardedSimulator gives every Compute Node (or any caller-chosen
 // partition) its own event queue (a full `Simulator` with its slab, 4-ary
 // heap and sorted-run backlog) and advances the shards concurrently inside
-// synchronization rounds. Two window policies (WindowMode):
+// synchronization rounds. There is one window schedule: each shard d
+// starts its round with the horizon
 //
-//   kFixedWindow   every shard runs to the same global horizon
-//                      end = T + L,  T = min next event over all shards,
-//                                    L = uniform lookahead
-//                  — the PR-5 engine, kept as the baseline-locked mode.
+//     end_d = min over s != d of next_s + L(s, d)
 //
-//   kAdaptive      each shard d starts its round with the horizon
-//                      end_d = min over s != d of next_s + L(s, d)
-//                  where L(s, d) is a per-pair latency oracle (defaulting
-//                  to the uniform lookahead), and the bound is *tightened
-//                  while the window runs*: the moment d posts a message
-//                  with delivery time t, its window is capped at
-//                  t + dest_floor(d), dest_floor(d) = min over b != d of
-//                  L(b, d) — the self-chain echo cap. Loosely-coupled
-//                  shards run long windows while tightly-coupled ones
-//                  stay conservative, and every shard (including self)
-//                  contributes to its own bound the moment it can matter.
+// where L(s, d) is a per-pair latency oracle (ShardedConfig::
+// pair_lookahead; without one the uniform ShardedConfig::lookahead stands
+// in for every pair), and the bound is *tightened while the window runs*:
+// the moment d posts a message with delivery time t, its window is capped
+// at t + dest_floor(d), dest_floor(d) = min over b != d of L(b, d) — the
+// self-chain echo cap. Loosely-coupled shards run long windows while
+// tightly-coupled ones stay conservative, and every shard (including self)
+// contributes to its own bound the moment it can matter.
 //
-// Conservative correctness of the adaptive bound, with a triangle-
+// Conservative correctness of the horizon, with a triangle-
 // inequality oracle (any route/shortest-path latency is one — every
 // cross-shard leg of a causal chain pays at least its pair latency):
 //
@@ -56,15 +51,13 @@
 // shard's trace lane and post() sequence counter travel with the shard,
 // and the merge key orders messages independently of the lane they rode.
 //
-// Merging: cross-shard messages and the per-shard next-event times are
-// combined by reduction trees instead of a worker-0 serial loop. Each
-// thread sorts its own lane's messages into a run; runs are merged
-// pairwise over log2(threads) levels (each level merges two already-sorted
-// children); the final run is partitioned by destination and inserted by
-// all threads in parallel. The per-shard next-event scan folds the same
-// way: each thread publishes a partial min over its contiguous shard
-// range, and the round planner combines O(threads) partials instead of
-// rescanning O(shards).
+// Merging: each thread owns a contiguous destination range [lo, hi) of
+// shards. After the execute barrier every thread gathers the messages
+// bound for its range from every thread's drained lane, sorts them into
+// canonical order and inserts them — one merge step, no extra barriers.
+// The per-shard next-event scan folds the same way: each thread publishes
+// a partial min over its range, and the round planner combines
+// O(threads) partials instead of rescanning O(shards).
 //
 // Determinism: the merge is canonical — messages sort by (destination,
 // time, source shard, source sequence), a total order — so destination
@@ -73,11 +66,8 @@
 // are computed only from the published next-event times (deterministic
 // simulation state), so the window schedule itself is thread-count
 // invariant and a run with `threads = N` is byte-identical to
-// `threads = 1` within a given WindowMode. Only lane *spill counts* and
-// the *steal count* — wall-clock-side metrics — vary with the thread
-// count. The two modes execute different (both deterministic) window
-// schedules and may diverge on simultaneous-event tie-breaks, which is why
-// baseline-locked benches pin kFixedWindow.
+// `threads = 1`. Only lane *spill counts* and the *steal count* —
+// wall-clock-side metrics — vary with the thread count.
 #pragma once
 
 #include <atomic>
@@ -101,26 +91,16 @@ namespace ecoscale {
 /// don't pull in <barrier>). Null gate = sequential run, no waiting.
 class RoundGate;
 
-/// How the engine computes each shard's per-round execution horizon.
-enum class WindowMode {
-  /// Per-shard horizons from the per-pair latency oracle (see file
-  /// comment). The default: strictly more progress per round on
-  /// imbalanced topologies, deterministic across thread counts.
-  kAdaptive,
-  /// One global horizon `min next event + lookahead` for every shard —
-  /// the PR-5 window schedule, byte-identical to the engine before
-  /// adaptive windows existed. Committed bench baselines pin this mode.
-  kFixedWindow,
-};
-
 struct ShardedConfig {
   /// Number of event-queue shards (typically one per Compute Node).
   std::size_t shards = 1;
   /// Conservative uniform lookahead: a lower bound on the sim-time
   /// distance of *any* cross-shard interaction. Derive it from the
   /// interconnect (Network::min_cross_latency / PgasSystem::
-  /// shard_lookahead). Used directly by kFixedWindow and as the
-  /// default pair latency when no oracle is given.
+  /// shard_lookahead). It is the pair latency for every pair when no
+  /// `pair_lookahead` is given, and the per-source floor seed: above
+  /// `dense_pair_cap` without a `source_floor`, horizons use it as every
+  /// shard's floor.
   SimDuration lookahead = nanoseconds(100);
   /// Worker threads; 0 picks std::thread::hardware_concurrency(). The
   /// thread count never changes simulation results, only wall-clock time.
@@ -128,15 +108,14 @@ struct ShardedConfig {
   /// Ring capacity of each per-thread lane; bursts beyond it spill to a
   /// producer-owned overflow vector (correct but allocating).
   std::size_t mailbox_capacity = 1024;
-  WindowMode window_mode = WindowMode::kAdaptive;
   /// Optional per-pair latency oracle L(from, to), e.g. a captured
   /// Network::route_latency. Must be >= 1 for every pair and satisfy the
   /// triangle inequality L(a, c) <= L(a, b) + L(b, c) — true for any
   /// route/shortest-path latency (both strided and seeded-random triples
   /// are checked at construction, so a locally non-metric oracle fails
   /// loudly instead of yielding an unsafe horizon). Tightens both the
-  /// adaptive horizons and the post() contract. Unset: the uniform
-  /// `lookahead` stands in for every pair.
+  /// horizons and the post() contract. Unset: the uniform `lookahead`
+  /// stands in for every pair.
   std::function<SimDuration(std::size_t from, std::size_t to)> pair_lookahead;
   /// Optional per-source floor min over d != s of L(s, d) (e.g.
   /// Network::min_latency_from). Only consulted when `pair_lookahead` is
@@ -148,7 +127,7 @@ struct ShardedConfig {
   /// Shard count up to which the pair oracle is materialized as a dense
   /// matrix (O(shards^2) construction + memory; horizons then take exact
   /// per-destination column minima). Above it the engine falls back to
-  /// per-source floors — still adaptive, O(shards) state — so a
+  /// per-source floors — still per-shard horizons, O(shards) state — so a
   /// 6k-shard machine never pays a 36M-entry matrix.
   std::size_t dense_pair_cap = 512;
 };
@@ -160,7 +139,6 @@ class ShardedSimulator {
 
   std::size_t shard_count() const { return shards_.size(); }
   SimDuration lookahead() const { return config_.lookahead; }
-  WindowMode window_mode() const { return config_.window_mode; }
   /// Threads the window loop will actually use (clamped to shard count).
   std::size_t threads_used() const { return threads_; }
   /// The conservative latency bound post() enforces for this pair — the
@@ -179,9 +157,9 @@ class ShardedSimulator {
   /// Deliver `action` on shard `to` at absolute time `t`, called from
   /// inside an action currently executing on shard `from`. Requires
   /// t >= now(from) + pair_lookahead(from, to) — the conservative contract
-  /// that keeps windows race-free (kFixedWindow additionally requires the
-  /// uniform lookahead). Messages become destination events at the next
-  /// round boundary, merged canonically by (time, source shard, seq).
+  /// that keeps windows race-free. Messages become destination events at
+  /// the next round boundary, merged canonically by (time, source shard,
+  /// seq).
   template <typename F>
   void post(std::size_t from, std::size_t to, SimTime t, F&& action) {
     post_message(from, to, t, InlineAction(std::forward<F>(action)));
@@ -198,7 +176,7 @@ class ShardedSimulator {
   /// any shard's deterministic state and schedule new events (including at
   /// times >= bound) before resuming — the epoch pause the runtime
   /// repartitioner is built on (DESIGN.md §7.11). Horizons are the normal
-  /// WindowMode horizons clamped to `bound`, still a pure function of the
+  /// per-shard horizons clamped to `bound`, still a pure function of the
   /// published next-event times, so the window schedule (and therefore the
   /// simulation) stays byte-identical at any thread count.
   bool run_until(SimTime bound);
@@ -213,8 +191,8 @@ class ShardedSimulator {
   /// the idle balance.
   std::uint64_t shard_windows() const { return shard_windows_; }
   /// (shard, round) pairs where a shard had a pending event but its
-  /// horizon forbade running it — the barrier-stall numerator. Adaptive
-  /// windows exist to shrink this.
+  /// horizon forbade running it — the barrier-stall numerator. Per-shard
+  /// horizons exist to shrink this.
   std::uint64_t stalled_shard_windows() const { return stalled_windows_; }
   /// Cross-shard messages routed through the lanes (sum of the per-source
   /// send counters — identical whatever the lane layout).
@@ -249,7 +227,7 @@ class ShardedSimulator {
     std::uint64_t post_seq = 0;
   };
 
-  /// One sorted-run entry of the canonical merge: the full merge key plus
+  /// One gathered entry of the canonical merge: the full merge key plus
   /// where the message body lives (producing lane, index in that lane's
   /// drain scratch).
   struct MergeItem {
@@ -263,18 +241,21 @@ class ShardedSimulator {
 
   /// Per-worker-thread state: the round's ready queue (candidates from the
   /// thread's contiguous shard range; any thread may claim from it), the
-  /// lane-drain scratch and merge-run ping-pong buffers, deterministic
-  /// per-round tallies and the fold partials the planner combines.
+  /// lane-drain scratch, the merge gather buffer for the thread's
+  /// destination range, deterministic per-round tallies and the fold
+  /// partials the planner combines.
   struct alignas(64) WorkerSlot {
     // Ready queue for the round; claimed via `cursor` (atomic bump — the
     // queues are pre-populated at the previous round boundary, so no
     // concurrent push ever races a steal).
     std::vector<std::uint32_t> queue;
     std::atomic<std::uint32_t> cursor{0};
-    // This thread's lane, drained and sorted into a run each round.
+    // This thread's lane, drained after its windows each round; every
+    // thread reads it in the merge step, only the owner writes it.
     std::vector<ShardMessage> msgs;
-    std::vector<MergeItem> run_a, run_b;
-    std::vector<MergeItem>* run = nullptr;
+    // Messages bound for this thread's destination range, gathered from
+    // every slot's `msgs` and sorted canonically.
+    std::vector<MergeItem> gather;
     // Deterministic per-round tallies (zeroed by the planner after
     // folding) plus the wall-clock-side steal count.
     std::uint64_t executed = 0;
@@ -283,7 +264,7 @@ class ShardedSimulator {
     SimTime min_horizon = kNever;  // trace span end for the round
     // Fold partials over the thread's contiguous shard range: min next
     // event time, and top-2 (value, runner-up, argmin) of
-    // next + source_floor for the collapsed adaptive horizon.
+    // next + source_floor for the collapsed horizon.
     SimTime part_floor = kNever;
     SimTime part_src1 = kNever;
     SimTime part_src2 = kNever;
@@ -311,15 +292,14 @@ class ShardedSimulator {
   /// span/counters, publish the next round's horizons or done.
   void plan_round();
   /// Claim shards (own queue, then steal), run their windows, then drain
-  /// and sort this thread's lane into a merge run.
+  /// this thread's lane into its `msgs`.
   void execute_round(std::size_t tid);
-  /// Pairwise-merge the sorted runs over log2(threads) levels.
-  void merge_runs(std::size_t tid, RoundGate* gate);
-  /// Insert this thread's destination-partition of the final run, refresh
-  /// its shards' next-event times, rebuild its ready queue and partials.
-  void insert_and_fold(std::size_t tid, std::size_t total);
+  /// Gather every lane's messages bound for this thread's destination
+  /// range, sort them canonically and insert them; then refresh the
+  /// range's next-event times, ready queue and partials.
+  void insert_and_fold(std::size_t tid);
   void fold_range(std::size_t tid);
-  /// The per-shard execution horizon for this round (see WindowMode).
+  /// The per-shard execution horizon for this round (see file comment).
   SimTime shard_horizon(std::size_t d) const;
   /// One worker's whole round loop; `gate` is null in sequential runs and
   /// `failure` non-null only on parallel worker 0 (plan_round may throw).
@@ -347,9 +327,7 @@ class ShardedSimulator {
 
   // Round plan, published by worker 0 and read by all workers after the
   // plan barrier (plain fields; the barrier provides the happens-before).
-  SimTime plan_floor_ = 0;       // min next event over all shards
-  SimTime plan_fixed_end_ = 0;   // kFixedWindow horizon
-  SimTime plan_src1_ = kNever;   // top-2 of next_s + source_floor_[s]
+  SimTime plan_src1_ = kNever;  // top-2 of next_s + source_floor_[s]
   SimTime plan_src2_ = kNever;
   std::uint32_t plan_src_arg_ = 0;
   /// Exclusive stop bound of the current run_until() segment (kNever for

@@ -235,11 +235,15 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
   return combined.h;
 }
 
-TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_8) {
+// Three threads split the 8 destination shards 2/3/3, so the merge's
+// destination ranges are uneven and no thread count divides the shards.
+TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_3_8) {
   const std::uint64_t h1 = mesh_workload_hash(8, 1, 1024, 400);
   const std::uint64_t h2 = mesh_workload_hash(8, 2, 1024, 400);
+  const std::uint64_t h3 = mesh_workload_hash(8, 3, 1024, 400);
   const std::uint64_t h8 = mesh_workload_hash(8, 8, 1024, 400);
   EXPECT_EQ(h1, h2);
+  EXPECT_EQ(h1, h3);
   EXPECT_EQ(h1, h8);
 }
 
@@ -296,21 +300,30 @@ TEST(ShardedSimulator, PerPairContractUsesTheOracle) {
   EXPECT_THROW(strict.run(), CheckError);
 }
 
-TEST(ShardedSimulator, FixedModeRaisesThePairBoundToTheGlobalWindow) {
+TEST(ShardedSimulator, PairBoundBelowTheUniformLookaheadIsTheContract) {
   ShardedConfig sc;
   sc.shards = 2;
   sc.lookahead = 100;
-  sc.window_mode = WindowMode::kFixedWindow;
   sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
     return 50;
   };
+  // With an oracle, the uniform lookahead is not a second, larger bound:
+  // a post at exactly now + pair is legal and lands when it was addressed.
   ShardedSimulator engine(sc);
-  // The legacy engine's invariant is "nothing lands inside the global
-  // window", so in kFixedWindow the contract is max(pair, lookahead).
-  engine.shard(0).schedule_at(5, [&engine] {
-    engine.post(0, 1, engine.shard(0).now() + 50, [] {});
+  SimTime landed = 0;
+  engine.shard(0).schedule_at(5, [&engine, &landed] {
+    engine.post(0, 1, engine.shard(0).now() + 50,
+                [&engine, &landed] { landed = engine.shard(1).now(); });
   });
-  EXPECT_THROW(engine.run(), CheckError);
+  engine.run();
+  EXPECT_EQ(engine.messages(), 1u);
+  EXPECT_EQ(landed, 55);
+  // One tick inside the pair bound is still a breach.
+  ShardedSimulator strict(sc);
+  strict.shard(0).schedule_at(5, [&strict] {
+    strict.post(0, 1, strict.shard(0).now() + 49, [] {});
+  });
+  EXPECT_THROW(strict.run(), CheckError);
 }
 
 TEST(ShardedSimulator, TriangleInequalityViolationIsRejected) {
@@ -425,12 +438,18 @@ TEST(ShardedSimulator, EchoToGlobalMinShardCollapsedFloors) {
 
 // --- imbalanced topology: one hot shard, many cold burst shards -------------
 
-// The fixed-window engine's worst case: shard 0 fires continuously (it
+// A global-window engine's worst case: shard 0 fires continuously (it
 // holds the global floor), while shards 1..N-1 wake only in short
-// synchronized bursts once per period and sit idle in between. Fixed
-// windows march the whole machine forward one lookahead at a time, so the
-// cold shards stall at (periods / lookahead) barriers per period; adaptive
-// horizons let the hot shard cross an entire quiet gap in one window.
+// synchronized bursts once per period and sit idle in between. One global
+// window `[floor, floor + lookahead)` would march the whole machine forward
+// one lookahead at a time — (period / lookahead) barriers per period —
+// while per-shard horizons let the hot shard cross an entire quiet gap in
+// one window.
+constexpr std::size_t kImbShards = 64;  // shards >> threads: claim queues
+constexpr SimTime kImbPeriod = 20000;
+constexpr int kImbEpochs = 6;
+constexpr SimDuration kImbLookahead = 200;
+
 struct HotActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shards = 0;
@@ -495,36 +514,32 @@ struct ImbalancedResult {
   std::uint64_t steals = 0;
 };
 
-ImbalancedResult imbalanced_run(WindowMode mode, std::size_t threads) {
-  constexpr std::size_t kShards = 64;  // shards >> threads: claim queues
-  constexpr SimTime kPeriod = 20000;
-  constexpr int kEpochs = 6;
+ImbalancedResult imbalanced_run(std::size_t threads) {
   ShardedConfig sc;
-  sc.shards = kShards;
-  sc.lookahead = 200;
+  sc.shards = kImbShards;
+  sc.lookahead = kImbLookahead;
   sc.threads = threads;
-  sc.window_mode = mode;
   ShardedSimulator engine(sc);
-  std::vector<TraceHasher> hashes(kShards);
+  std::vector<TraceHasher> hashes(kImbShards);
   HotActor hot;
   hot.eng = &engine;
-  hot.shards = kShards;
+  hot.shards = kImbShards;
   hot.hash = &hashes[0];
-  hot.stop_at = kPeriod * kEpochs;
+  hot.stop_at = kImbPeriod * kImbEpochs;
   hot.rng = Rng(0x4077);
   engine.shard(0).schedule_at(1, [&hot] { hot.fire(); });
   std::vector<std::unique_ptr<ColdActor>> colds;
-  for (std::size_t s = 1; s < kShards; ++s) {
+  for (std::size_t s = 1; s < kImbShards; ++s) {
     colds.push_back(std::make_unique<ColdActor>());
     ColdActor& c = *colds.back();
     c.eng = &engine;
     c.shard = s;
-    c.shards = kShards;
+    c.shards = kImbShards;
     c.hashes = hashes.data();
-    c.period = kPeriod;
+    c.period = kImbPeriod;
     c.burst = 8;
     c.burst_left = 8;
-    c.epochs_left = kEpochs;
+    c.epochs_left = kImbEpochs;
     c.next_burst = static_cast<SimTime>(100 + s * 3);
     c.rng = Rng(0xC01D + s);
     engine.shard(s).schedule_at(c.next_burst, [&c] { c.fire(); });
@@ -546,28 +561,32 @@ ImbalancedResult imbalanced_run(WindowMode mode, std::size_t threads) {
   return r;
 }
 
-TEST(ShardedSimulator, ImbalancedTopologyByteIdenticalAcross1_2_8Threads) {
-  for (const WindowMode mode :
-       {WindowMode::kAdaptive, WindowMode::kFixedWindow}) {
-    const ImbalancedResult r1 = imbalanced_run(mode, 1);
-    const ImbalancedResult r2 = imbalanced_run(mode, 2);
-    const ImbalancedResult r8 = imbalanced_run(mode, 8);
-    EXPECT_EQ(r1.hash, r2.hash);
-    EXPECT_EQ(r1.hash, r8.hash);
-    // Single-threaded runs have nothing to steal from.
-    EXPECT_EQ(r1.steals, 0u);
-  }
+// Three threads split the 64 shards 21/21/22 — uneven destination ranges
+// for the merge, with every range receiving cross-range messages.
+TEST(ShardedSimulator, ImbalancedTopologyByteIdenticalAcross1_2_3_8Threads) {
+  const ImbalancedResult r1 = imbalanced_run(1);
+  const ImbalancedResult r2 = imbalanced_run(2);
+  const ImbalancedResult r3 = imbalanced_run(3);
+  const ImbalancedResult r8 = imbalanced_run(8);
+  EXPECT_EQ(r1.hash, r2.hash);
+  EXPECT_EQ(r1.hash, r3.hash);
+  EXPECT_EQ(r1.hash, r8.hash);
+  // Single-threaded runs have nothing to steal from.
+  EXPECT_EQ(r1.steals, 0u);
 }
 
 TEST(ShardedSimulator, AdaptiveHorizonsCrossQuietGapsInOneWindow) {
-  const ImbalancedResult fixed = imbalanced_run(WindowMode::kFixedWindow, 1);
-  const ImbalancedResult adaptive = imbalanced_run(WindowMode::kAdaptive, 1);
-  // Same simulation, radically fewer synchronization rounds: the fixed
-  // engine pays ~period/lookahead barriers per quiet gap, adaptive one.
-  EXPECT_LT(adaptive.windows * 4, fixed.windows);
-  // The starvation regression proper: cold shards no longer spin at
-  // barriers with empty horizons while the hot shard inches forward.
-  EXPECT_LT(adaptive.stalled * 4, fixed.stalled);
+  const ImbalancedResult r = imbalanced_run(1);
+  // One global window per lookahead would take kImbEpochs * kImbPeriod /
+  // kImbLookahead rounds to cover the run; per-shard horizons cross each
+  // quiet gap in one round, so the count collapses well below that.
+  const std::uint64_t global_window_rounds =
+      static_cast<std::uint64_t>(kImbEpochs) * kImbPeriod / kImbLookahead;
+  EXPECT_LT(r.windows * 4, global_window_rounds);
+  // The starvation regression proper: a global window would stall every
+  // sleeping cold shard in every one of those rounds; per-shard horizons
+  // keep cold shards from spinning at barriers with empty horizons.
+  EXPECT_LT(r.stalled * 4, global_window_rounds * (kImbShards - 1));
 }
 
 // --- lookahead queries ------------------------------------------------------
