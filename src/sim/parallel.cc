@@ -1,7 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <barrier>
+#include <chrono>
 #include <thread>
 
 #include "common/reduce.h"
@@ -10,13 +10,66 @@
 
 namespace ecoscale {
 
+namespace {
+
+/// Pause polls before yielding: 16 x ~22 ns is about what one yield costs,
+/// so a gate that opens this soon is seen at once; longer spins slowed the
+/// threads still working in wide rounds (DESIGN.md §7.8).
+constexpr int kGateSpinPolls = 16;
+/// Yield phase, timed rather than counted because a yield costs ~0.3 us on
+/// an idle core but a whole timeslice when threads outnumber cores: long
+/// enough to cover a slow round, short enough that a descheduled last
+/// arriver is not starved for long by yielding peers.
+constexpr std::chrono::microseconds kGateYieldBudget{100};
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+/// Generation-counter round gate. Arrivals bump `arrived_`; the last
+/// arriver resets it and publishes the next generation with release, and
+/// the others poll the generation with acquire — pause, then yield, then
+/// park on atomic::wait (parallel.h file comment). The acq_rel arrivals
+/// form one release sequence, so every thread's writes before its arrival
+/// happen-before every thread's reads after the gate opens.
 class RoundGate {
  public:
-  explicit RoundGate(std::ptrdiff_t n) : barrier_(n) {}
-  void sync() { barrier_.arrive_and_wait(); }
+  explicit RoundGate(std::uint32_t n) : n_(n) {}
+
+  void sync() {
+    // This thread has not arrived yet, so the generation cannot move
+    // before its own arrival: `gen` is the one this crossing ends.
+    const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      generation_.store(gen + 1, std::memory_order_release);
+      generation_.notify_all();
+      return;
+    }
+    for (int i = 0; i < kGateSpinPolls; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      cpu_relax();
+    }
+    const auto deadline = std::chrono::steady_clock::now() + kGateYieldBudget;
+    do {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      std::this_thread::yield();
+    } while (std::chrono::steady_clock::now() < deadline);
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      generation_.wait(gen, std::memory_order_acquire);
+    }
+  }
 
  private:
-  std::barrier<> barrier_;
+  alignas(64) std::atomic<std::uint32_t> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  const std::uint32_t n_;
 };
 
 namespace {
@@ -426,9 +479,9 @@ void ShardedSimulator::execute_round(std::size_t tid) {
       const std::size_t d = q.queue[idx];
       const SimTime horizon = shard_horizon(d);
       me.min_horizon = std::min(me.min_horizon, horizon);
-      if (stolen) ++me.stolen;
       if (horizon > next_times_[d]) {
         ++me.executed;
+        if (stolen) ++me.stolen;  // only a claim that runs a window
         run_shard_window(d, horizon, tid);
       } else {
         // Pending work the horizon forbade: a barrier stall. Deterministic
@@ -500,7 +553,7 @@ void ShardedSimulator::drive(std::size_t tid, RoundGate* gate,
 }
 
 void ShardedSimulator::run_parallel() {
-  RoundGate gate(static_cast<std::ptrdiff_t>(threads_));
+  RoundGate gate(static_cast<std::uint32_t>(threads_));
   std::vector<std::thread> pool;
   pool.reserve(threads_ - 1);
   for (std::size_t t = 1; t < threads_; ++t) {

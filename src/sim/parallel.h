@@ -59,6 +59,19 @@
 // a partial min over its range, and the round planner combines
 // O(threads) partials instead of rescanning O(shards).
 //
+// Round gate: a round crosses three gates (plan, execute, fold), and a
+// round often holds only a few events — about a microsecond of work per
+// shard — so a crossing must cost about that much, not a futex sleep and
+// wake. The gate is a generation counter: the last arriver bumps it, and
+// the others wait in three phases. They poll with `pause` for about as
+// long as one yield costs, so a gate that opens that soon is seen at
+// once (a longer spin slowed the threads still working in wide rounds).
+// Then they poll with `yield` for a bounded ~100 us, so that when threads
+// outnumber cores a descheduled last arriver gets the core instead of
+// being starved by spinning peers. Then they park on `atomic::wait`, so a
+// long round (or a long-blocked action) costs no CPU; the last arriver's
+// `notify_all` wakes them.
+//
 // Determinism: the merge is canonical — messages sort by (destination,
 // time, source shard, source sequence), a total order — so destination
 // tie-breaking sequence numbers are assigned in an order independent of
@@ -87,8 +100,9 @@
 
 namespace ecoscale {
 
-/// Thin wrapper over std::barrier<> (defined in parallel.cc so includers
-/// don't pull in <barrier>). Null gate = sequential run, no waiting.
+/// Spin-then-park generation-counter barrier for the round loop (see the
+/// file comment; defined in parallel.cc). Null gate = sequential run, no
+/// waiting.
 class RoundGate;
 
 struct ShardedConfig {
@@ -197,8 +211,10 @@ class ShardedSimulator {
   /// Cross-shard messages routed through the lanes (sum of the per-source
   /// send counters — identical whatever the lane layout).
   std::uint64_t messages() const;
-  /// Shard windows claimed by a thread other than the queue owner's.
-  /// Wall-clock-side: depends on thread timing, never on results.
+  /// Shard windows executed by a thread other than the queue owner's (a
+  /// claimed shard whose horizon forbids running is a stall, not a steal),
+  /// so steals() <= shard_windows(). Wall-clock-side: depends on thread
+  /// timing, never on results.
   std::uint64_t steals() const { return steals_; }
   /// Pushes that overflowed a lane ring into its spill vector. Lane load
   /// depends on how many shards share a thread, so this varies with the

@@ -3,12 +3,14 @@
 // canonical window merge, and — the load-bearing property — byte-identical
 // determinism across --sim-threads 1, 2 and 8, both for a raw engine
 // workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime.
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <numeric>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -573,6 +575,52 @@ TEST(ShardedSimulator, ImbalancedTopologyByteIdenticalAcross1_2_3_8Threads) {
   EXPECT_EQ(r1.hash, r8.hash);
   // Single-threaded runs have nothing to steal from.
   EXPECT_EQ(r1.steals, 0u);
+  // A steal is a window executed off the owner's thread; a claimed shard
+  // that stalls on its horizon runs nothing and is no steal.
+  EXPECT_LE(r2.steals, r2.shard_windows);
+  EXPECT_LE(r3.steals, r3.shard_windows);
+  EXPECT_LE(r8.steals, r8.shard_windows);
+}
+
+// The round gate's park path: one shard's action blocks for ~2 ms of host
+// time in each of a few rounds while the other shards have nothing to do,
+// so their threads exhaust the spin and yield phases and park on
+// atomic::wait until the last arriver wakes them. The run must complete
+// and match the sequential run exactly.
+std::uint64_t blocking_shard_hash(std::size_t threads) {
+  constexpr std::size_t kShards = 4;
+  constexpr int kBlockingRounds = 4;
+  ShardedConfig sc;
+  sc.shards = kShards;
+  sc.lookahead = 100;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(kShards);
+  // Shard 0 sleeps, then posts to shard 1, which answers; each leg is a
+  // new round, so the sleeps land in distinct rounds.
+  std::function<void(int)> ping = [&](int left) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    hashes[0].mix(engine.shard(0).now());
+    if (left == 0) return;
+    engine.post(0, 1, engine.shard(0).now() + 100, [&, left] {
+      hashes[1].mix(engine.shard(1).now());
+      engine.post(1, 0, engine.shard(1).now() + 100,
+                  [&ping, left] { ping(left - 1); });
+    });
+  };
+  engine.shard(0).schedule_at(1, [&ping] { ping(kBlockingRounds - 1); });
+  engine.run();
+  TraceHasher combined;
+  for (const TraceHasher& h : hashes) combined.mix(h.h);
+  combined.mix(engine.events_processed());
+  combined.mix(engine.messages());
+  combined.mix(engine.windows());
+  EXPECT_EQ(engine.events_processed(), 2u * kBlockingRounds - 1);
+  return combined.h;
+}
+
+TEST(ShardedSimulator, PeersParkedAtTheRoundGateAreWokenByABlockedShard) {
+  EXPECT_EQ(blocking_shard_hash(4), blocking_shard_hash(1));
 }
 
 TEST(ShardedSimulator, AdaptiveHorizonsCrossQuietGapsInOneWindow) {
