@@ -6,7 +6,9 @@
 // queue (InlineAction slab + 4-ary heap + sorted-run backlog drain) and
 // reserve() throughput of the two reservation resources, including the
 // oversubscribed long-run pattern that used to send CalendarTimeline
-// quadratic before interval coalescing + watermark pruning.
+// quadratic before interval coalescing + watermark pruning, and the graph
+// engine's sweep-restart pattern, where most reservations land before the
+// calendar's last interval.
 //
 // Two schedule/step workloads:
 //  - ring: 64 self-rescheduling actors with 40-byte captures, one event in
@@ -19,6 +21,7 @@
 // Emits the usual tables plus, always, one machine-readable JSON summary
 // line (`SIMCORE_JSON {...}`) so CI and scripts can scrape the trajectory
 // without parsing tables; `--json <path>` additionally dumps the tables.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -392,6 +395,34 @@ double reserve_throughput(std::uint64_t reserves, std::uint64_t base_step,
   return static_cast<double>(reserves) / seconds_since(t0);
 }
 
+/// reserve() throughput under the graph engine's pattern: every epoch,
+/// `streams` workers are swept one after another, each a monotone stream
+/// restarting at the epoch start, and release() runs only at the barrier.
+/// So most reservations land before the calendar's last interval.
+double sweep_restart_throughput(std::uint64_t reserves, std::uint64_t streams,
+                                std::uint64_t per_stream,
+                                CalendarTimeline& cal) {
+  Rng rng(7);
+  SimTime epoch_start = 0;
+  std::uint64_t done = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (done < reserves) {
+    SimTime barrier = epoch_start;
+    for (std::uint64_t s = 0; s < streams; ++s) {
+      SimTime cursor = epoch_start;
+      for (std::uint64_t i = 0; i < per_stream; ++i) {
+        cursor += rng.uniform_u64(8000);
+        cursor = cal.reserve_until(cursor, 1 + rng.uniform_u64(16));
+      }
+      barrier = std::max(barrier, cursor);
+    }
+    done += streams * per_stream;
+    cal.release(barrier);
+    epoch_start = barrier;
+  }
+  return static_cast<double>(done) / seconds_since(t0);
+}
+
 }  // namespace
 }  // namespace ecoscale
 
@@ -456,6 +487,14 @@ int main(int argc, char** argv) {
   res.add_row({"CalendarTimeline", "oversubscribed+release",
                fmt_sci(rel_rps, 3), fmt_u64(cal_rel.live_intervals()),
                fmt_u64(cal_rel.peak_live_intervals())});
+  // Graph-engine pattern: 32 streams x 400 reservations per epoch, so up
+  // to ~12k intervals are live before each barrier's release().
+  CalendarTimeline cal_sweep("cal");
+  const double sweep_rps =
+      sweep_restart_throughput(kReserves, 32, 400, cal_sweep);
+  res.add_row({"CalendarTimeline", "sweep-restart", fmt_sci(sweep_rps, 3),
+               fmt_u64(cal_sweep.live_intervals()),
+               fmt_u64(cal_sweep.peak_live_intervals())});
   bench::print_table(
       res,
       "reserve() throughput, 2M reservations per pattern. Coalescing keeps\n"
@@ -561,6 +600,7 @@ int main(int argc, char** argv) {
             << rel_rps
             << ", \"calendar_peak_live_intervals\": "
             << cal_rel.peak_live_intervals()
+            << ", \"calendar_sweep_restart_reserves_per_sec\": " << sweep_rps
             << ", \"sharded_events_per_sec_1t\": " << seq_eps
             << ", \"sharded_events_per_sec_nt\": " << par_eps
             << ", \"sharded_threads\": " << par.threads

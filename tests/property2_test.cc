@@ -122,9 +122,24 @@ class BruteForceCalendar {
       if (candidate + service <= start) break;  // fits in the gap before
       candidate = end;
     }
-    intervals_.emplace_back(candidate, candidate + service);
-    std::sort(intervals_.begin(), intervals_.end());
+    // Every interval before `pos` starts before `candidate`, so this keeps
+    // the list sorted.
+    intervals_.emplace(intervals_.begin() + static_cast<std::ptrdiff_t>(pos),
+                       candidate, candidate + service);
     return candidate;
+  }
+
+  /// Maximal busy runs (abutting intervals merged) that end after
+  /// `watermark`: the intervals a coalescing calendar released at
+  /// `watermark` must still hold live.
+  std::size_t live_runs(SimTime watermark) const {
+    std::size_t runs = 0;
+    for (std::size_t i = 0; i < intervals_.size(); ++i) {
+      const bool run_ends = i + 1 == intervals_.size() ||
+                            intervals_[i + 1].first != intervals_[i].second;
+      if (run_ends && intervals_[i].second > watermark) ++runs;
+    }
+    return runs;
   }
 
  private:
@@ -167,6 +182,178 @@ TEST_P(CalendarPruneFuzz, PrunedPlacementMatchesBruteForceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CalendarPruneFuzz,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+// Intervals per storage block; the cases below size themselves to cross
+// several block boundaries.
+constexpr std::size_t kBlock = CalendarTimeline::kBlockIntervals;
+
+/// Reserves on `tl` and `ref` alike and checks both place it at the same
+/// start.
+void reserve_both(CalendarTimeline& tl, BruteForceCalendar& ref,
+                  SimTime ready, SimDuration service) {
+  const SimTime expected = ref.place(ready, service);
+  EXPECT_EQ(tl.reserve(ready, service), expected)
+      << "ready=" << ready << " service=" << service;
+}
+
+class CalendarSweepRestartFuzz
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The graph engine's traffic: every epoch, K workers sweep one after
+// another, and each starts from the epoch's barrier time. So a calendar
+// sees K monotone streams that each restart at the epoch start, and
+// release() runs only at the barrier. Most reservations land before the
+// last tracked interval, across hundreds of live intervals. On a coarse
+// time grid, intervals often abut, so inserts coalesce and bridge, and
+// some end exactly at the watermark.
+TEST_P(CalendarSweepRestartFuzz, MatchesBruteForceModel) {
+  constexpr int kStreams = 32;
+  constexpr int kPerStream = 24;
+  constexpr int kEpochs = 8;
+  Rng rng(GetParam());
+  for (const SimDuration grid : {1, 20}) {
+    CalendarTimeline tl;
+    BruteForceCalendar reference;
+    SimTime epoch_start = 0;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      SimTime barrier = epoch_start;
+      for (int k = 0; k < kStreams; ++k) {
+        SimTime cursor = epoch_start;
+        for (int i = 0; i < kPerStream; ++i) {
+          cursor += grid * rng.uniform_u64(4000 / grid);
+          const SimDuration service = grid * (1 + rng.uniform_u64(40 / grid));
+          const SimTime expected = reference.place(cursor, service);
+          ASSERT_EQ(tl.reserve(cursor, service), expected)
+              << "grid " << grid << " epoch " << epoch << " stream " << k
+              << " reservation " << i;
+          cursor = expected + service;
+          barrier = std::max(barrier, cursor);
+        }
+      }
+      // Usually the barrier itself; sometimes earlier, so an interval
+      // straddles the watermark and the next epoch must skip its tail.
+      const SimTime watermark =
+          rng.chance(0.5)
+              ? barrier
+              : barrier - grid * rng.uniform_u64((barrier - epoch_start) /
+                                                 grid / 4);
+      tl.release(watermark);
+      ASSERT_EQ(tl.live_intervals(), reference.live_runs(watermark))
+          << "grid " << grid << " epoch " << epoch;
+      epoch_start = watermark;
+    }
+    EXPECT_GT(tl.peak_live_intervals(), 4 * kBlock) << "grid " << grid;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CalendarSweepRestartFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// Append gapped runs, each built as X, then Y after a gap, then the gap
+// filled so X and Y coalesce: wherever X fills a block, Y opens the next
+// one alone and the bridge empties it. Then fill the gaps between runs
+// front to back, so the growing first run bridges into, and drains, each
+// following block.
+TEST(CalendarBlocks, CoalesceBridgesAndEmptiesBlocks) {
+  CalendarTimeline tl;
+  BruteForceCalendar reference;
+  constexpr SimTime kRuns = 5 * kBlock + 7;
+  for (SimTime i = 0; i < kRuns; ++i) {
+    reserve_both(tl, reference, 10 * i, 3);      // X = [10i, 10i+3)
+    reserve_both(tl, reference, 10 * i + 5, 1);  // Y = [10i+5, 10i+6)
+    reserve_both(tl, reference, 10 * i, 2);      // bridges X and Y
+    ASSERT_EQ(tl.live_intervals(), i + 1);
+  }
+  for (SimTime i = 0; i + 1 < kRuns; ++i) {
+    reserve_both(tl, reference, 10 * i + 6, 4);  // bridges run 0 and i+1
+    ASSERT_EQ(tl.live_intervals(), kRuns - i - 1);
+  }
+  EXPECT_EQ(tl.live_intervals(), 1u);
+  EXPECT_EQ(tl.peak_live_intervals(), kRuns + 1);
+  reserve_both(tl, reference, 0, 5);  // appends to the one run
+  reserve_both(tl, reference, 10 * kRuns + 9, 5);
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
+}
+
+// A bridge that erases a block's first interval must move that block's
+// index key up. Here block 0 holds runs 0..kBlock-1 with a slot free, and
+// block 1 holds runs kBlock and kBlock+1. Bridging runs kBlock-1 and
+// kBlock erases block 1's front; an interval then appended to block 0
+// starts after the erased run's old start, and the last reservation's
+// ready time lies between the two, with a one-tick gap to find.
+TEST(CalendarBlocks, BridgeAcrossBlocksMovesTheIndexKey) {
+  CalendarTimeline tl;
+  BruteForceCalendar reference;
+  constexpr SimTime kRuns = kBlock + 2;
+  for (SimTime i = 0; i < kRuns; ++i) {
+    reserve_both(tl, reference, 10 * i, 6);  // run i = [10i, 10i+6)
+  }
+  reserve_both(tl, reference, 6, 4);  // runs 0 and 1 coalesce
+  const SimTime seam = 10 * kBlock;   // start of run kBlock
+  reserve_both(tl, reference, seam - 4, 4);  // bridges the block seam
+  reserve_both(tl, reference, seam + 7, 1);  // [seam+7, seam+8)
+  reserve_both(tl, reference, seam + 1, 1);  // fits [seam+6, seam+7)
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
+}
+
+// release() drops whole blocks of retired runs, truncates the run that
+// straddles the watermark (here the first run of a block) and leaves the
+// placements of later reservations unchanged.
+TEST(CalendarBlocks, ReleaseDropsWholeBlocksAndTruncatesAStraddler) {
+  CalendarTimeline tl;
+  BruteForceCalendar reference;
+  constexpr SimTime kRuns = 5 * kBlock + 7;
+  for (SimTime i = 0; i < kRuns; ++i) {
+    reserve_both(tl, reference, 10 * i, 6);  // run i = [10i, 10i+6)
+  }
+  // Inside run 2 * kBlock: the runs before it are dropped, it is cut.
+  const SimTime first = 10 * (2 * kBlock) + 3;
+  tl.release(first);
+  EXPECT_EQ(tl.pruned_intervals(), 2 * kBlock);
+  EXPECT_EQ(tl.live_intervals(), kRuns - 2 * kBlock);
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(first));
+  reserve_both(tl, reference, first, 1);  // after the truncated tail
+  reserve_both(tl, reference, first, 4);  // no longer fits that gap
+  // In a gap in the middle of a block: no straddler.
+  const SimTime second = 10 * (3 * kBlock + kBlock / 2) + 8;
+  tl.release(second);
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(second));
+  reserve_both(tl, reference, second, 3);
+  reserve_both(tl, reference, second, 3);
+  // Past the horizon: nothing is left, and the calendar starts over at
+  // the watermark.
+  const SimTime past = 10 * kRuns + 100;
+  tl.release(past);
+  EXPECT_EQ(tl.live_intervals(), 0u);
+  EXPECT_EQ(tl.reserve(past, 5), past);
+  EXPECT_EQ(tl.reserve(past, 5), past + 5);
+  EXPECT_EQ(tl.live_intervals(), 1u);
+}
+
+TEST(CalendarBlocks, ResetForgetsEverything) {
+  CalendarTimeline tl;
+  Rng rng(17);
+  for (int i = 0; i < 8 * static_cast<int>(kBlock); ++i) {
+    tl.reserve(rng.uniform_u64(100000), 1 + rng.uniform_u64(30));
+  }
+  tl.release(50000);
+  ASSERT_GT(tl.live_intervals(), kBlock);
+  tl.reset();
+  EXPECT_EQ(tl.live_intervals(), 0u);
+  EXPECT_EQ(tl.peak_live_intervals(), 0u);
+  EXPECT_EQ(tl.pruned_intervals(), 0u);
+  EXPECT_EQ(tl.reservations(), 0u);
+  EXPECT_EQ(tl.busy_time(), 0u);
+  EXPECT_EQ(tl.horizon(), 0u);
+  EXPECT_EQ(tl.watermark(), 0u);
+  // A reset calendar places exactly like a new one.
+  BruteForceCalendar reference;
+  for (int i = 0; i < 4 * static_cast<int>(kBlock); ++i) {
+    reserve_both(tl, reference, rng.uniform_u64(20000),
+                 1 + rng.uniform_u64(30));
+  }
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
+}
 
 // --- scheduler conservation across the policy grid --------------------------------
 

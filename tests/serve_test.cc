@@ -347,6 +347,31 @@ TEST(Graph, RunsAreDeterministic) {
   EXPECT_EQ(ra.stats.byte_hops, rb.stats.byte_hops);
 }
 
+// RunsAreDeterministic compares the engine only with itself. These pin its
+// timing to constants, so a change to link or DRAM reservation placement
+// (CalendarTimeline, Network, DramChannel) fails here and not only in the
+// benchmark's fingerprint gate.
+TEST(Graph, TimingMatchesGoldenValues) {
+  {
+    GraphFixture f;
+    const serve::GraphStats s = f.engine.bfs(0).stats;
+    EXPECT_EQ(s.time, 418966395u);
+    EXPECT_EQ(s.byte_hops, 412480u);
+  }
+  {
+    GraphFixture f;
+    const serve::GraphStats s = f.engine.pagerank(6).stats;
+    EXPECT_EQ(s.time, 1695301778u);
+    EXPECT_EQ(s.byte_hops, 1457280u);
+  }
+  {
+    GraphFixture f;
+    const serve::GraphStats s = f.engine.connected_components().stats;
+    EXPECT_EQ(s.time, 1130888620u);
+    EXPECT_EQ(s.byte_hops, 971520u);
+  }
+}
+
 TEST(Graph, SequentialAlgorithmsShareTheLayout) {
   // BFS then PageRank then CC on one engine: cursors stay monotonic and
   // every run still matches its reference.
