@@ -142,6 +142,7 @@ struct ShardedMeshResult {
   std::uint64_t shard_windows = 0;  // per-shard executions across rounds
   std::uint64_t stalled = 0;        // skipped shard-windows (barrier stall)
   std::uint64_t steals = 0;         // cross-thread claims (wall-clock-side)
+  std::uint64_t wide_rounds = 0;    // rounds run wide (0 at one thread)
 };
 
 /// Cross-posting actor mesh on the ShardedSimulator: per-shard
@@ -213,6 +214,7 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
   r.steals = engine.steals();
+  r.wide_rounds = engine.wide_rounds();
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
   combined.mix(r.events);
@@ -230,6 +232,7 @@ struct ImbalancedMeshResult {
   std::uint64_t shard_windows = 0;   // per-shard window executions
   std::uint64_t stalled = 0;         // shard-windows skipped (no work)
   std::uint64_t steals = 0;          // wall-clock-side, not hashed
+  std::uint64_t wide_rounds = 0;     // deterministic at any threads > 1
   std::uint64_t messages = 0;
   std::uint64_t hash = 0;
   std::size_t threads = 0;
@@ -337,6 +340,7 @@ ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
   r.steals = engine.steals();
+  r.wide_rounds = engine.wide_rounds();
   r.messages = engine.messages();
   r.threads = engine.threads_used();
   ShardHash combined;
@@ -519,15 +523,15 @@ int main(int argc, char** argv) {
       bench::sim_threads(), seq, par);
   const double seq_eps = static_cast<double>(seq.events) / seq.wall_s;
   const double par_eps = static_cast<double>(par.events) / par.wall_s;
-  Table sharded({"sim threads", "events", "windows", "messages",
-                 "events/sec", "speedup", "hash"});
+  Table sharded({"sim threads", "events", "windows", "wide rounds",
+                 "messages", "events/sec", "speedup", "hash"});
   sharded.add_row({"1", fmt_u64(seq.events), fmt_u64(seq.windows),
-                   fmt_u64(seq.messages), fmt_sci(seq_eps, 3), "1.00x",
-                   fmt_u64(seq.hash)});
+                   fmt_u64(seq.wide_rounds), fmt_u64(seq.messages),
+                   fmt_sci(seq_eps, 3), "1.00x", fmt_u64(seq.hash)});
   sharded.add_row({fmt_u64(par.threads), fmt_u64(par.events),
-                   fmt_u64(par.windows), fmt_u64(par.messages),
-                   fmt_sci(par_eps, 3), fmt_ratio(par_eps / seq_eps),
-                   fmt_u64(par.hash)});
+                   fmt_u64(par.windows), fmt_u64(par.wide_rounds),
+                   fmt_u64(par.messages), fmt_sci(par_eps, 3),
+                   fmt_ratio(par_eps / seq_eps), fmt_u64(par.hash)});
   bench::print_table(
       sharded,
       "sharded engine, 8 shards x 16 cross-posting actors (--sim-threads\n"
@@ -555,11 +559,12 @@ int main(int argc, char** argv) {
   const double imb_speedup = imb_seq.wall_s / imb_par.wall_s;
   const std::uint64_t global_window_rounds =
       static_cast<std::uint64_t>(kImbEpochs) * kImbPeriod / kImbLookahead;
-  Table imb({"threads", "events", "rounds", "shard windows", "stall %",
-             "messages", "events/sec", "hash"});
+  Table imb({"threads", "events", "rounds", "wide rounds", "shard windows",
+             "stall %", "messages", "events/sec", "hash"});
   const auto imb_row = [&imb](const ImbalancedMeshResult& r) {
     imb.add_row({fmt_u64(r.threads) + "t", fmt_u64(r.events),
-                 fmt_u64(r.rounds), fmt_u64(r.shard_windows),
+                 fmt_u64(r.rounds), fmt_u64(r.wide_rounds),
+                 fmt_u64(r.shard_windows),
                  fmt_pct(r.stall_frac()), fmt_u64(r.messages),
                  fmt_sci(static_cast<double>(r.events) / r.wall_s, 3),
                  fmt_u64(r.hash)});
@@ -610,11 +615,13 @@ int main(int argc, char** argv) {
             << 100.0 * static_cast<double>(par.stalled) /
                    static_cast<double>(par.shard_windows + par.stalled)
             << ", \"sharded_steals\": " << par.steals
+            << ", \"sharded_wide_rounds\": " << par.wide_rounds
             << ", \"imb_adaptive_speedup\": " << imb_speedup
             << ", \"imb_adaptive_stall_pct\": "
             << 100.0 * imb_seq.stall_frac()
             << ", \"imb_rounds_adaptive\": " << imb_seq.rounds
             << ", \"imb_steals\": " << imb_par.steals
+            << ", \"imb_wide_rounds\": " << imb_par.wide_rounds
             << ", \"imb_hash_match\": " << (imb_hashes_match ? 1 : 0)
             << "}\n";
   return 0;

@@ -22,6 +22,16 @@ constexpr int kGateSpinPolls = 16;
 /// arriver is not starved for long by yielding peers.
 constexpr std::chrono::microseconds kGateYieldBudget{100};
 
+/// Events per round, as an EWMA with alpha = 1/8, at which a round runs
+/// wide; below it the leader runs the round alone. Measured events per
+/// round (ecobench, seed 1): kv_open median 3, max 22; kv_phase median 8,
+/// max 58 — both stay narrow, never switching — while engine_mesh's
+/// median is 212, so 83% of its rounds run wide with 2 switches a rep.
+/// Switching rarely matters as much as the split: a wide round after the
+/// workers have parked costs ~100 us more on a 4-vCPU host (DESIGN.md
+/// §7.8).
+constexpr std::uint64_t kWideRoundEvents = 64;
+
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -273,7 +283,14 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
   }
 }
 
-ShardedSimulator::~ShardedSimulator() = default;
+ShardedSimulator::~ShardedSimulator() {
+  if (workers_.empty()) return;
+  // Workers wait at the plan gate whenever the leader is outside a wide
+  // round; crossing it with the stop flag set lets them return.
+  stopping_ = true;
+  gate_->sync();
+  for (auto& w : workers_) w.join();
+}
 
 SimDuration ShardedSimulator::pair_lookahead(std::size_t from,
                                              std::size_t to) const {
@@ -323,7 +340,6 @@ void ShardedSimulator::rethrow_shard_error() {
     if (s->error) {
       std::exception_ptr e = s->error;
       s->error = nullptr;
-      done_.store(true, std::memory_order_relaxed);
       std::rethrow_exception(e);
     }
   }
@@ -357,7 +373,6 @@ SimTime ShardedSimulator::shard_horizon(std::size_t d) const {
 }
 
 void ShardedSimulator::prepare_run() {
-  done_.store(false, std::memory_order_relaxed);
   trace_prev_valid_ = false;
   const std::size_t nshards = shards_.size();
   const std::size_t nthreads = threads_;
@@ -404,7 +419,7 @@ void ShardedSimulator::fold_range(std::size_t tid) {
   me.cursor.store(0, std::memory_order_relaxed);
 }
 
-void ShardedSimulator::plan_round() {
+ShardedSimulator::Round ShardedSimulator::plan_round() {
   rethrow_shard_error();
   // Fold the per-thread partials: O(threads) here instead of the old
   // O(shards) worker-0 rescan — the second level of the next-event fold.
@@ -412,11 +427,14 @@ void ShardedSimulator::plan_round() {
   SimTime src1 = kNever, src2 = kNever;
   std::uint32_t src_arg = 0;
   SimTime round_min_horizon = kNever;
+  std::uint64_t round_events = 0;
   for (auto& slot_ptr : slots_) {
     WorkerSlot& slot = *slot_ptr;
     floor = std::min(floor, slot.part_floor);
     fold_top2(slot.part_src1, slot.part_src_arg, src1, src2, src_arg);
     src2 = std::min(src2, slot.part_src2);
+    round_events += slot.events;
+    slot.events = 0;
     shard_windows_ += slot.executed;
     stalled_windows_ += slot.stalled;
     steals_ += slot.stolen;
@@ -427,6 +445,8 @@ void ShardedSimulator::plan_round() {
     slot.min_horizon = kNever;
   }
   if (trace_prev_valid_) {
+    // Fixed-point EWMA update, alpha = 1/8: x8' = x8 - x8/8 + events.
+    events_ewma_x8_ += round_events - events_ewma_x8_ / 8;
     // The span for the round that just completed: [its floor, the tightest
     // horizon any shard ran to). Counters are cumulative tracks.
     const SimTime span_end = round_min_horizon == kNever
@@ -450,8 +470,7 @@ void ShardedSimulator::plan_round() {
   if (floor == kNever || floor >= run_bound_) {
     // Drained, or every remaining event sits at or past the run_until()
     // bound — this segment is over (the pending work is the next one's).
-    done_.store(true, std::memory_order_relaxed);
-    return;
+    return Round::kDone;
   }
   plan_src1_ = src1;
   plan_src2_ = src2;
@@ -459,19 +478,25 @@ void ShardedSimulator::plan_round() {
   trace_prev_valid_ = true;
   trace_prev_floor_ = floor;
   ++windows_;
+  if (threads_ > 1 && events_ewma_x8_ >= 8 * kWideRoundEvents) {
+    ++wide_rounds_;
+    return Round::kWide;
+  }
+  return Round::kNarrow;
 }
 
-void ShardedSimulator::execute_round(std::size_t tid) {
+void ShardedSimulator::execute_round(std::size_t tid, bool wide) {
   WorkerSlot& me = *slots_[tid];
   const std::size_t nthreads = threads_;
   // Claim shard windows: own queue first, then sweep the other queues
   // round-robin. Queues are fixed for the round, so one sweep claims
   // every candidate exactly once (atomic cursor bump), and whichever
   // thread claims a shard never affects results — only which lane its
-  // messages ride, which the canonical merge washes out.
+  // messages ride, which the canonical merge washes out. A narrow round's
+  // leader sweeps every queue alone: nothing is stolen.
   for (std::size_t v = 0; v < nthreads; ++v) {
     WorkerSlot& q = *slots_[(tid + v) % nthreads];
-    const bool stolen = v != 0;
+    const bool stolen = wide && v != 0;
     for (;;) {
       const std::uint32_t idx =
           q.cursor.fetch_add(1, std::memory_order_relaxed);
@@ -482,7 +507,10 @@ void ShardedSimulator::execute_round(std::size_t tid) {
       if (horizon > next_times_[d]) {
         ++me.executed;
         if (stolen) ++me.stolen;  // only a claim that runs a window
+        const Simulator& sim = shards_[d]->sim;
+        const std::uint64_t before = sim.events_processed();
         run_shard_window(d, horizon, tid);
+        me.events += sim.events_processed() - before;
       } else {
         // Pending work the horizon forbade: a barrier stall. Deterministic
         // (horizons derive from published simulation state only).
@@ -524,48 +552,47 @@ void ShardedSimulator::insert_and_fold(std::size_t tid) {
   fold_range(tid);
 }
 
-void ShardedSimulator::drive(std::size_t tid, RoundGate* gate,
-                             std::exception_ptr* failure) {
-  // Round schedule (barriers in parallel runs only), three gates a round
-  // whatever the thread count:
-  //   plan (worker 0) | gate | execute | gate | gather + insert + fold |
-  //   gate | next plan ...
-  for (;;) {
-    if (tid == 0) {
-      if (failure != nullptr) {
-        try {
-          plan_round();
-        } catch (...) {
-          *failure = std::current_exception();
-          done_.store(true, std::memory_order_relaxed);
-        }
-      } else {
-        plan_round();
-      }
-    }
-    if (gate) gate->sync();  // plan published (or done)
-    if (done_.load(std::memory_order_relaxed)) return;
-    execute_round(tid);
-    if (gate) gate->sync();  // every window finished, every lane drained
-    insert_and_fold(tid);
-    if (gate) gate->sync();  // partials published for the next plan
-  }
+// Round schedule. Narrow: the leader plans, then runs every window and
+// every merge range itself — no gate. Wide, three gates whatever the
+// thread count:
+//   plan (leader) | gate | execute | gate | gather + insert + fold | gate |
+//   next plan ...
+// Workers sit at the plan gate between wide rounds, so a round the leader
+// runs narrow — or a pause between run_until() segments — leaves them
+// parked.
+
+void ShardedSimulator::run_narrow_round() {
+  execute_round(0, /*wide=*/false);
+  // Only lane 0 carried messages this round; the other slots may still
+  // hold a wide round's drained (moved-from) messages.
+  for (std::size_t t = 1; t < threads_; ++t) slots_[t]->msgs.clear();
+  for (std::size_t t = 0; t < threads_; ++t) insert_and_fold(t);
 }
 
-void ShardedSimulator::run_parallel() {
-  RoundGate gate(static_cast<std::uint32_t>(threads_));
-  std::vector<std::thread> pool;
-  pool.reserve(threads_ - 1);
-  for (std::size_t t = 1; t < threads_; ++t) {
-    pool.emplace_back([this, t, &gate] { drive(t, &gate, nullptr); });
+void ShardedSimulator::run_wide_round() {
+  if (workers_.empty()) {
+    gate_ = std::make_unique<RoundGate>(static_cast<std::uint32_t>(threads_));
+    workers_.reserve(threads_ - 1);
+    for (std::size_t t = 1; t < threads_; ++t) {
+      workers_.emplace_back([this, t] { worker_loop(t); });
+    }
   }
-  // The calling thread is worker 0 and runs the planner between rounds;
-  // plan_round() may rethrow a shard's exception, so workers must still be
-  // released to exit before we propagate it.
-  std::exception_ptr failure;
-  drive(0, &gate, &failure);
-  for (auto& t : pool) t.join();
-  if (failure) std::rethrow_exception(failure);
+  gate_->sync();  // plan published
+  execute_round(0, /*wide=*/true);
+  gate_->sync();  // every window finished, every lane drained
+  insert_and_fold(0);
+  gate_->sync();  // partials published for the next plan
+}
+
+void ShardedSimulator::worker_loop(std::size_t tid) noexcept {
+  for (;;) {
+    gate_->sync();  // a wide round's plan, or the destructor's stop
+    if (stopping_) return;
+    execute_round(tid, /*wide=*/true);
+    gate_->sync();
+    insert_and_fold(tid);
+    gate_->sync();
+  }
 }
 
 void ShardedSimulator::run() { run_until(kNever); }
@@ -574,17 +601,22 @@ bool ShardedSimulator::run_until(SimTime bound) {
   run_bound_ = bound;
   prepare_run();
   try {
-    if (threads_ <= 1 || shards_.size() == 1) {
-      drive(0, nullptr, nullptr);
-    } else {
-      run_parallel();
+    // plan_round() rethrows a shard's exception at the next round
+    // boundary; by then every worker is back at the plan gate.
+    for (;;) {
+      const Round round = plan_round();
+      if (round == Round::kDone) break;
+      if (round == Round::kWide) {
+        run_wide_round();
+      } else {
+        run_narrow_round();
+      }
     }
   } catch (...) {
     run_bound_ = kNever;
     throw;
   }
   run_bound_ = kNever;
-  rethrow_shard_error();
   for (const auto& s : shards_) {
     if (!s->sim.idle()) return false;
   }

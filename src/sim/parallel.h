@@ -42,35 +42,54 @@
 //     work and the peer bound above protects d for the rest of the
 //     chain's life.
 //
-// Scheduling: shards are claimed from per-thread ready queues with
-// work stealing — a thread that drains its own stripe steals windows from
-// a loaded peer, so shards >> threads no longer serializes behind the
-// static stripe. Claiming is an atomic cursor bump per queue (the queues
-// are pre-populated each round, so the classic Chase-Lev push/steal races
-// don't arise). Which thread runs a window never affects results: the
-// shard's trace lane and post() sequence counter travel with the shard,
-// and the merge key orders messages independently of the lane they rode.
+// Scheduling: the calling thread is the *leader*. It plans every round
+// and decides whether the round runs narrow or wide. A round pays for
+// threads only when it holds more work than the gate crossings cost, so
+// the rule reads the work itself: a round is wide when an EWMA (alpha =
+// 1/8) of events retired per round has reached kWideRoundEvents
+// (parallel.cc). Events per round do not depend on the thread count, so
+// the narrow/wide sequence is deterministic (wide_rounds()). A narrow
+// round runs on the leader alone, exactly as a 1-thread engine runs every
+// round: it executes every runnable window, then inserts and folds every
+// thread's destination range, crossing no gate. In a wide round, shards
+// are claimed from per-thread ready queues with work stealing — a thread
+// that drains its own stripe steals windows from a loaded peer, so shards
+// >> threads no longer serializes behind the static stripe. Claiming is
+// an atomic cursor bump per queue (the queues are pre-populated each
+// round, so the classic Chase-Lev push/steal races don't arise). Steals
+// are counted in wide rounds only; a narrow round has no owner to steal
+// from. Which thread runs a window never affects results: the shard's
+// trace lane and post() sequence counter travel with the shard, and the
+// merge key orders messages independently of the lane they rode.
 //
 // Merging: each thread owns a contiguous destination range [lo, hi) of
-// shards. After the execute barrier every thread gathers the messages
-// bound for its range from every thread's drained lane, sorts them into
-// canonical order and inserts them — one merge step, no extra barriers.
+// shards. After the execute gate of a wide round every thread gathers the
+// messages bound for its range from every thread's drained lane, sorts
+// them into canonical order and inserts them — one merge step, no extra
+// gates. A narrow round runs the same step for every range in turn.
 // The per-shard next-event scan folds the same way: each thread publishes
 // a partial min over its range, and the round planner combines
 // O(threads) partials instead of rescanning O(shards).
 //
-// Round gate: a round crosses three gates (plan, execute, fold), and a
-// round often holds only a few events — about a microsecond of work per
-// shard — so a crossing must cost about that much, not a futex sleep and
-// wake. The gate is a generation counter: the last arriver bumps it, and
-// the others wait in three phases. They poll with `pause` for about as
-// long as one yield costs, so a gate that opens that soon is seen at
-// once (a longer spin slowed the threads still working in wide rounds).
-// Then they poll with `yield` for a bounded ~100 us, so that when threads
-// outnumber cores a descheduled last arriver gets the core instead of
-// being starved by spinning peers. Then they park on `atomic::wait`, so a
-// long round (or a long-blocked action) costs no CPU; the last arriver's
-// `notify_all` wakes them.
+// Round gate: a wide round crosses three gates (plan, execute, fold), and
+// a wide round may hold only a few hundred events — ~15 us of work on the
+// engine mesh — so a crossing must cost about a microsecond, not a futex
+// sleep and wake. The gate is a generation counter: the last
+// arriver bumps it, and the others wait in three phases. They poll with
+// `pause` for about as long as one yield costs, so a gate that opens that
+// soon is seen at once (a longer spin slowed the threads still working in
+// wide rounds). Then they poll with `yield` for a bounded ~100 us, so that
+// when threads outnumber cores a descheduled last arriver gets the core
+// instead of being starved by spinning peers. Then they park on
+// `atomic::wait`, so a long round (or a long-blocked action) costs no CPU;
+// the last arriver's `notify_all` wakes them.
+//
+// Workers (threads 1..N-1) start lazily, at the first wide round, and live
+// as long as the engine. Between wide rounds — through narrow rounds and
+// between run_until() segments — they wait at the plan gate, parked once
+// the yield budget runs out; the leader releases them by crossing it.
+// Runs that never go wide spawn no thread at all. The destructor releases
+// the parked workers with a stop flag and joins them.
 //
 // Determinism: the merge is canonical — messages sort by (destination,
 // time, source shard, source sequence), a total order — so destination
@@ -90,6 +109,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -100,9 +120,8 @@
 
 namespace ecoscale {
 
-/// Spin-then-park generation-counter barrier for the round loop (see the
-/// file comment; defined in parallel.cc). Null gate = sequential run, no
-/// waiting.
+/// Spin-then-park generation-counter barrier for wide rounds (see the file
+/// comment; defined in parallel.cc).
 class RoundGate;
 
 struct ShardedConfig {
@@ -116,8 +135,9 @@ struct ShardedConfig {
   /// `dense_pair_cap` without a `source_floor`, horizons use it as every
   /// shard's floor.
   SimDuration lookahead = nanoseconds(100);
-  /// Worker threads; 0 picks std::thread::hardware_concurrency(). The
-  /// thread count never changes simulation results, only wall-clock time.
+  /// Threads a wide round may use, the caller included; 0 picks
+  /// std::thread::hardware_concurrency(). The thread count never changes
+  /// simulation results, only wall-clock time.
   std::size_t threads = 1;
   /// Ring capacity of each per-thread lane; bursts beyond it spill to a
   /// producer-owned overflow vector (correct but allocating).
@@ -149,11 +169,16 @@ struct ShardedConfig {
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(ShardedConfig config);
+  /// Releases and joins the worker threads, if a wide round started them.
   ~ShardedSimulator();
+  // Workers hold `this`: the engine never moves.
+  ShardedSimulator(const ShardedSimulator&) = delete;
+  ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   std::size_t shard_count() const { return shards_.size(); }
   SimDuration lookahead() const { return config_.lookahead; }
-  /// Threads the window loop will actually use (clamped to shard count).
+  /// Threads a wide round uses (the configured count clamped to the shard
+  /// count). Narrow rounds run on the calling thread alone.
   std::size_t threads_used() const { return threads_; }
   /// The conservative latency bound post() enforces for this pair — the
   /// dense matrix entry, the oracle, or the uniform lookahead.
@@ -196,10 +221,14 @@ class ShardedSimulator {
   bool run_until(SimTime bound);
 
   // --- accounting ---------------------------------------------------------
-  // The first four are deterministic (thread-count invariant); spills and
-  // steals are wall-clock-side.
+  // The first five are deterministic (thread-count invariant); spills,
+  // steals and spawned workers vary with the thread count.
   /// Synchronization rounds executed so far.
   std::uint64_t windows() const { return windows_; }
+  /// Rounds that ran wide, across threads_used() threads. The narrow/wide
+  /// rule reads only events per round, so this is the same at any thread
+  /// count above one, and 0 at one thread.
+  std::uint64_t wide_rounds() const { return wide_rounds_; }
   /// (shard, round) pairs that retired at least one event — "windows
   /// executed". windows() * shard_count() minus this minus the stalls is
   /// the idle balance.
@@ -211,10 +240,10 @@ class ShardedSimulator {
   /// Cross-shard messages routed through the lanes (sum of the per-source
   /// send counters — identical whatever the lane layout).
   std::uint64_t messages() const;
-  /// Shard windows executed by a thread other than the queue owner's (a
-  /// claimed shard whose horizon forbids running is a stall, not a steal),
-  /// so steals() <= shard_windows(). Wall-clock-side: depends on thread
-  /// timing, never on results.
+  /// Shard windows a wide round executed on a thread other than the queue
+  /// owner's (a claimed shard whose horizon forbids running is a stall, not
+  /// a steal), so steals() <= shard_windows(). Wall-clock-side: depends on
+  /// thread timing, never on results.
   std::uint64_t steals() const { return steals_; }
   /// Pushes that overflowed a lane ring into its spill vector. Lane load
   /// depends on how many shards share a thread, so this varies with the
@@ -230,9 +259,15 @@ class ShardedSimulator {
   /// Wall time spent retiring events, summed over shards (CPU time, not
   /// elapsed time — shards run concurrently).
   std::uint64_t shard_wall_time_ns() const;
+  /// Worker threads started so far: 0 until the first wide round, then
+  /// threads_used() - 1 for the engine's lifetime.
+  std::size_t spawned_workers() const { return workers_.size(); }
 
  private:
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+  /// What the leader does next (plan_round()'s verdict).
+  enum class Round { kDone, kNarrow, kWide };
 
   struct Shard {
     Simulator sim;
@@ -274,6 +309,7 @@ class ShardedSimulator {
     std::vector<MergeItem> gather;
     // Deterministic per-round tallies (zeroed by the planner after
     // folding) plus the wall-clock-side steal count.
+    std::uint64_t events = 0;  // events retired, for the wide/narrow rule
     std::uint64_t executed = 0;
     std::uint64_t stalled = 0;
     std::uint64_t stolen = 0;
@@ -298,18 +334,31 @@ class ShardedSimulator {
   void run_shard_window(std::size_t s, SimTime end, std::size_t lane);
   void rethrow_shard_error();
 
-  // --- round phases (see parallel.cc for the barrier schedule) ----------
+  // --- round phases (see parallel.cc for the gate schedule) -------------
   /// Reset per-run state: pre-reserve every merge/drain/queue buffer from
   /// the lane capacities (steady state allocates nothing) and seed the
   /// next-event times, ready queues and fold partials.
   void prepare_run();
-  /// Worker 0 between rounds: fold the per-thread partials (O(threads),
+  /// Leader, between rounds: fold the per-thread partials (O(threads),
   /// replacing the old O(shards) rescan), emit the previous round's trace
-  /// span/counters, publish the next round's horizons or done.
-  void plan_round();
-  /// Claim shards (own queue, then steal), run their windows, then drain
-  /// this thread's lane into its `msgs`.
-  void execute_round(std::size_t tid);
+  /// span/counters, update the events-per-round EWMA, and publish the next
+  /// round's horizons — or report the segment over. Rethrows a shard's
+  /// exception.
+  Round plan_round();
+  /// Leader alone: every runnable window, then every destination range.
+  void run_narrow_round();
+  /// Leader's share of a wide round; starts the workers on first use.
+  void run_wide_round();
+  /// A worker's life: wait at the plan gate, run its share of the wide
+  /// round, repeat until the destructor sets `stopping_`. Actions'
+  /// exceptions are caught per window; anything else a phase throws is an
+  /// engine invariant or allocation failure, and noexcept turns it into
+  /// std::terminate instead of leaving the peers stuck at a gate.
+  void worker_loop(std::size_t tid) noexcept;
+  /// Claim shards (own queue, then the others), run their windows, then
+  /// drain this thread's lane into its `msgs`. Only a wide round counts
+  /// claims from another thread's queue as steals.
+  void execute_round(std::size_t tid, bool wide);
   /// Gather every lane's messages bound for this thread's destination
   /// range, sort them canonically and insert them; then refresh the
   /// range's next-event times, ready queue and partials.
@@ -317,10 +366,6 @@ class ShardedSimulator {
   void fold_range(std::size_t tid);
   /// The per-shard execution horizon for this round (see file comment).
   SimTime shard_horizon(std::size_t d) const;
-  /// One worker's whole round loop; `gate` is null in sequential runs and
-  /// `failure` non-null only on parallel worker 0 (plan_round may throw).
-  void drive(std::size_t tid, RoundGate* gate, std::exception_ptr* failure);
-  void run_parallel();
 
   ShardedConfig config_;
   std::size_t threads_ = 1;
@@ -341,26 +386,40 @@ class ShardedSimulator {
   // execute phase; the round barriers order the two.
   std::vector<SimTime> next_times_;
 
-  // Round plan, published by worker 0 and read by all workers after the
-  // plan barrier (plain fields; the barrier provides the happens-before).
+  // Round plan, published by the leader and read by all workers after the
+  // plan gate (plain fields; the gate provides the happens-before).
   SimTime plan_src1_ = kNever;  // top-2 of next_s + source_floor_[s]
   SimTime plan_src2_ = kNever;
   std::uint32_t plan_src_arg_ = 0;
   /// Exclusive stop bound of the current run_until() segment (kNever for
-  /// a plain run()). Set before the workers start, cleared after they
-  /// join, read inside via plan_round()/shard_horizon() only.
+  /// a plain run()). Set by the leader before the segment's first plan,
+  /// read inside via plan_round()/shard_horizon() only.
   SimTime run_bound_ = kNever;
-  std::atomic<bool> done_{false};
 
-  // Worker-0-only trace bookkeeping: the previous round's span is emitted
-  // one plan later, when its min horizon has been folded.
+  // Leader-only bookkeeping: the previous round's trace span is emitted
+  // one plan later, when its min horizon has been folded; the same plan
+  // feeds its event count to the EWMA. Valid only if a round ran since the
+  // segment began.
   bool trace_prev_valid_ = false;
   SimTime trace_prev_floor_ = 0;
+  /// EWMA of events retired per round, in eighths (fixed point, so the
+  /// wide/narrow sequence is exact integer arithmetic). Kept across
+  /// run_until() segments.
+  std::uint64_t events_ewma_x8_ = 0;
 
   std::uint64_t windows_ = 0;
   std::uint64_t shard_windows_ = 0;
   std::uint64_t stalled_windows_ = 0;
   std::uint64_t steals_ = 0;
+  std::uint64_t wide_rounds_ = 0;
+
+  // Persistent worker pool (threads 1..N-1), started at the first wide
+  // round; declared last, after everything the workers touch. `stopping_`
+  // is written by the destructor before it crosses the plan gate, so the
+  // gate orders it before the workers read it.
+  std::unique_ptr<RoundGate> gate_;
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ecoscale

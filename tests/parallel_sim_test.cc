@@ -2,13 +2,17 @@
 // per-thread lane FIFO + wraparound, the conservative post() contract, the
 // canonical window merge, and — the load-bearing property — byte-identical
 // determinism across --sim-threads 1, 2 and 8, both for a raw engine
-// workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime.
+// workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime —
+// plus the narrow/wide round rule and the lifetime of the worker pool.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <numeric>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -46,6 +50,27 @@ struct TraceHasher {
     mix(bits);
   }
 };
+
+// Background load for the wide path: `chains` chains of no-op events on
+// `sim`, one every `period` from `start` until before `stop`. A round runs
+// wide only once the engine's EWMA of events per round is large enough, so
+// tests that must cover wide rounds add this to their own (sparse)
+// workload. Returns the number of events added.
+std::uint64_t add_ticks(Simulator& sim, std::size_t chains, SimTime start,
+                        SimTime stop, SimDuration period = 1) {
+  struct Tick {
+    Simulator* sim;
+    SimTime stop;
+    SimDuration period;
+    void operator()() const {
+      if (sim->now() + period < stop) sim->schedule_after(period, *this);
+    }
+  };
+  for (std::size_t c = 0; c < chains; ++c) {
+    sim.schedule_at(start, Tick{&sim, stop, period});
+  }
+  return chains * ((stop - start + period - 1) / period);
+}
 
 // --- per-thread SPSC lane ---------------------------------------------------
 
@@ -152,11 +177,13 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromWorkerThreads) {
   ShardedSimulator engine(sc);
   for (std::size_t s = 0; s < 4; ++s) {
     engine.shard(s).schedule_at(5, [] {});
+    add_ticks(engine.shard(s), 4, 1, 1000);  // ~160 events a round: wide
   }
-  engine.shard(3).schedule_at(7, [] {
+  engine.shard(3).schedule_at(307, [] {
     throw std::runtime_error("shard 3 exploded");
   });
   EXPECT_THROW(engine.run(), std::runtime_error);
+  EXPECT_GT(engine.wide_rounds(), 0u);
 }
 
 // --- deterministic cross-shard workload -------------------------------------
@@ -204,7 +231,8 @@ struct MeshActor {
 std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
                                  std::size_t mailbox_capacity,
                                  std::uint64_t fires_per_actor,
-                                 std::uint64_t* spills_out = nullptr) {
+                                 std::uint64_t* spills_out = nullptr,
+                                 std::uint64_t* wide_out = nullptr) {
   ShardedConfig sc;
   sc.shards = shards;
   sc.lookahead = 200;
@@ -233,20 +261,28 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
   combined.mix(engine.messages());
   combined.mix(engine.windows());
   if (spills_out != nullptr) *spills_out = engine.mailbox_spills();
+  if (wide_out != nullptr) *wide_out = engine.wide_rounds();
   EXPECT_GT(engine.messages(), 0u);
   return combined.h;
 }
 
 // Three threads split the 8 destination shards 2/3/3, so the merge's
 // destination ranges are uneven and no thread count divides the shards.
+// The wide/narrow rule reads events per round only, so every thread count
+// above one runs the same rounds wide, and one thread runs none.
 TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_3_8) {
-  const std::uint64_t h1 = mesh_workload_hash(8, 1, 1024, 400);
-  const std::uint64_t h2 = mesh_workload_hash(8, 2, 1024, 400);
-  const std::uint64_t h3 = mesh_workload_hash(8, 3, 1024, 400);
-  const std::uint64_t h8 = mesh_workload_hash(8, 8, 1024, 400);
+  std::uint64_t w1 = 0, w2 = 0, w3 = 0, w8 = 0;
+  const std::uint64_t h1 = mesh_workload_hash(8, 1, 1024, 400, nullptr, &w1);
+  const std::uint64_t h2 = mesh_workload_hash(8, 2, 1024, 400, nullptr, &w2);
+  const std::uint64_t h3 = mesh_workload_hash(8, 3, 1024, 400, nullptr, &w3);
+  const std::uint64_t h8 = mesh_workload_hash(8, 8, 1024, 400, nullptr, &w8);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h3);
   EXPECT_EQ(h1, h8);
+  EXPECT_EQ(w1, 0u);
+  EXPECT_GT(w2, 0u);
+  EXPECT_EQ(w2, w3);
+  EXPECT_EQ(w2, w8);
 }
 
 // Window-boundary lane stress: a 4-slot ring under a message rate far
@@ -382,31 +418,54 @@ TEST(ShardedSimulator, OverstatedSourceFloorIsRejected) {
 // which pongs straight back at the pair bound. Without the post-time echo
 // cap shard 0 runs its local work past the pong's delivery time in round
 // 1 and the merge two rounds later schedules an event in its past.
+//
+// Each run happens twice: sparse, so every round is narrow, and with dense
+// background ticks on shard 0 whose EWMA is warmed by one-round run_until()
+// segments first, so the ping's round and every later one run wide.
 void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
                         SimDuration hop) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    ShardedConfig sc;
-    sc.shards = 3;
-    sc.lookahead = 100;
-    sc.threads = threads;
-    tweak(sc);
-    ShardedSimulator engine(sc);
-    for (SimTime t = 10; t <= 5000; t += 10) {
-      engine.shard(0).schedule_at(t, [] {});
+  for (const bool wide : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      ShardedConfig sc;
+      sc.shards = 3;
+      sc.lookahead = 100;
+      sc.threads = threads;
+      tweak(sc);
+      ShardedSimulator engine(sc);
+      // Scenario start: after the warm-up span in the wide variant.
+      const SimTime t0 = wide ? 2000 : 0;
+      if (wide) {
+        add_ticks(engine.shard(0), 8, 1, t0 + 5000);
+        // Shards 1 and 2 are idle, so each segment is one ~800-event
+        // round on shard 0.
+        for (SimTime b = 100; b <= t0; b += 100) engine.run_until(b);
+      }
+      for (SimTime t = t0 + 10; t <= t0 + 5000; t += 10) {
+        engine.shard(0).schedule_at(t, [] {});
+      }
+      engine.shard(2).schedule_at(t0 + 1000000, [] {});  // distant, not idle
+      SimTime pong_at = 0;
+      engine.shard(0).schedule_at(t0 + 10, [&engine, &pong_at, hop] {
+        engine.post(0, 1, engine.shard(0).now() + hop,
+                    [&engine, &pong_at, hop] {
+                      engine.post(1, 0, engine.shard(1).now() + hop,
+                                  [&engine, &pong_at] {
+                                    pong_at = engine.shard(0).now();
+                                  });
+                    });
+      });
+      const std::uint64_t warm_wide = engine.wide_rounds();
+      engine.run();
+      EXPECT_EQ(pong_at, t0 + 10 + 2 * hop);
+      if (wide && threads > 1) {
+        // Warm-up rounds went wide, and the EWMA only rises under them,
+        // so the ping's round ran wide too.
+        EXPECT_GT(warm_wide, 0u);
+        EXPECT_GT(engine.wide_rounds(), warm_wide);
+      } else {
+        EXPECT_EQ(engine.wide_rounds(), 0u);
+      }
     }
-    engine.shard(2).schedule_at(1000000, [] {});  // distant, not idle
-    SimTime pong_at = 0;
-    engine.shard(0).schedule_at(10, [&engine, &pong_at, hop] {
-      engine.post(0, 1, engine.shard(0).now() + hop,
-                  [&engine, &pong_at, hop] {
-                    engine.post(1, 0, engine.shard(1).now() + hop,
-                                [&engine, &pong_at] {
-                                  pong_at = engine.shard(0).now();
-                                });
-                  });
-    });
-    engine.run();
-    EXPECT_EQ(pong_at, 10 + 2 * hop);
   }
 }
 
@@ -583,10 +642,12 @@ TEST(ShardedSimulator, ImbalancedTopologyByteIdenticalAcross1_2_3_8Threads) {
 }
 
 // The round gate's park path: one shard's action blocks for ~2 ms of host
-// time in each of a few rounds while the other shards have nothing to do,
-// so their threads exhaust the spin and yield phases and park on
-// atomic::wait until the last arriver wakes them. The run must complete
-// and match the sequential run exactly.
+// time in each of a few rounds while the other shards have only a short
+// background load to run, so their threads exhaust the spin and yield
+// phases and park on atomic::wait until the last arriver wakes them. The
+// background (~800 events a round on shards 2 and 3) makes every round
+// after the first wide, so the blocking rounds really cross the gate. The
+// run must complete and match the sequential run exactly.
 std::uint64_t blocking_shard_hash(std::size_t threads) {
   constexpr std::size_t kShards = 4;
   constexpr int kBlockingRounds = 4;
@@ -596,6 +657,10 @@ std::uint64_t blocking_shard_hash(std::size_t threads) {
   sc.threads = threads;
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(kShards);
+  std::uint64_t background = 0;
+  for (std::size_t s = 2; s < kShards; ++s) {
+    background += add_ticks(engine.shard(s), 4, 1, 800);
+  }
   // Shard 0 sleeps, then posts to shard 1, which answers; each leg is a
   // new round, so the sleeps land in distinct rounds.
   std::function<void(int)> ping = [&](int left) {
@@ -615,7 +680,10 @@ std::uint64_t blocking_shard_hash(std::size_t threads) {
   combined.mix(engine.events_processed());
   combined.mix(engine.messages());
   combined.mix(engine.windows());
-  EXPECT_EQ(engine.events_processed(), 2u * kBlockingRounds - 1);
+  EXPECT_EQ(engine.events_processed() - background, 2u * kBlockingRounds - 1);
+  if (threads > 1) {
+    EXPECT_GT(engine.wide_rounds(), 0u);
+  }
   return combined.h;
 }
 
@@ -794,7 +862,8 @@ struct NodeGenerator {
 };
 
 std::uint64_t sharded_runtime_hash(std::size_t threads,
-                                   ShardedRuntime::Stats* stats_out = nullptr) {
+                                   ShardedRuntime::Stats* stats_out = nullptr,
+                                   std::uint64_t* wide_out = nullptr) {
   ShardedRuntimeConfig cfg;
   cfg.nodes = 8;
   cfg.workers_per_node = 2;
@@ -824,8 +893,13 @@ std::uint64_t sharded_runtime_hash(std::size_t threads,
     g.kernels = &kernels;
     rt.shard(node).schedule_at(static_cast<SimTime>(1 + node),
                                [&g] { g.fire(); });
+    // Background ticks, 32 per lookahead per node (~256 events a round),
+    // through the generators' six epochs, so the rounds run wide.
+    add_ticks(rt.shard(node), 2, 1, microseconds(180),
+              std::max<SimDuration>(rt.lookahead() / 16, 1));
   }
   rt.run();
+  if (wide_out != nullptr) *wide_out = rt.engine().wide_rounds();
 
   TraceHasher combined;
   for (std::size_t node = 0; node < cfg.nodes; ++node) {
@@ -851,11 +925,14 @@ std::uint64_t sharded_runtime_hash(std::size_t threads,
 
 TEST(ShardedRuntime, MixedUnimemUnilogicWorkloadIdenticalAcrossThreads) {
   ShardedRuntime::Stats s1{};
+  std::uint64_t w2 = 0, w8 = 0;
   const std::uint64_t h1 = sharded_runtime_hash(1, &s1);
-  const std::uint64_t h2 = sharded_runtime_hash(2);
-  const std::uint64_t h8 = sharded_runtime_hash(8);
+  const std::uint64_t h2 = sharded_runtime_hash(2, nullptr, &w2);
+  const std::uint64_t h8 = sharded_runtime_hash(8, nullptr, &w8);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h8);
+  EXPECT_GT(w2, 0u);
+  EXPECT_EQ(w2, w8);
   // The workload really was mixed and really did cross node boundaries:
   // 8 nodes x 6 epochs x (2 local + 1 forwarded) tasks.
   EXPECT_EQ(s1.tasks, 8u * 6u * 3u);
@@ -924,14 +1001,21 @@ TEST(ShardedSimulator, ControllerMayScheduleAtThePauseOnAnyShard) {
 // pause the controller folds the (deterministic) per-shard counters into
 // the hash and injects boundary events for the first few epochs. The
 // final hash must be byte-identical across thread counts — run_until's
-// pause is a consistent cut, never a function of the interleaving.
-std::uint64_t segmented_run_hash(std::size_t threads) {
+// pause is a consistent cut, never a function of the interleaving. With
+// `background` chains of ticks per shard (~28 events per chain a round)
+// most rounds run wide, and the workers wait parked across every pause.
+std::uint64_t segmented_run_hash(std::size_t threads,
+                                 std::size_t background = 0,
+                                 std::uint64_t* wide_out = nullptr) {
   ShardedConfig sc;
   sc.shards = 4;
   sc.lookahead = 7;
   sc.threads = threads;
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(4);
+  for (std::size_t s = 0; s < 4 && background > 0; ++s) {
+    add_ticks(engine.shard(s), background, 1, 400);
+  }
   struct Chain {
     ShardedSimulator* eng;
     std::size_t shard;
@@ -982,15 +1066,191 @@ std::uint64_t segmented_run_hash(std::size_t threads) {
   }
   for (std::size_t s = 0; s < 4; ++s) controller.mix(hashes[s].h);
   controller.mix(engine.events_processed());
+  if (wide_out != nullptr) *wide_out = engine.wide_rounds();
   return controller.h;
 }
 
 TEST(ShardedSimulator, SegmentedRunsAreByteIdenticalAcrossThreads) {
+  // Narrow only: the chains alone retire a few events a round.
+  std::uint64_t w8 = 0;
   const std::uint64_t h1 = segmented_run_hash(1);
   const std::uint64_t h2 = segmented_run_hash(2);
-  const std::uint64_t h8 = segmented_run_hash(8);
+  const std::uint64_t h8 = segmented_run_hash(8, 0, &w8);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h8);
+  EXPECT_EQ(w8, 0u);
+  // Wide: the same controller over 8 background chains per shard.
+  std::uint64_t wide2 = 0;
+  std::uint64_t wide8 = 0;
+  const std::uint64_t b1 = segmented_run_hash(1, 8);
+  const std::uint64_t b2 = segmented_run_hash(2, 8, &wide2);
+  const std::uint64_t b8 = segmented_run_hash(8, 8, &wide8);
+  EXPECT_EQ(b1, b2);
+  EXPECT_EQ(b1, b8);
+  EXPECT_GT(wide2, 0u);
+  EXPECT_EQ(wide2, wide8);
+}
+
+// --- worker pool lifetime ---------------------------------------------------
+
+// A fresh number for every thread that asks: a thread started after
+// another one exited gets a new number even when it inherits the old
+// thread's id, so counting numbers counts threads ever started.
+std::uint64_t thread_birth() {
+  static std::atomic<std::uint64_t> next{0};
+  thread_local const std::uint64_t birth = next.fetch_add(1);
+  return birth;
+}
+
+// The threads that ran each shard's actions. Shard s's sets are touched
+// only by the thread running s's window, and the round gates order
+// successive windows, so the sets need no lock.
+struct ThreadLog {
+  std::vector<std::set<std::thread::id>> ids;
+  std::vector<std::set<std::uint64_t>> births;
+  explicit ThreadLog(std::size_t shards) : ids(shards), births(shards) {}
+  void note(std::size_t s) {
+    ids[s].insert(std::this_thread::get_id());
+    births[s].insert(thread_birth());
+  }
+  std::set<std::thread::id> all_ids() const {
+    std::set<std::thread::id> all;
+    for (const auto& set : ids) all.insert(set.begin(), set.end());
+    return all;
+  }
+  std::set<std::uint64_t> all_births() const {
+    std::set<std::uint64_t> all;
+    for (const auto& set : births) all.insert(set.begin(), set.end());
+    return all;
+  }
+};
+
+// One event a tick on `shard` until before `stop`, each noting its thread.
+struct LoggedTick {
+  Simulator* sim;
+  std::size_t shard;
+  ThreadLog* log;
+  SimTime stop;
+  void operator()() const {
+    log->note(shard);
+    if (sim->now() + 1 < stop) sim->schedule_after(1, *this);
+  }
+};
+
+ShardedConfig pool_config() {
+  ShardedConfig sc;
+  sc.shards = 4;
+  sc.lookahead = 10;
+  sc.threads = 4;
+  return sc;
+}
+
+TEST(ShardedSimulator, WorkerThreadsSurviveRunUntilSegments) {
+  ShardedSimulator engine(pool_config());
+  ThreadLog log(4);
+  for (std::size_t s = 0; s < 4; ++s) {
+    add_ticks(engine.shard(s), 4, 1, 1000);  // ~200 events a round: wide
+    engine.shard(s).schedule_at(1, LoggedTick{&engine.shard(s), s, &log, 1000});
+  }
+  // 50 segments of two rounds each; workers must wait across every pause
+  // instead of being spawned and joined per segment.
+  SimTime bound = 0;
+  bool drained = false;
+  for (int seg = 0; seg < 50; ++seg) drained = engine.run_until(bound += 20);
+  EXPECT_TRUE(drained);
+  EXPECT_GT(engine.wide_rounds(), 0u);
+  EXPECT_EQ(engine.spawned_workers(), 3u);
+  EXPECT_LE(log.all_ids().size(), 4u);
+  EXPECT_LE(log.all_births().size(), 4u);
+  // The first rounds (EWMA still low) ran narrow, on the caller.
+  EXPECT_EQ(log.all_ids().count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ShardedSimulator, NarrowRoundsRunEveryActionOnTheCallersThread) {
+  // ~40 events a round, below the wide threshold: the kv-style regime.
+  ShardedSimulator engine(pool_config());
+  ThreadLog log(4);
+  for (std::size_t s = 0; s < 4; ++s) {
+    engine.shard(s).schedule_at(1, LoggedTick{&engine.shard(s), s, &log, 600});
+  }
+  SimTime bound = 0;
+  while (!engine.run_until(bound += 50)) {
+  }
+  EXPECT_EQ(engine.events_processed(), 4u * 599u);
+  EXPECT_GT(engine.windows(), 0u);
+  EXPECT_EQ(engine.wide_rounds(), 0u);
+  EXPECT_EQ(engine.spawned_workers(), 0u);
+  EXPECT_EQ(engine.steals(), 0u);
+  const std::set<std::thread::id> ids = log.all_ids();
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+// Throws on any thread but `leader`, one event a tick until before `stop`.
+struct WorkerTrap {
+  Simulator* sim;
+  std::thread::id leader;
+  SimTime stop;
+  void operator()() const {
+    if (std::this_thread::get_id() != leader) {
+      throw std::runtime_error("thrown on a worker");
+    }
+    if (sim->now() + 1 < stop) sim->schedule_after(1, *this);
+  }
+};
+
+TEST(ShardedSimulator, ActionExceptionPropagatesFromTheLeaderAndFromAWorker) {
+  {
+    // Narrow round: the action runs, and throws, on the caller.
+    ShardedSimulator engine(pool_config());
+    std::thread::id thrower;
+    for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
+    engine.shard(3).schedule_at(7, [&thrower] {
+      thrower = std::this_thread::get_id();
+      throw std::runtime_error("thrown on the leader");
+    });
+    EXPECT_THROW(engine.run(), std::runtime_error);
+    EXPECT_EQ(thrower, std::this_thread::get_id());
+    EXPECT_EQ(engine.wide_rounds(), 0u);
+  }
+  {
+    // Wide rounds: every shard throws as soon as a worker, not the caller,
+    // runs one of its trap events, so the exception that surfaces was
+    // thrown on a worker.
+    ShardedSimulator engine(pool_config());
+    for (std::size_t s = 0; s < 4; ++s) {
+      add_ticks(engine.shard(s), 8, 1, 2000);
+      engine.shard(s).schedule_at(
+          200, WorkerTrap{&engine.shard(s), std::this_thread::get_id(), 2000});
+    }
+    EXPECT_THROW(engine.run(), std::runtime_error);
+    EXPECT_GT(engine.wide_rounds(), 0u);
+  }
+}
+
+TEST(ShardedSimulator, DestructorReturnsWithNoRunsAfterAThrowAndWhileParked) {
+  {
+    ShardedSimulator never_run(pool_config());
+    EXPECT_EQ(never_run.spawned_workers(), 0u);
+  }
+  {
+    ShardedSimulator engine(pool_config());
+    for (std::size_t s = 0; s < 4; ++s) add_ticks(engine.shard(s), 4, 1, 1000);
+    engine.shard(3).schedule_at(307, [] {
+      throw std::runtime_error("shard 3 exploded");
+    });
+    EXPECT_THROW(engine.run(), std::runtime_error);
+    EXPECT_EQ(engine.spawned_workers(), 3u);
+  }
+  {
+    ShardedSimulator engine(pool_config());
+    for (std::size_t s = 0; s < 4; ++s) add_ticks(engine.shard(s), 4, 1, 1000);
+    EXPECT_TRUE(engine.run_until(1000));
+    EXPECT_EQ(engine.spawned_workers(), 3u);
+    // Well past the gate's ~100 us yield budget: the workers are parked on
+    // atomic::wait when the destructor releases them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 TEST(ShardedRuntime, ForwardedTasksPayTheInterNodeLatency) {

@@ -282,7 +282,13 @@ struct ShardPumpActor {
   }
 };
 
-std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor) {
+// Eight actors per shard retire ~170 events a round, enough for the
+// engine's events-per-round EWMA to run rounds wide (lazily spawning the
+// workers once per run), so both the wide and the narrow path are warm.
+constexpr std::size_t kPumpActorsPerShard = 8;
+
+std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor,
+                                 std::uint64_t* wide_rounds = nullptr) {
   const std::uint64_t before = g_allocations.load();
   ShardedConfig sc;
   sc.shards = 8;
@@ -292,32 +298,40 @@ std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor) {
   ShardedSimulator engine(sc);
   EXPECT_EQ(engine.threads_used(), 4u);
   std::array<std::uint64_t, 8> sinks{};
-  std::array<ShardPumpActor, 8> actors;
-  for (std::size_t s = 0; s < 8; ++s) {
-    actors[s].eng = &engine;
-    actors[s].shard = s;
-    actors[s].shards = 8;
-    actors[s].left = fires_per_actor;
-    actors[s].sinks = sinks.data();
-    ShardPumpActor* a = &actors[s];
-    engine.shard(s).schedule_at(static_cast<SimTime>(1 + s),
+  std::array<ShardPumpActor, 8 * kPumpActorsPerShard> actors;
+  for (std::size_t i = 0; i < actors.size(); ++i) {
+    const std::size_t s = i % 8;
+    actors[i].eng = &engine;
+    actors[i].shard = s;
+    actors[i].shards = 8;
+    actors[i].left = fires_per_actor;
+    actors[i].sinks = sinks.data();
+    ShardPumpActor* a = &actors[i];
+    engine.shard(s).schedule_at(static_cast<SimTime>(1 + i),
                                 [a] { a->fire(); });
   }
   engine.run();
   EXPECT_EQ(engine.mailbox_spills(), 0u)
       << "ring overflowed; spills allocate and void the comparison";
   EXPECT_GT(engine.messages(), 0u);
+  if (wide_rounds != nullptr) *wide_rounds = engine.wide_rounds();
   return g_allocations.load() - before;
 }
 
 TEST(SimulatorAllocation, ShardedEngineWindowsAreAllocationFreeOnceWarm) {
-  // Per-run costs (engine construction, scratch reservations, std::thread
-  // state for threads-1 workers, event-slab warm-up) are identical for
-  // identical configs, so running 4x the windows must allocate exactly as
-  // much as running 1x — anything per-window shows up as the difference.
-  sharded_run_allocs(2000);  // warm process-wide pools and TLS once
-  const std::uint64_t base = sharded_run_allocs(2000);
-  const std::uint64_t scaled = sharded_run_allocs(8000);
+  // Per-run costs (engine construction, scratch reservations, the one
+  // lazy spawn of threads-1 workers and their gate, event-slab warm-up)
+  // are identical for identical configs, so running 4x the windows must
+  // allocate exactly as much as running 1x — anything per-window shows up
+  // as the difference. Both runs must go wide, or the spawn would be
+  // counted in one run only and the wide path would go untested.
+  sharded_run_allocs(500);  // warm process-wide pools and TLS once
+  std::uint64_t base_wide = 0;
+  std::uint64_t scaled_wide = 0;
+  const std::uint64_t base = sharded_run_allocs(500, &base_wide);
+  const std::uint64_t scaled = sharded_run_allocs(2000, &scaled_wide);
+  EXPECT_GT(base_wide, 0u);
+  EXPECT_GT(scaled_wide, base_wide);
   EXPECT_EQ(scaled, base)
       << "the parallel engine allocated per window in steady state";
 }
