@@ -87,6 +87,20 @@ void BM_RidgePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_RidgePredict);
 
+// One observe -> predict cycle: the model-based placement path, where the
+// predict after each observation pays the Cholesky solve.
+void BM_RidgeObservePredict(benchmark::State& state) {
+  RidgeRegression model(5);
+  Rng rng(6);
+  for (auto _ : state) {
+    const double x = rng.uniform();
+    const std::array<double, 5> f{1.0, x, x * x, 2 * x, 1 - x};
+    model.observe(f, 3 * x);
+    benchmark::DoNotOptimize(model.predict(f));
+  }
+}
+BENCHMARK(BM_RidgeObservePredict);
+
 void BM_BitstreamCompressRle(benchmark::State& state) {
   const auto bs = generate_bitstream(4, 0.3, 6);
   for (auto _ : state) {

@@ -1,22 +1,24 @@
 #include "model/regression.h"
 
+#include <array>
 #include <cmath>
 
 namespace ecoscale {
 
 RidgeRegression::RidgeRegression(std::size_t dims, double lambda)
-    : dims_(dims), lambda_(lambda), xtx_(dims * dims, 0.0), xty_(dims, 0.0) {
+    : dims_(dims),
+      lambda_(lambda),
+      xtx_(dims * dims, 0.0),
+      xty_(dims, 0.0),
+      cached_beta_(dims, 0.0) {
   ECO_CHECK(dims >= 1);
+  ECO_CHECK_MSG(dims <= kMaxDims, "ridge regression supports <= 16 features");
   ECO_CHECK(lambda > 0);
 }
 
 void RidgeRegression::observe(std::span<const double> features,
                               double target) {
   ECO_CHECK(features.size() == dims_);
-  // Track running prediction error before updating (prequential error).
-  if (auto p = predict(features)) {
-    abs_err_sum_ += std::abs(*p - target);
-  }
   for (std::size_t i = 0; i < dims_; ++i) {
     for (std::size_t j = 0; j < dims_; ++j) {
       xtx_[i * dims_ + j] += features[i] * features[j];
@@ -27,15 +29,14 @@ void RidgeRegression::observe(std::span<const double> features,
   cache_valid_ = false;
 }
 
-bool RidgeRegression::solve(std::vector<double>& beta) const {
-  // Cholesky of A = XᵀX + λI.
+bool RidgeRegression::solve() const {
+  // Cholesky of A = XᵀX + λI into fixed scratch (no allocation).
   const std::size_t n = dims_;
-  std::vector<double> a(xtx_);
-  for (std::size_t i = 0; i < n; ++i) a[i * n + i] += lambda_;
-  std::vector<double> l(n * n, 0.0);
+  std::array<double, kMaxDims * kMaxDims> l{};
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      double sum = a[i * n + j];
+      double sum = xtx_[i * n + j];
+      if (i == j) sum += lambda_;
       for (std::size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
       if (i == j) {
         if (sum <= 0) return false;
@@ -46,13 +47,13 @@ bool RidgeRegression::solve(std::vector<double>& beta) const {
     }
   }
   // Solve L z = Xᵀy, then Lᵀ beta = z.
-  std::vector<double> z(n, 0.0);
+  std::array<double, kMaxDims> z{};
   for (std::size_t i = 0; i < n; ++i) {
     double sum = xty_[i];
     for (std::size_t k = 0; k < i; ++k) sum -= l[i * n + k] * z[k];
     z[i] = sum / l[i * n + i];
   }
-  beta.assign(n, 0.0);
+  std::vector<double>& beta = cached_beta_;
   for (std::size_t i = n; i-- > 0;) {
     double sum = z[i];
     for (std::size_t k = i + 1; k < n; ++k) sum -= l[k * n + i] * beta[k];
@@ -66,7 +67,7 @@ std::optional<double> RidgeRegression::predict(
   ECO_CHECK(features.size() == dims_);
   if (observations_ < dims_) return std::nullopt;
   if (!cache_valid_) {
-    if (!solve(cached_beta_)) return std::nullopt;
+    if (!solve()) return std::nullopt;
     cache_valid_ = true;
   }
   double y = 0.0;
@@ -77,7 +78,7 @@ std::optional<double> RidgeRegression::predict(
 std::vector<double> RidgeRegression::coefficients() const {
   if (observations_ < dims_) return {};
   if (!cache_valid_) {
-    if (!solve(cached_beta_)) return {};
+    if (!solve()) return {};
     cache_valid_ = true;
   }
   return cached_beta_;

@@ -5,8 +5,10 @@
 //
 // Implementation: accumulated normal equations (XᵀX, Xᵀy) with Tikhonov
 // damping, solved by Cholesky when a prediction is requested. Dimensions
-// are small (≤ 16 features), so exact dense solves are cheap and the model
-// can be updated after every task completion.
+// are small (≤ kMaxDims features), so exact dense solves are cheap, run in
+// fixed stack scratch, and the model can be updated after every task
+// completion: observe() only accumulates, and the next predict() solves
+// once.
 #pragma once
 
 #include <cstddef>
@@ -20,12 +22,16 @@ namespace ecoscale {
 
 class RidgeRegression {
  public:
+  /// Largest feature count; solve() works in fixed scratch of this size.
+  static constexpr std::size_t kMaxDims = 16;
+
   explicit RidgeRegression(std::size_t dims, double lambda = 1e-3);
 
   std::size_t dims() const { return dims_; }
   std::size_t observations() const { return observations_; }
 
-  /// Accumulate one (features, target) pair.
+  /// Accumulate one (features, target) pair. No solve: the cached
+  /// coefficients are invalidated and rebuilt by the next predict().
   void observe(std::span<const double> features, double target);
 
   /// Predict the target; nullopt until at least `dims` observations exist
@@ -35,23 +41,19 @@ class RidgeRegression {
   /// Solved coefficients (empty until enough observations).
   std::vector<double> coefficients() const;
 
-  /// Mean absolute percentage error over the observed data (running).
-  double mean_abs_error() const {
-    return observations_ ? abs_err_sum_ / static_cast<double>(observations_)
-                         : 0.0;
-  }
 
  private:
-  bool solve(std::vector<double>& beta) const;
+  /// Cholesky solve of (XᵀX + λI) beta = Xᵀy into cached_beta_; false if
+  /// the system is not positive definite (cached_beta_ is then untouched).
+  bool solve() const;
 
   std::size_t dims_;
   double lambda_;
   std::vector<double> xtx_;  // dims × dims, row-major
   std::vector<double> xty_;  // dims
   std::size_t observations_ = 0;
-  mutable std::vector<double> cached_beta_;
+  mutable std::vector<double> cached_beta_;  // dims, sized once
   mutable bool cache_valid_ = false;
-  double abs_err_sum_ = 0.0;
 };
 
 /// Feature standardiser: running mean/std per dimension, used to keep the

@@ -113,7 +113,7 @@ void RuntimeSystem::submit(const Task& task) {
     const std::size_t home = machine_.pgas().flat(task.home);
     const std::size_t target = route(task);
     if (target == home) {
-      arrive(target, task, /*spill_hops=*/0);
+      arrive(target, QueuedTask{task, /*forwarded=*/false}, /*spill_hops=*/0);
       return;
     }
     // Forwarding ships the task closure to the chosen worker.
@@ -124,7 +124,7 @@ void RuntimeSystem::submit(const Task& task) {
         task.home, machine_.pgas().coord(target), sim_.now());
     sim_.schedule_at(mig.finish, [this, target, task] {
       // Routed placements (centralized/poll) are final: max hops reached.
-      arrive(target, task, /*spill_hops=*/1000);
+      arrive(target, QueuedTask{task, /*forwarded=*/true}, /*spill_hops=*/1000);
     });
   });
 }
@@ -185,7 +185,9 @@ std::size_t RuntimeSystem::spill_target(std::size_t worker, const Task& task,
   return (worker + per_node) % total;
 }
 
-void RuntimeSystem::arrive(std::size_t worker, Task task, int spill_hops) {
+void RuntimeSystem::arrive(std::size_t worker, QueuedTask queued,
+                           int spill_hops) {
+  const Task& task = queued.task;
   // A worker the runtime has detected as dead takes no new arrivals:
   // redirect to the least-loaded believed-alive worker. (Crashes the
   // monitor has not yet detected still receive tasks — that is the
@@ -225,18 +227,16 @@ void RuntimeSystem::arrive(std::size_t worker, Task task, int spill_hops) {
       ECO_TRACE_INSTANT(obs::Cat::kRuntime, task_trace_names().spill,
                         worker_lane(worker, machine_.workers_per_node()),
                         sim_.now(), task.id);
-      forwarded_[task.id] = true;
       const auto mig = machine_.pgas().migrate_task(
           machine_.pgas().coord(worker), machine_.pgas().coord(target),
           sim_.now());
       sim_.schedule_at(mig.finish, [this, target, task, spill_hops] {
-        arrive(target, task, spill_hops + 1);
+        arrive(target, QueuedTask{task, /*forwarded=*/true}, spill_hops + 1);
       });
       return;
     }
   }
-  if (!forwarded_.contains(task.id)) forwarded_[task.id] = spill_hops > 0;
-  workers_[worker].queue.push_back(std::move(task));
+  workers_[worker].queue.push_back(std::move(queued));
   if (!workers_[worker].busy) dispatch(worker);
 }
 
@@ -332,7 +332,8 @@ void RuntimeSystem::dispatch(std::size_t worker) {
     return;
   }
   if (state.batch_left > 0) --state.batch_left;
-  Task task = std::move(state.queue.front());
+  const bool forwarded = state.queue.front().forwarded;
+  Task task = std::move(state.queue.front().task);
   state.queue.pop_front();
   state.busy = true;
 
@@ -365,7 +366,7 @@ void RuntimeSystem::dispatch(std::size_t worker) {
   result.release = task.release;
   result.started = now;
   result.executed_on = worker;
-  result.forwarded = forwarded_[task.id];
+  result.forwarded = forwarded;
 
   SimTime finish = now;
   if (device == DeviceClass::kCpu) {
@@ -428,11 +429,12 @@ void RuntimeSystem::dispatch(std::size_t worker) {
       ECO_TRACE_INSTANT(obs::Cat::kRuntime, task_trace_names().fail,
                         worker_lane(worker, per_node), fail_at, task.id);
       sim_.schedule_at(fail_at + config_.repair_time,
-                       [this, worker, task] {
+                       [this, worker, task, forwarded] {
                          workers_[worker].busy = false;
                          // Re-execute from scratch at the repaired worker
                          // (final placement: no further routing).
-                         arrive(worker, task, /*spill_hops=*/1000);
+                         arrive(worker, QueuedTask{task, forwarded},
+                                /*spill_hops=*/1000);
                        });
       return;  // no result; the task is still pending
     }
@@ -444,7 +446,7 @@ void RuntimeSystem::dispatch(std::size_t worker) {
   const std::uint64_t epoch = ++state.epoch;
   if (config_.faults.enabled) {
     state.in_flight = true;
-    state.current = task;
+    state.current = QueuedTask{task, forwarded};
     state.exec_start = now;
     state.exec_finish = finish;
     state.exec_energy = result.energy;
@@ -516,7 +518,7 @@ void RuntimeSystem::on_worker_down(std::size_t worker, SimTime at) {
     ++failures_;
     ECO_TRACE_INSTANT(obs::Cat::kRuntime, task_trace_names().fail,
                       worker_lane(worker, machine_.workers_per_node()), at,
-                      state.current.id);
+                      state.current.task.id);
   }
 }
 
@@ -531,10 +533,10 @@ void RuntimeSystem::on_worker_up(std::size_t worker, SimTime at) {
     if (state.in_flight) {
       state.in_flight = false;
       ++reexecutions_;
-      Task victim = std::move(state.current);
+      QueuedTask victim = std::move(state.current);
       ECO_TRACE_INSTANT(obs::Cat::kFailover, task_trace_names().failover,
                         worker_lane(worker, machine_.workers_per_node()), at,
-                        victim.id);
+                        victim.task.id);
       arrive(worker, std::move(victim), /*spill_hops=*/1000);
       return;  // arrive() already dispatched
     }
@@ -581,7 +583,7 @@ void RuntimeSystem::monitor_tick() {
     // bounce it back here forever.
     if (state.in_flight) {
       state.in_flight = false;
-      Task victim = std::move(state.current);
+      QueuedTask victim = std::move(state.current);
       const std::size_t target = survivor_for(w);
       ++reexecutions_;
       if (target == w) {
@@ -589,10 +591,10 @@ void RuntimeSystem::monitor_tick() {
       } else {
         ++task_failovers_;
         recovery_log_.push_back(
-            RecoveryRecord{victim.id, w, target, state.crash_at, now});
+            RecoveryRecord{victim.task.id, w, target, state.crash_at, now});
         ECO_TRACE_INSTANT(obs::Cat::kFailover, task_trace_names().failover,
                           worker_lane(target, machine_.workers_per_node()),
-                          now, victim.id);
+                          now, victim.task.id);
         arrive(target, std::move(victim), /*spill_hops=*/1000);
       }
     }
@@ -607,13 +609,13 @@ void RuntimeSystem::monitor_tick() {
     while (!state.queue.empty()) {
       const std::size_t target = survivor_for(w);
       if (target == w) break;  // no believed-alive survivor: wait for repair
-      Task task = std::move(state.queue.front());
+      QueuedTask queued = std::move(state.queue.front());
       state.queue.pop_front();
       ++task_failovers_;
       ECO_TRACE_INSTANT(obs::Cat::kFailover, task_trace_names().failover,
                         worker_lane(target, machine_.workers_per_node()), now,
-                        task.id);
-      arrive(target, std::move(task), /*spill_hops=*/1000);
+                        queued.task.id);
+      arrive(target, std::move(queued), /*spill_hops=*/1000);
     }
   }
   sim_.schedule_at(now + config_.faults.heartbeat_period,

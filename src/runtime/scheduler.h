@@ -213,8 +213,16 @@ class RuntimeSystem {
   }
 
  private:
+  /// A task in a worker's queue (or in flight), with whether it left its
+  /// home queue. Routing and lazy spills set the bit before the first
+  /// enqueue; failover and repair re-arrivals carry it unchanged.
+  struct QueuedTask {
+    Task task;
+    bool forwarded = false;
+  };
+
   struct WorkerState {
-    std::deque<Task> queue;
+    std::deque<QueuedTask> queue;
     bool busy = false;
     /// Bumped at every dispatch and every crash: a completion event whose
     /// epoch is stale belongs to an attempt the crash destroyed (the
@@ -222,7 +230,7 @@ class RuntimeSystem {
     std::uint64_t epoch = 0;
     /// Attempt currently executing (live fault path bookkeeping).
     bool in_flight = false;
-    Task current{};
+    QueuedTask current{};
     SimTime exec_start = 0;
     SimTime exec_finish = 0;
     Picojoules exec_energy = 0.0;
@@ -238,7 +246,7 @@ class RuntimeSystem {
     std::size_t batch_left = 0;
   };
 
-  void arrive(std::size_t worker, Task task, int spill_hops);
+  void arrive(std::size_t worker, QueuedTask queued, int spill_hops);
   /// Lazy cascade: the spill target for a task that finds `worker`'s queue
   /// deep — a node neighbour first, then the sibling worker one node over.
   std::size_t spill_target(std::size_t worker, const Task& task,
@@ -286,7 +294,6 @@ class RuntimeSystem {
   Timeline dispatcher_{"dispatcher"};  // centralized mode serialisation
   CostPredictor predictor_;
   std::vector<TaskResult> results_;
-  std::map<TaskId, bool> forwarded_;
   std::uint64_t monitor_messages_ = 0;
   std::uint64_t pending_ = 0;
   std::uint64_t shed_tasks_ = 0;

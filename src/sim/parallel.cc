@@ -32,6 +32,13 @@ constexpr std::chrono::microseconds kGateYieldBudget{100};
 /// §7.8).
 constexpr std::uint64_t kWideRoundEvents = 64;
 
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -168,6 +175,9 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     slots_.push_back(std::make_unique<WorkerSlot>());
   }
   next_times_.assign(nshards, kNever);
+  horizon_.assign(nshards, kNever);
+  pending_.reserve(nshards);
+  pending_next_.reserve(nshards);
 
   // Per-pair latency state. With an oracle and a modest shard count,
   // materialize the dense matrix (exact per-destination column minima);
@@ -177,7 +187,12 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
   dest_floor_.assign(nshards, config_.lookahead);
   if (config_.pair_lookahead && nshards > 1) {
     if (nshards <= config_.dense_pair_cap) {
+      // Destination-major, so one destination's column minimum over its
+      // pending sources reads one row.
       pair_matrix_.assign(nshards * nshards, 0);
+      const auto pair = [&](std::size_t from, std::size_t to) -> SimDuration& {
+        return pair_matrix_[to * nshards + from];
+      };
       for (std::size_t s = 0; s < nshards; ++s) {
         SimDuration floor = kNever;
         for (std::size_t d = 0; d < nshards; ++d) {
@@ -186,7 +201,7 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
           ECO_CHECK_MSG(l >= 1,
                         "zero-latency cross-shard pair cannot be sharded "
                         "conservatively");
-          pair_matrix_[s * nshards + d] = l;
+          pair(s, d) = l;
           floor = std::min(floor, static_cast<SimTime>(l));
         }
         source_floor_[s] = floor;
@@ -196,7 +211,7 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
         SimDuration floor = kNever;
         for (std::size_t b = 0; b < nshards; ++b) {
           if (b == d) continue;
-          floor = std::min(floor, pair_matrix_[b * nshards + d]);
+          floor = std::min(floor, pair(b, d));
         }
         dest_floor_[d] = floor;
       }
@@ -208,9 +223,7 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
       const auto check_triple = [&](std::size_t a, std::size_t b,
                                     std::size_t c) {
         if (a == b || b == c || a == c) return;
-        ECO_CHECK_MSG(pair_matrix_[a * nshards + c] <=
-                          pair_matrix_[a * nshards + b] +
-                              pair_matrix_[b * nshards + c],
+        ECO_CHECK_MSG(pair(a, c) <= pair(a, b) + pair(b, c),
                       "pair_lookahead violates the triangle inequality "
                       "(adaptive windows need a route-metric oracle)");
       };
@@ -295,7 +308,7 @@ ShardedSimulator::~ShardedSimulator() {
 SimDuration ShardedSimulator::pair_lookahead(std::size_t from,
                                              std::size_t to) const {
   ECO_CHECK(from < shards_.size() && to < shards_.size() && from != to);
-  if (!pair_matrix_.empty()) return pair_matrix_[from * shards_.size() + to];
+  if (!pair_matrix_.empty()) return pair_matrix_[to * shards_.size() + from];
   if (config_.pair_lookahead) return config_.pair_lookahead(from, to);
   return config_.lookahead;
 }
@@ -331,6 +344,7 @@ void ShardedSimulator::run_shard_window(std::size_t s, SimTime end,
     shards_[s]->sim.run_before(end);
   } catch (...) {
     shards_[s]->error = std::current_exception();
+    ++slots_[lane]->errors;
   }
   tls_run_context = saved;
 }
@@ -340,36 +354,55 @@ void ShardedSimulator::rethrow_shard_error() {
     if (s->error) {
       std::exception_ptr e = s->error;
       s->error = nullptr;
+      --pending_errors_;
       std::rethrow_exception(e);
     }
   }
 }
 
-SimTime ShardedSimulator::shard_horizon(std::size_t d) const {
-  // The horizon is clamped to the run_until() bound: events at or after it
-  // belong to the next segment. The clamp keeps the horizon a pure
-  // function of published state, so determinism is unaffected.
+void ShardedSimulator::plan_horizons() {
+  // One horizon per pending shard, clamped to the run_until() bound:
+  // events at or after it belong to the next segment. The clamp keeps the
+  // horizon a pure function of published state, so determinism is
+  // unaffected.
   //
   // Both paths bound d by its *peers'* pending work only: at the round
   // start no chain originating on d has been seeded yet, and the moment
   // one is (d posts during its window) the echo cap in post_message()
   // tightens the running window — see parallel.h.
+  SimTime min_horizon = kNever;
+  const std::size_t np = pending_.size();
   if (!pair_matrix_.empty()) {
     // Exact column minimum over the dense pair matrix: the earliest any
-    // peer's pending work could reach d.
+    // pending peer's work could reach d. Idle shards seed nothing, so the
+    // batch reads only the pending sources — O(pending^2), not O(shards)
+    // per shard — and skips d itself by splitting the source range at d's
+    // own position instead of testing every source.
     const std::size_t n = shards_.size();
-    SimTime best = kNever;
-    for (std::size_t s = 0; s < n; ++s) {
-      const SimTime next = next_times_[s];
-      if (s == d || next == kNever) continue;
-      best = std::min(best, next + pair_matrix_[s * n + d]);
+    for (std::size_t i = 0; i < np; ++i) {
+      const std::uint32_t d = pending_[i];
+      const SimDuration* col = &pair_matrix_[d * n];
+      SimTime best = kNever;
+      for (std::size_t j = 0; j < i; ++j) {
+        best = std::min(best, pending_next_[j] + col[pending_[j]]);
+      }
+      for (std::size_t j = i + 1; j < np; ++j) {
+        best = std::min(best, pending_next_[j] + col[pending_[j]]);
+      }
+      horizon_[d] = std::min(best, run_bound_);
+      min_horizon = std::min(min_horizon, horizon_[d]);
     }
-    return std::min(best, run_bound_);
+  } else {
+    // Collapsed horizon from the top-2 of next_s + source_floor_s: min over
+    // s != d in O(1). source_floor <= L(s, d) for every d, so this is a
+    // (possibly looser, never unsafe) bound.
+    for (const std::uint32_t d : pending_) {
+      horizon_[d] = std::min(plan_src_arg_ == d ? plan_src2_ : plan_src1_,
+                             run_bound_);
+      min_horizon = std::min(min_horizon, horizon_[d]);
+    }
   }
-  // Collapsed horizon from the planner's top-2 of next_s + source_floor_s:
-  // min over s != d in O(1). source_floor <= L(s, d) for every d, so this
-  // is a (possibly looser, never unsafe) bound.
-  return std::min(plan_src_arg_ == d ? plan_src2_ : plan_src1_, run_bound_);
+  plan_min_horizon_ = min_horizon;
 }
 
 void ShardedSimulator::prepare_run() {
@@ -377,7 +410,7 @@ void ShardedSimulator::prepare_run() {
   const std::size_t nshards = shards_.size();
   const std::size_t nthreads = threads_;
   // Pre-reserve every per-round buffer so the steady state allocates
-  // nothing (sim_alloc_test gates this at --sim-threads > 1): the drain
+  // nothing (sim_alloc_test gates this at 1 and 4 threads): the drain
   // scratch holds one lane, a gather buffer every lane (one destination
   // range may receive the whole round's messages).
   std::size_t total_cap = 0;
@@ -389,10 +422,14 @@ void ShardedSimulator::prepare_run() {
     slot.gather.reserve(total_cap);
     const std::size_t lo = t * nshards / nthreads;
     const std::size_t hi = (t + 1) * nshards / nthreads;
-    slot.queue.reserve(hi - lo);
+    slot.pending.reserve(hi - lo);
   }
-  // Seed next-event times, ready queues and fold partials — the same scan
-  // the fold phase performs at every round boundary.
+  // Between segments the controller may have scheduled on any shard, so
+  // the seed reads every queue; rounds then refresh only what they touch.
+  for (std::size_t d = 0; d < nshards; ++d) {
+    const Simulator& sim = shards_[d]->sim;
+    next_times_[d] = sim.idle() ? kNever : sim.next_event_time();
+  }
   for (std::size_t t = 0; t < nthreads; ++t) fold_range(t);
 }
 
@@ -401,32 +438,40 @@ void ShardedSimulator::fold_range(std::size_t tid) {
   const std::size_t nshards = shards_.size();
   const std::size_t lo = tid * nshards / threads_;
   const std::size_t hi = (tid + 1) * nshards / threads_;
-  me.queue.clear();
+  me.pending.clear();
   me.part_floor = kNever;
   me.part_src1 = kNever;
   me.part_src2 = kNever;
   me.part_src_arg = 0;
+  // Only the collapsed horizon reads the top-2; dense horizons skip it
+  // (kv_open folds 8 shards every ~1 us round).
+  const bool top2 = pair_matrix_.empty();
   for (std::size_t d = lo; d < hi; ++d) {
-    const Simulator& sim = shards_[d]->sim;
-    const SimTime next = sim.idle() ? kNever : sim.next_event_time();
-    next_times_[d] = next;
+    const SimTime next = next_times_[d];
     if (next == kNever) continue;
-    me.queue.push_back(static_cast<std::uint32_t>(d));
+    me.pending.push_back(static_cast<std::uint32_t>(d));
     me.part_floor = std::min(me.part_floor, next);
-    fold_top2(next + source_floor_[d], static_cast<std::uint32_t>(d),
-              me.part_src1, me.part_src2, me.part_src_arg);
+    if (top2) {
+      fold_top2(next + source_floor_[d], static_cast<std::uint32_t>(d),
+                me.part_src1, me.part_src2, me.part_src_arg);
+    }
   }
-  me.cursor.store(0, std::memory_order_relaxed);
 }
 
 ShardedSimulator::Round ShardedSimulator::plan_round() {
-  rethrow_shard_error();
+  // A window that threw bumped its thread's tally; only then is a scan of
+  // the shards worth it. Each slot's tally has one writer, ordered before
+  // this read by the round's last gate.
+  for (auto& slot_ptr : slots_) {
+    pending_errors_ += slot_ptr->errors;
+    slot_ptr->errors = 0;
+  }
+  if (pending_errors_ > 0) rethrow_shard_error();
   // Fold the per-thread partials: O(threads) here instead of the old
   // O(shards) worker-0 rescan — the second level of the next-event fold.
   SimTime floor = kNever;
   SimTime src1 = kNever, src2 = kNever;
   std::uint32_t src_arg = 0;
-  SimTime round_min_horizon = kNever;
   std::uint64_t round_events = 0;
   for (auto& slot_ptr : slots_) {
     WorkerSlot& slot = *slot_ptr;
@@ -441,17 +486,15 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
     slot.executed = 0;
     slot.stalled = 0;
     slot.stolen = 0;
-    round_min_horizon = std::min(round_min_horizon, slot.min_horizon);
-    slot.min_horizon = kNever;
   }
   if (trace_prev_valid_) {
     // Fixed-point EWMA update, alpha = 1/8: x8' = x8 - x8/8 + events.
     events_ewma_x8_ += round_events - events_ewma_x8_ / 8;
     // The span for the round that just completed: [its floor, the tightest
     // horizon any shard ran to). Counters are cumulative tracks.
-    const SimTime span_end = round_min_horizon == kNever
+    const SimTime span_end = plan_min_horizon_ == kNever
                                  ? trace_prev_floor_ + 1
-                                 : round_min_horizon;
+                                 : plan_min_horizon_;
     ECO_TRACE_SPAN(obs::Cat::kSim, par_trace_names().window,
                    (obs::Lane{obs::kSimPid, kEngineTid}), trace_prev_floor_,
                    span_end, windows_ - 1);
@@ -475,6 +518,21 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
   plan_src1_ = src1;
   plan_src2_ = src2;
   plan_src_arg_ = src_arg;
+  // Publish the round: the pending shards in ascending order, each
+  // thread's range a contiguous claim segment of it, and their horizons.
+  pending_.clear();
+  pending_next_.clear();
+  for (auto& slot_ptr : slots_) {
+    WorkerSlot& slot = *slot_ptr;
+    slot.claim_begin = static_cast<std::uint32_t>(pending_.size());
+    for (const std::uint32_t d : slot.pending) {
+      pending_.push_back(d);
+      pending_next_.push_back(next_times_[d]);
+    }
+    slot.claim_end = static_cast<std::uint32_t>(pending_.size());
+    slot.cursor.store(slot.claim_begin, std::memory_order_relaxed);
+  }
+  plan_horizons();
   trace_prev_valid_ = true;
   trace_prev_floor_ = floor;
   ++windows_;
@@ -485,56 +543,45 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
   return Round::kNarrow;
 }
 
-void ShardedSimulator::execute_round(std::size_t tid, bool wide) {
+void ShardedSimulator::run_window(std::size_t i, std::size_t tid,
+                                  bool stolen) {
   WorkerSlot& me = *slots_[tid];
-  const std::size_t nthreads = threads_;
-  // Claim shard windows: own queue first, then sweep the other queues
-  // round-robin. Queues are fixed for the round, so one sweep claims
-  // every candidate exactly once (atomic cursor bump), and whichever
-  // thread claims a shard never affects results — only which lane its
-  // messages ride, which the canonical merge washes out. A narrow round's
-  // leader sweeps every queue alone: nothing is stolen.
-  for (std::size_t v = 0; v < nthreads; ++v) {
-    WorkerSlot& q = *slots_[(tid + v) % nthreads];
-    const bool stolen = wide && v != 0;
-    for (;;) {
-      const std::uint32_t idx =
-          q.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= q.queue.size()) break;
-      const std::size_t d = q.queue[idx];
-      const SimTime horizon = shard_horizon(d);
-      me.min_horizon = std::min(me.min_horizon, horizon);
-      if (horizon > next_times_[d]) {
-        ++me.executed;
-        if (stolen) ++me.stolen;  // only a claim that runs a window
-        const Simulator& sim = shards_[d]->sim;
-        const std::uint64_t before = sim.events_processed();
-        run_shard_window(d, horizon, tid);
-        me.events += sim.events_processed() - before;
-      } else {
-        // Pending work the horizon forbade: a barrier stall. Deterministic
-        // (horizons derive from published simulation state only).
-        ++me.stalled;
-      }
-    }
+  const std::uint32_t d = pending_[i];
+  const SimTime horizon = horizon_[d];
+  if (horizon > pending_next_[i]) {
+    ++me.executed;
+    if (stolen) ++me.stolen;  // only a claim that runs a window
+    const Simulator& sim = shards_[d]->sim;
+    const std::uint64_t before = sim.events_processed();
+    run_shard_window(d, horizon, tid);
+    me.events += sim.events_processed() - before;
+    // Until the execute gate, next_times_[d] belongs to whichever thread
+    // claimed d; the merge phase's range owner reads it after the gate.
+    next_times_[d] = sim.idle() ? kNever : sim.next_event_time();
+  } else {
+    // Pending work the horizon forbade: a barrier stall. Deterministic
+    // (horizons derive from published simulation state only).
+    ++me.stalled;
   }
-  // Drain this thread's lane; the merge step after the barrier reads it.
+}
+
+void ShardedSimulator::drain_lane(std::size_t tid) {
+  WorkerSlot& me = *slots_[tid];
   me.msgs.clear();
   lanes_[tid]->drain(me.msgs);
 }
 
-void ShardedSimulator::insert_and_fold(std::size_t tid) {
-  const std::size_t nshards = shards_.size();
-  const std::size_t lo = tid * nshards / threads_;
-  const std::size_t hi = (tid + 1) * nshards / threads_;
-  // Gather the messages bound for [lo, hi) from every lane and insert them
-  // in canonical order, so destination seq numbers come out thread-count
-  // invariant. Other threads move actions out of the same `msgs` vectors
-  // concurrently, but only those of their own destinations; this thread
-  // reads the key fields alone for every other message.
+void ShardedSimulator::insert_messages(std::size_t tid, std::size_t lo,
+                                       std::size_t hi, std::size_t nlanes) {
+  // Gather the messages bound for [lo, hi) from lanes [0, nlanes) and
+  // insert them in canonical order, so destination seq numbers come out
+  // thread-count invariant. In a wide round other threads move actions out
+  // of the same `msgs` vectors concurrently, but only those of their own
+  // destinations; this thread reads the key fields alone for every other
+  // message.
   std::vector<MergeItem>& gather = slots_[tid]->gather;
   gather.clear();
-  for (std::size_t t = 0; t < threads_; ++t) {
+  for (std::size_t t = 0; t < nlanes; ++t) {
     const std::vector<ShardMessage>& msgs = slots_[t]->msgs;
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       const ShardMessage& m = msgs[i];
@@ -544,16 +591,27 @@ void ShardedSimulator::insert_and_fold(std::size_t tid) {
                                  static_cast<std::uint32_t>(i)});
     }
   }
-  std::sort(gather.begin(), gather.end(), MergeKeyLess{});
+  // A narrow kv-style round carries zero or one message: nothing to sort.
+  if (gather.size() > 1) {
+    std::sort(gather.begin(), gather.end(), MergeKeyLess{});
+  }
+  std::uint32_t prev_dst = std::numeric_limits<std::uint32_t>::max();
   for (const MergeItem& it : gather) {
     shards_[it.dst]->sim.schedule_at(
         it.time, std::move(slots_[it.lane]->msgs[it.pos].action));
+    // A delivery can only pull the destination's next event earlier, and
+    // in canonical order a destination's first delivery is its earliest:
+    // one store per destination, not per message (in a wide round the
+    // range owners' stores share next_times_' cache lines).
+    if (it.dst != prev_dst) {
+      prev_dst = it.dst;
+      next_times_[it.dst] = std::min(next_times_[it.dst], it.time);
+    }
   }
-  fold_range(tid);
 }
 
 // Round schedule. Narrow: the leader plans, then runs every window and
-// every merge range itself — no gate. Wide, three gates whatever the
+// merges every message itself — no gate. Wide, three gates whatever the
 // thread count:
 //   plan (leader) | gate | execute | gate | gather + insert + fold | gate |
 //   next plan ...
@@ -562,11 +620,45 @@ void ShardedSimulator::insert_and_fold(std::size_t tid) {
 // parked.
 
 void ShardedSimulator::run_narrow_round() {
-  execute_round(0, /*wide=*/false);
-  // Only lane 0 carried messages this round; the other slots may still
-  // hold a wide round's drained (moved-from) messages.
-  for (std::size_t t = 1; t < threads_; ++t) slots_[t]->msgs.clear();
-  for (std::size_t t = 0; t < threads_; ++t) insert_and_fold(t);
+  // Every runnable window back to back, with one clock pair for the lot.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    run_window(i, 0, /*stolen=*/false);
+  }
+  slots_[0]->window_ns += elapsed_ns(t0);
+  drain_lane(0);
+  // Only lane 0 carried messages, so one gather over every destination
+  // replaces the per-range merges; the canonical key orders destinations
+  // too.
+  insert_messages(0, 0, shards_.size(), 1);
+  for (std::size_t t = 0; t < threads_; ++t) fold_range(t);
+}
+
+void ShardedSimulator::execute_wide(std::size_t tid) {
+  // Claim shard windows: own segment first, then sweep the other segments
+  // round-robin. Segments are fixed for the round, so one sweep claims
+  // every candidate exactly once (atomic cursor bump), and whichever
+  // thread claims a shard never affects results — only which lane its
+  // messages ride, which the canonical merge washes out.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t v = 0; v < threads_; ++v) {
+    WorkerSlot& q = *slots_[(tid + v) % threads_];
+    for (;;) {
+      const std::uint32_t idx =
+          q.cursor.fetch_add(1, std::memory_order_relaxed);
+      if (idx >= q.claim_end) break;
+      run_window(idx, tid, /*stolen=*/v != 0);
+    }
+  }
+  slots_[tid]->window_ns += elapsed_ns(t0);
+  drain_lane(tid);
+}
+
+void ShardedSimulator::merge_wide(std::size_t tid) {
+  const std::size_t nshards = shards_.size();
+  insert_messages(tid, tid * nshards / threads_,
+                  (tid + 1) * nshards / threads_, threads_);
+  fold_range(tid);
 }
 
 void ShardedSimulator::run_wide_round() {
@@ -578,9 +670,9 @@ void ShardedSimulator::run_wide_round() {
     }
   }
   gate_->sync();  // plan published
-  execute_round(0, /*wide=*/true);
+  execute_wide(0);
   gate_->sync();  // every window finished, every lane drained
-  insert_and_fold(0);
+  merge_wide(0);
   gate_->sync();  // partials published for the next plan
 }
 
@@ -588,9 +680,9 @@ void ShardedSimulator::worker_loop(std::size_t tid) noexcept {
   for (;;) {
     gate_->sync();  // a wide round's plan, or the destructor's stop
     if (stopping_) return;
-    execute_round(tid, /*wide=*/true);
+    execute_wide(tid);
     gate_->sync();
-    insert_and_fold(tid);
+    merge_wide(tid);
     gate_->sync();
   }
 }
@@ -657,10 +749,9 @@ SimTime ShardedSimulator::now() const {
 }
 
 std::uint64_t ShardedSimulator::shard_wall_time_ns() const {
-  return reduce_tree<std::uint64_t>(
-      shards_.size(), 0,
-      [&](std::size_t s) { return shards_[s]->sim.wall_time_ns(); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  std::uint64_t total = 0;
+  for (const auto& slot : slots_) total += slot->window_ns;
+  return total;
 }
 
 }  // namespace ecoscale

@@ -43,33 +43,49 @@
 //     chain's life.
 //
 // Scheduling: the calling thread is the *leader*. It plans every round
-// and decides whether the round runs narrow or wide. A round pays for
+// and decides whether the round runs narrow or wide. The plan publishes
+// the round's pending shards (ascending) and computes every pending
+// shard's horizon once, into a flat array both kinds of round read: with
+// a dense oracle, a batched column minimum over the *pending* sources only
+// (idle shards seed no chain), O(pending^2) per round. A round pays for
 // threads only when it holds more work than the gate crossings cost, so
 // the rule reads the work itself: a round is wide when an EWMA (alpha =
 // 1/8) of events retired per round has reached kWideRoundEvents
 // (parallel.cc). Events per round do not depend on the thread count, so
 // the narrow/wide sequence is deterministic (wide_rounds()). A narrow
 // round runs on the leader alone, exactly as a 1-thread engine runs every
-// round: it executes every runnable window, then inserts and folds every
-// thread's destination range, crossing no gate. In a wide round, shards
-// are claimed from per-thread ready queues with work stealing — a thread
-// that drains its own stripe steals windows from a loaded peer, so shards
-// >> threads no longer serializes behind the static stripe. Claiming is
-// an atomic cursor bump per queue (the queues are pre-populated each
-// round, so the classic Chase-Lev push/steal races don't arise). Steals
-// are counted in wide rounds only; a narrow round has no owner to steal
-// from. Which thread runs a window never affects results: the shard's
-// trace lane and post() sequence counter travel with the shard, and the
-// merge key orders messages independently of the lane they rode.
+// round: it walks the pending list, running every runnable window back to
+// back, then merges the round's messages, crossing no gate. In a wide
+// round, each thread's range of the pending list is its claim segment,
+// and shards are claimed with work stealing — a thread that drains its
+// own segment steals windows from a loaded peer, so shards >> threads no
+// longer serializes behind the static stripe. Claiming is an atomic
+// cursor bump per segment (the segments are fixed before the plan gate,
+// so the classic Chase-Lev push/steal races don't arise). Steals are
+// counted in wide rounds only; a narrow round has no owner to steal from.
+// Which thread runs a window never affects results: the shard's trace
+// lane and post() sequence counter travel with the shard, and the merge
+// key orders messages independently of the lane they rode.
 //
 // Merging: each thread owns a contiguous destination range [lo, hi) of
 // shards. After the execute gate of a wide round every thread gathers the
 // messages bound for its range from every thread's drained lane, sorts
 // them into canonical order and inserts them — one merge step, no extra
-// gates. A narrow round runs the same step for every range in turn.
-// The per-shard next-event scan folds the same way: each thread publishes
-// a partial min over its range, and the round planner combines
-// O(threads) partials instead of rescanning O(shards).
+// gates. A narrow round has one lane, so it gathers every destination at
+// once, and skips the sort for zero or one message.
+//
+// Narrow-round cost: a round costs work in proportion to the shards it
+// touches, not to every shard. Only a shard that ran a window re-reads its
+// next event time (its executor does, right after the window); a delivery
+// can only lower the destination's time, so the merge takes a min instead
+// of a re-read. Each thread then folds its range's partials (pending list,
+// min next time, and the top-2 the collapsed horizon needs) from the flat
+// next-time array, and the planner combines O(threads) partials. Each
+// thread reads the clock once around all the windows it runs in a round —
+// one clock pair per thread per round, not per window — and
+// shard_wall_time_ns() is the sum of those spans. An action's exception
+// bumps its thread's error tally; the planner scans the shards for it
+// only when the folded tally is non-zero.
 //
 // Round gate: a wide round crosses three gates (plan, execute, fold), and
 // a wide round may hold only a few hundred events — ~15 us of work on the
@@ -256,8 +272,11 @@ class ShardedSimulator {
   std::uint64_t events_processed() const;
   /// Frontier of simulated time: max over the shard clocks.
   SimTime now() const;
-  /// Wall time spent retiring events, summed over shards (CPU time, not
-  /// elapsed time — shards run concurrently).
+  /// Host time spent in window loops, summed over threads (CPU time, not
+  /// elapsed time — threads run concurrently). Each thread reads the clock
+  /// once around all the windows it runs in a round, so this covers event
+  /// execution plus the per-window horizon checks and claims, not the
+  /// plan, merge or gates.
   std::uint64_t shard_wall_time_ns() const;
   /// Worker threads started so far: 0 until the first wide round, then
   /// threads_used() - 1 for the engine's lifetime.
@@ -290,16 +309,17 @@ class ShardedSimulator {
     std::uint32_t pos;
   };
 
-  /// Per-worker-thread state: the round's ready queue (candidates from the
-  /// thread's contiguous shard range; any thread may claim from it), the
-  /// lane-drain scratch, the merge gather buffer for the thread's
-  /// destination range, deterministic per-round tallies and the fold
-  /// partials the planner combines.
+  /// Per-worker-thread state: the thread's claim segment of the round's
+  /// pending list (any thread may claim from it), the lane-drain scratch,
+  /// the merge gather buffer for the thread's destination range,
+  /// per-round tallies and the fold outputs the planner combines.
   struct alignas(64) WorkerSlot {
-    // Ready queue for the round; claimed via `cursor` (atomic bump — the
-    // queues are pre-populated at the previous round boundary, so no
-    // concurrent push ever races a steal).
-    std::vector<std::uint32_t> queue;
+    // Claim segment [claim_begin, claim_end) of pending_, published by the
+    // planner; a wide round claims from it via `cursor` (atomic bump — the
+    // segments are fixed before the plan gate, so no push ever races a
+    // steal). A narrow round walks pending_ directly.
+    std::uint32_t claim_begin = 0;
+    std::uint32_t claim_end = 0;
     std::atomic<std::uint32_t> cursor{0};
     // This thread's lane, drained after its windows each round; every
     // thread reads it in the merge step, only the owner writes it.
@@ -308,15 +328,17 @@ class ShardedSimulator {
     // every slot's `msgs` and sorted canonically.
     std::vector<MergeItem> gather;
     // Deterministic per-round tallies (zeroed by the planner after
-    // folding) plus the wall-clock-side steal count.
+    // folding) plus the wall-clock-side steal count and window time.
     std::uint64_t events = 0;  // events retired, for the wide/narrow rule
     std::uint64_t executed = 0;
     std::uint64_t stalled = 0;
     std::uint64_t stolen = 0;
-    SimTime min_horizon = kNever;  // trace span end for the round
-    // Fold partials over the thread's contiguous shard range: min next
-    // event time, and top-2 (value, runner-up, argmin) of
-    // next + source_floor for the collapsed horizon.
+    std::uint64_t errors = 0;  // windows that threw (planner folds it)
+    std::uint64_t window_ns = 0;  // host time in window loops, cumulative
+    // Fold outputs over the thread's contiguous shard range: its pending
+    // shards in ascending order, min next event time, and top-2 (value,
+    // runner-up, argmin) of next + source_floor for the collapsed horizon.
+    std::vector<std::uint32_t> pending;
     SimTime part_floor = kNever;
     SimTime part_src1 = kNever;
     SimTime part_src2 = kNever;
@@ -330,22 +352,26 @@ class ShardedSimulator {
 
   /// Execute shard `s`'s events strictly before `end` with the post()
   /// calling-context guard armed and `lanes_[lane]` as the outbox.
-  /// Exceptions land in the shard's slot.
+  /// Exceptions land in the shard's slot and bump the lane's error tally.
   void run_shard_window(std::size_t s, SimTime end, std::size_t lane);
   void rethrow_shard_error();
 
   // --- round phases (see parallel.cc for the gate schedule) -------------
-  /// Reset per-run state: pre-reserve every merge/drain/queue buffer from
-  /// the lane capacities (steady state allocates nothing) and seed the
-  /// next-event times, ready queues and fold partials.
+  /// Reset per-run state: pre-reserve every merge/drain/pending buffer
+  /// from the lane capacities (steady state allocates nothing) and seed
+  /// the next-event times and fold outputs from every shard's queue.
   void prepare_run();
-  /// Leader, between rounds: fold the per-thread partials (O(threads),
-  /// replacing the old O(shards) rescan), emit the previous round's trace
-  /// span/counters, update the events-per-round EWMA, and publish the next
-  /// round's horizons — or report the segment over. Rethrows a shard's
-  /// exception.
+  /// Leader, between rounds: fold the per-thread partials (O(threads)),
+  /// emit the previous round's trace span/counters, update the
+  /// events-per-round EWMA, and publish the next round — its pending list,
+  /// claim segments and horizons — or report the segment over. Rethrows a
+  /// shard's exception.
   Round plan_round();
-  /// Leader alone: every runnable window, then every destination range.
+  /// The per-shard execution horizon of every pending shard, into
+  /// horizon_ (see file comment): one batched pass over the pending
+  /// sources, read by narrow and wide rounds alike.
+  void plan_horizons();
+  /// Leader alone: every runnable window back to back, then one merge.
   void run_narrow_round();
   /// Leader's share of a wide round; starts the workers on first use.
   void run_wide_round();
@@ -355,17 +381,24 @@ class ShardedSimulator {
   /// engine invariant or allocation failure, and noexcept turns it into
   /// std::terminate instead of leaving the peers stuck at a gate.
   void worker_loop(std::size_t tid) noexcept;
-  /// Claim shards (own queue, then the others), run their windows, then
-  /// drain this thread's lane into its `msgs`. Only a wide round counts
-  /// claims from another thread's queue as steals.
-  void execute_round(std::size_t tid, bool wide);
-  /// Gather every lane's messages bound for this thread's destination
-  /// range, sort them canonically and insert them; then refresh the
-  /// range's next-event times, ready queue and partials.
-  void insert_and_fold(std::size_t tid);
+  /// Run the window of pending shard pending_[i] on thread `tid` and
+  /// re-read its next event time if its horizon allows, else count a
+  /// stall. `stolen`: claimed from another thread's segment.
+  void run_window(std::size_t i, std::size_t tid, bool stolen);
+  /// Move thread `tid`'s lane into its `msgs`, for the merge step.
+  void drain_lane(std::size_t tid);
+  /// Wide execute phase: claim windows (own segment, then the others),
+  /// run them, drain the lane. Claims from another segment count as steals.
+  void execute_wide(std::size_t tid);
+  /// Wide merge phase for thread `tid`'s destination range.
+  void merge_wide(std::size_t tid);
+  /// Gather the messages bound for [lo, hi) from lanes [0, nlanes) into
+  /// slot `tid`'s buffer, sort them canonically, insert them, and lower
+  /// the destinations' next-event times.
+  void insert_messages(std::size_t tid, std::size_t lo, std::size_t hi,
+                       std::size_t nlanes);
+  /// Rebuild slot `tid`'s pending list and partials from next_times_.
   void fold_range(std::size_t tid);
-  /// The per-shard execution horizon for this round (see file comment).
-  SimTime shard_horizon(std::size_t d) const;
 
   ShardedConfig config_;
   std::size_t threads_ = 1;
@@ -374,17 +407,25 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
 
   // Per-pair latency state: dense matrix (shards <= dense_pair_cap with an
-  // oracle), the per-source floors used by the collapsed horizon, and the
-  // per-destination floors min over b != d of L(b, d) — the echo-cap
-  // distance (dense: exact column minima; collapsed: bounded below by the
-  // top-2 of the source floors, since L(b, d) >= source_floor_[b]).
-  std::vector<SimDuration> pair_matrix_;  // shards x shards, row = source
+  // oracle; destination-major, entry [to * shards + from]), the per-source
+  // floors used by the collapsed horizon, and the per-destination floors
+  // min over b != d of L(b, d) — the echo-cap distance (dense: exact
+  // column minima; collapsed: bounded below by the top-2 of the source
+  // floors, since L(b, d) >= source_floor_[b]).
+  std::vector<SimDuration> pair_matrix_;  // shards x shards, row = dest
   std::vector<SimDuration> source_floor_;
   std::vector<SimDuration> dest_floor_;
-  // Published next event time per shard (kNever = idle). Written only by
-  // the shard-range owner in the fold phase, read by everyone in the next
-  // execute phase; the round barriers order the two.
+  // Published next event time per shard (kNever = idle). Read by the
+  // planner; in the execute phase, the thread that claimed d re-reads d's
+  // after its window; in the merge phase, the range owner lowers it for
+  // each delivery. The round gates order the phases.
   std::vector<SimTime> next_times_;
+  // The round's pending shards (ascending) and their horizons (valid for
+  // pending shards only), written by the leader's plan and read by every
+  // thread after the plan gate.
+  std::vector<std::uint32_t> pending_;
+  std::vector<SimTime> pending_next_;  // their next times at the plan
+  std::vector<SimTime> horizon_;
 
   // Round plan, published by the leader and read by all workers after the
   // plan gate (plain fields; the gate provides the happens-before).
@@ -393,7 +434,7 @@ class ShardedSimulator {
   std::uint32_t plan_src_arg_ = 0;
   /// Exclusive stop bound of the current run_until() segment (kNever for
   /// a plain run()). Set by the leader before the segment's first plan,
-  /// read inside via plan_round()/shard_horizon() only.
+  /// read inside via plan_round()/plan_horizons() only.
   SimTime run_bound_ = kNever;
 
   // Leader-only bookkeeping: the previous round's trace span is emitted
@@ -402,6 +443,11 @@ class ShardedSimulator {
   // segment began.
   bool trace_prev_valid_ = false;
   SimTime trace_prev_floor_ = 0;
+  /// Min horizon of the last planned round: its trace span's end.
+  SimTime plan_min_horizon_ = kNever;
+  /// Windows that threw and whose exception has not been rethrown yet
+  /// (folded from the slots' tallies); the shards are scanned only if > 0.
+  std::uint64_t pending_errors_ = 0;
   /// EWMA of events retired per round, in eighths (fixed point, so the
   /// wide/narrow sequence is exact integer arithmetic). Kept across
   /// run_until() segments.

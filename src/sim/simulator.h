@@ -112,12 +112,12 @@ class Simulator {
   /// clock at the last retired event (NOT at `end`). This is the window
   /// primitive of the sharded parallel engine: events delivered from other
   /// shards at exactly the window edge must still be schedulable, so the
-  /// clock never advances past what actually executed.
+  /// clock never advances past what actually executed. Untimed: the engine
+  /// times all of a round's windows with one clock pair instead
+  /// (ShardedSimulator::shard_wall_time_ns), so wall_time_ns() excludes it.
   void run_before(SimTime end) {
-    const auto t0 = Clock::now();
     run_bound_ = end;
     while (has_due_before(run_bound_)) step_untimed();
-    wall_ns_ += elapsed_ns(t0);
   }
 
   /// Tighten the bound of the run_before() call currently executing this
@@ -159,7 +159,8 @@ class Simulator {
   std::uint64_t events_processed() const { return events_processed_; }
 
   // --- wall-clock throughput --------------------------------------------
-  /// Wall time spent retiring events inside run()/run_until()/step().
+  /// Wall time spent retiring events inside run()/run_until()/step()
+  /// (run_before() is untimed).
   std::uint64_t wall_time_ns() const { return wall_ns_; }
   /// Events retired per wall-clock second across all run calls so far
   /// (0 before any event has been processed).

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <sstream>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "model/predictor.h"
 #include "model/regression.h"
@@ -52,18 +54,28 @@ TEST(Ridge, RobustToNoise) {
 }
 
 TEST(Ridge, PrequentialErrorShrinks) {
+  // Prequential (test-then-train) error: predict each sample before
+  // observing it, averaged over every observation so far.
   RidgeRegression model(2, 1e-6);
   Rng rng(3);
-  for (int i = 0; i < 10; ++i) {
+  double abs_err_sum = 0.0;
+  auto step = [&] {
     const double x = rng.uniform(0, 10);
-    model.observe(std::array{1.0, x}, 4.0 * x);
-  }
-  const double early = model.mean_abs_error();
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0, 10);
-    model.observe(std::array{1.0, x}, 4.0 * x);
-  }
-  EXPECT_LE(model.mean_abs_error(), early + 1e-9);
+    const std::array<double, 2> f{1.0, x};
+    if (auto p = model.predict(f)) abs_err_sum += std::abs(*p - 4.0 * x);
+    model.observe(f, 4.0 * x);
+    return abs_err_sum / static_cast<double>(model.observations());
+  };
+  double early = 0.0;
+  for (int i = 0; i < 10; ++i) early = step();
+  double late = early;
+  for (int i = 0; i < 500; ++i) late = step();
+  EXPECT_LE(late, early + 1e-9);
+}
+
+TEST(Ridge, RejectsMoreThanMaxDims) {
+  EXPECT_NO_THROW(RidgeRegression{RidgeRegression::kMaxDims});
+  EXPECT_THROW(RidgeRegression{RidgeRegression::kMaxDims + 1}, CheckError);
 }
 
 TEST(Scaler, StandardisesFeatures) {

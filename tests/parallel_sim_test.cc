@@ -285,6 +285,109 @@ TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_3_8) {
   EXPECT_EQ(w2, w8);
 }
 
+// --- pinned window schedule: sparse, narrow-heavy ---------------------------
+
+// One actor per shard, firing every few hundred ps and posting every third
+// fire to a random peer at exactly its pair latency plus a little jitter.
+// Under a dense ring-distance oracle this retires about three events per
+// round, the kv_open regime, so nearly every round is narrow and most
+// shards are idle or stalled in any one round.
+struct SparseActor {
+  ShardedSimulator* eng = nullptr;
+  std::size_t shard = 0;
+  TraceHasher* hashes = nullptr;
+  std::uint64_t remaining = 0;
+  Rng rng{0};
+
+  void fire() {
+    Simulator& sim = eng->shard(shard);
+    hashes[shard].mix(sim.now());
+    hashes[shard].mix(remaining);
+    if (remaining == 0) return;
+    --remaining;
+    const std::size_t n = eng->shard_count();
+    if (rng.uniform_u64(3) == 0) {
+      const std::size_t to = (shard + 1 + rng.uniform_u64(n - 1)) % n;
+      const SimTime t =
+          sim.now() + eng->pair_lookahead(shard, to) + rng.uniform_u64(40);
+      ShardedSimulator* e = eng;
+      TraceHasher* dest = &hashes[to];
+      const std::size_t from = shard;
+      eng->post(shard, to, t, [e, to, dest, from] {
+        dest->mix(e->shard(to).now());
+        dest->mix(from);
+      });
+    }
+    sim.schedule_after(100 + rng.uniform_u64(400), [this] { fire(); });
+  }
+};
+
+struct PinnedSchedule {
+  std::uint64_t windows = 0;
+  std::uint64_t shard_windows = 0;
+  std::uint64_t stalled = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t events = 0;
+  std::uint64_t wide = 0;
+  std::vector<std::uint64_t> hashes;
+};
+
+PinnedSchedule sparse_dense_run(std::size_t threads) {
+  constexpr std::size_t kShards = 8;
+  ShardedConfig sc;
+  sc.shards = kShards;
+  sc.lookahead = 40;
+  sc.threads = threads;
+  sc.pair_lookahead = [](std::size_t a, std::size_t b) -> SimDuration {
+    const std::size_t d = a > b ? a - b : b - a;
+    return 40 + 15 * std::min(d, kShards - d);  // ring distance: a metric
+  };
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(kShards);
+  std::vector<SparseActor> actors(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    actors[s] = SparseActor{&engine, s, hashes.data(), 400, Rng(0x5A5E + s)};
+    SparseActor* a = &actors[s];
+    engine.shard(s).schedule_at(1 + 7 * s, [a] { a->fire(); });
+  }
+  engine.run();
+  PinnedSchedule out;
+  out.windows = engine.windows();
+  out.shard_windows = engine.shard_windows();
+  out.stalled = engine.stalled_shard_windows();
+  out.messages = engine.messages();
+  out.events = engine.events_processed();
+  out.wide = engine.wide_rounds();
+  for (const TraceHasher& h : hashes) out.hashes.push_back(h.h);
+  return out;
+}
+
+// The thread-count comparisons above cannot see a bookkeeping bug that
+// shifts the schedule the same way at every thread count (a horizon too
+// tight, a shard never refolded). This pins the schedule itself: every
+// round count and per-shard hash below was captured from the engine
+// before its horizon and fold bookkeeping was rewritten, and must never
+// move without a stated reason.
+TEST(ShardedSimulator, SparseDenseOracleScheduleIsPinned) {
+  const std::vector<std::uint64_t> kHashes = {
+      2827401570427685187ull,  478695462841783085ull,
+      17642853541103510482ull, 10457630523463739846ull,
+      17925130330492456983ull, 5913163402733311746ull,
+      7733550416784480553ull,  14002279286810579532ull};
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const PinnedSchedule r = sparse_dense_run(threads);
+    EXPECT_EQ(r.windows, 1298u);
+    EXPECT_EQ(r.shard_windows, 3841u);
+    EXPECT_EQ(r.stalled, 6411u);
+    EXPECT_EQ(r.messages, 1076u);
+    EXPECT_EQ(r.events, 4284u);
+    EXPECT_EQ(r.wide, 0u);  // about three events a round: never wide
+    EXPECT_EQ(r.hashes, kHashes);
+  }
+}
+
 // Window-boundary lane stress: a 4-slot ring under a message rate far
 // beyond it wraps its indices every window and overflows constantly; the
 // spill path must preserve the canonical merge exactly. Spill *counts* are
@@ -1226,6 +1329,28 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromTheLeaderAndFromAWorker) {
     EXPECT_THROW(engine.run(), std::runtime_error);
     EXPECT_GT(engine.wide_rounds(), 0u);
   }
+}
+
+TEST(ShardedSimulator, TwoThrowsInOneNarrowRoundRethrowLowestShardFirst) {
+  // Shards 1 and 3 both throw inside the same narrow round (the leader
+  // runs shard 3's window after shard 1's). The lowest shard id surfaces
+  // first; the other exception is kept and surfaces on the next run.
+  ShardedSimulator engine(pool_config());
+  for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
+  engine.shard(3).schedule_at(7, [] { throw std::runtime_error("shard 3"); });
+  engine.shard(1).schedule_at(7, [] { throw std::runtime_error("shard 1"); });
+  for (const char* expected : {"shard 1", "shard 3"}) {
+    try {
+      engine.run();
+      ADD_FAILURE() << "run() returned; expected " << expected;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), expected);
+    }
+  }
+  EXPECT_EQ(engine.wide_rounds(), 0u);
+  EXPECT_EQ(engine.windows(), 1u);  // both threw in the first round
+  engine.run();  // nothing left to rethrow: drains
+  EXPECT_EQ(engine.events_processed(), 6u);
 }
 
 TEST(ShardedSimulator, DestructorReturnsWithNoRunsAfterAThrowAndWhileParked) {

@@ -261,6 +261,76 @@ TEST(Runtime, RejectsUnregisteredKernel) {
   EXPECT_THROW(rig.runtime->submit(t), CheckError);
 }
 
+// --- the forwarded bit ------------------------------------------------------
+//
+// TaskResult::forwarded means "left its home worker's queue": a lazy spill
+// or a routed placement sets it before the task is first queued, and a
+// failover or repair re-arrival keeps whatever the first queueing decided.
+// Software placement keeps executed_on equal to the queue the task ran from.
+
+/// Burst of `n` software tasks at worker {0, 0}; returns the rig after run().
+std::unique_ptr<SchedRig> forwarded_burst(RuntimeConfig cfg, TaskId n) {
+  cfg.placement = PlacementPolicy::kAlwaysSoftware;
+  auto rig = std::make_unique<SchedRig>(cfg);
+  for (TaskId i = 0; i < n; ++i) {
+    rig->runtime->submit(rig->make_task(i, 200000, {0, 0}));
+  }
+  rig->runtime->run();
+  return rig;
+}
+
+TEST(Runtime, SpilledTaskIsForwarded) {
+  RuntimeConfig cfg;
+  cfg.distribution = DistributionPolicy::kLazyLocal;
+  cfg.spill_depth = 2;
+  const auto rig = forwarded_burst(cfg, 16);
+  std::uint64_t moved = 0;
+  for (const TaskResult& r : rig->runtime->results()) {
+    // A spill cascade from worker 0 never returns to worker 0.
+    EXPECT_EQ(r.forwarded, r.executed_on != 0) << "task " << r.id;
+    if (r.executed_on != 0) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(rig->runtime->stats().forwarded_tasks, moved);
+}
+
+TEST(Runtime, CentrallyRoutedTaskIsForwarded) {
+  RuntimeConfig cfg;
+  cfg.distribution = DistributionPolicy::kCentralized;
+  const auto rig = forwarded_burst(cfg, 12);
+  std::uint64_t moved = 0;
+  for (const TaskResult& r : rig->runtime->results()) {
+    EXPECT_EQ(r.forwarded, r.executed_on != 0) << "task " << r.id;
+    if (r.executed_on != 0) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_LT(moved, 12u);
+  EXPECT_EQ(rig->runtime->stats().forwarded_tasks, moved);
+}
+
+TEST(Runtime, HomeQueuedTaskFailingOverIsNotForwarded) {
+  // Worker 0 dies for good while running one task with seven queued
+  // behind it. Detection moves the victim and the queue to survivors, but
+  // all eight were first queued at home, so none counts as forwarded.
+  RuntimeConfig cfg;
+  cfg.distribution = DistributionPolicy::kHomeOnly;
+  cfg.faults.enabled = true;
+  cfg.faults.scripted_crashes.push_back(
+      {/*worker=*/0, /*at=*/microseconds(5), /*permanent=*/true,
+       /*repair_after=*/0});
+  const auto rig = forwarded_burst(cfg, 8);
+  const auto& results = rig->runtime->results();
+  ASSERT_EQ(results.size(), 8u);
+  EXPECT_EQ(rig->runtime->recovery_log().size(), 1u);
+  const RuntimeStats s = rig->runtime->stats();
+  EXPECT_EQ(s.task_failovers, 8u);
+  for (const TaskResult& r : results) {
+    EXPECT_NE(r.executed_on, 0u) << "task " << r.id;
+    EXPECT_FALSE(r.forwarded) << "task " << r.id;
+  }
+  EXPECT_EQ(s.forwarded_tasks, 0u);
+}
+
 TEST(Runtime, QueueWaitGrowsUnderLoad) {
   SchedRig rig;
   for (TaskId i = 0; i < 20; ++i) {
