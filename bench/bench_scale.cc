@@ -270,9 +270,8 @@ int main(int argc, char** argv) {
   NetworkConfig dense_cfg;
   dense_cfg.routing = RoutingMode::kDenseTable;
   Network dense(make_tree({16, 4}), dense_cfg);
-  NetworkConfig imp_cfg;
-  imp_cfg.routing = RoutingMode::kImplicitTree;
-  Network implicit(make_tree({16, 4}), imp_cfg);
+  Network implicit(make_tree({16, 4}), NetworkConfig{});
+  ECO_CHECK_MSG(implicit.implicit_routing(), "a tree must route implicitly");
   dense.min_cross_latency(0);  // pre-materialize every dense route
   (void)route_ns_per_op(dense, 100000);     // warm both
   (void)route_ns_per_op(implicit, 100000);

@@ -141,7 +141,6 @@ struct ShardedMeshResult {
   double wall_s = 0.0;
   std::uint64_t shard_windows = 0;  // per-shard executions across rounds
   std::uint64_t stalled = 0;        // skipped shard-windows (barrier stall)
-  std::uint64_t steals = 0;         // cross-thread claims (wall-clock-side)
   std::uint64_t wide_rounds = 0;    // rounds run wide (0 at one thread)
 };
 
@@ -213,7 +212,6 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   r.threads = engine.threads_used();
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
-  r.steals = engine.steals();
   r.wide_rounds = engine.wide_rounds();
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
@@ -231,7 +229,6 @@ struct ImbalancedMeshResult {
   std::uint64_t rounds = 0;          // engine synchronization rounds
   std::uint64_t shard_windows = 0;   // per-shard window executions
   std::uint64_t stalled = 0;         // shard-windows skipped (no work)
-  std::uint64_t steals = 0;          // wall-clock-side, not hashed
   std::uint64_t wide_rounds = 0;     // deterministic at any threads > 1
   std::uint64_t messages = 0;
   std::uint64_t hash = 0;
@@ -255,7 +252,7 @@ constexpr SimDuration kImbLookahead = 200;
 /// forward 200 ns at a time — 100 all-stall barrier rounds per quiet gap,
 /// kImbEpochs * kImbPeriod / kImbLookahead rounds in all — while per-shard
 /// horizons let the hot shard cross each gap in a single fat window and the
-/// cold burst rounds spread over the worker threads via the steal queues.
+/// cold burst rounds spread over the worker threads' fixed shard ranges.
 ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   constexpr std::size_t kShards = 64;
   constexpr std::uint64_t kBurst = 16;
@@ -339,7 +336,6 @@ ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   r.rounds = engine.windows();
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
-  r.steals = engine.steals();
   r.wide_rounds = engine.wide_rounds();
   r.messages = engine.messages();
   r.threads = engine.threads_used();
@@ -579,8 +575,7 @@ int main(int argc, char** argv) {
   std::cout << "imbalanced speedup " << fmt_ratio(imb_speedup) << " (rounds "
             << fmt_u64(imb_seq.rounds) << " vs " << global_window_rounds
             << " for one global window; stall "
-            << fmt_pct(imb_seq.stall_frac()) << ", steals "
-            << fmt_u64(imb_par.steals) << ")\n\n";
+            << fmt_pct(imb_seq.stall_frac()) << ")\n\n";
   if (!imb_hashes_match) {
     std::cerr << "FATAL: imbalanced-mesh hash mismatch across thread "
                  "counts (" << imb_seq.hash << " vs " << imb_par.hash
@@ -614,13 +609,11 @@ int main(int argc, char** argv) {
             << ", \"sharded_barrier_stall_pct\": "
             << 100.0 * static_cast<double>(par.stalled) /
                    static_cast<double>(par.shard_windows + par.stalled)
-            << ", \"sharded_steals\": " << par.steals
             << ", \"sharded_wide_rounds\": " << par.wide_rounds
             << ", \"imb_adaptive_speedup\": " << imb_speedup
             << ", \"imb_adaptive_stall_pct\": "
             << 100.0 * imb_seq.stall_frac()
             << ", \"imb_rounds_adaptive\": " << imb_seq.rounds
-            << ", \"imb_steals\": " << imb_par.steals
             << ", \"imb_wide_rounds\": " << imb_par.wide_rounds
             << ", \"imb_hash_match\": " << (imb_hashes_match ? 1 : 0)
             << "}\n";

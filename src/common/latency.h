@@ -23,6 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/fingerprint.h"
+
 namespace ecoscale {
 
 class LatencyHistogram {
@@ -108,19 +110,12 @@ class LatencyHistogram {
   /// iff the recorded multiset of (bucketized) values is equal. Used by
   /// determinism gates.
   std::uint64_t fingerprint() const {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xFF;
-        h *= 1099511628211ull;
-      }
-    };
-    for (const std::uint64_t c : buckets_) mix(c);
-    mix(count_);
-    mix(sum_);
-    mix(count_ ? min_ : 0);
-    mix(max_);
-    return h;
+    std::uint64_t h = kFnvOffset;
+    for (const std::uint64_t c : buckets_) h = fnv_word(h, c);
+    h = fnv_word(h, count_);
+    h = fnv_word(h, sum_);
+    h = fnv_word(h, count_ ? min_ : 0);
+    return fnv_word(h, max_);
   }
 
   /// Bucket index for a value: exact below kSub, then (octave,

@@ -72,9 +72,6 @@ Network::Network(Topology topology, NetworkConfig config)
   if (config_.routing != RoutingMode::kDenseTable) {
     tree_routing_ = try_root_tree();
   }
-  ECO_CHECK_MSG(
-      config_.routing != RoutingMode::kImplicitTree || tree_routing_,
-      "RoutingMode::kImplicitTree requires a tree topology");
   if (!tree_routing_) {
     // Legacy dense tables: an 8-byte RouteRef per endpoint pair plus BFS
     // parent caches. Quadratic — only for non-trees and explicit opt-in.

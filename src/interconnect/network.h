@@ -44,10 +44,9 @@ struct LinkParams {
 
 /// How routes are resolved (see the header comment).
 enum class RoutingMode {
-  /// Implicit LCA routing when the topology is a tree, dense otherwise.
+  /// Implicit LCA routing when the topology is a tree, dense otherwise
+  /// (implicit_routing() says which).
   kAuto,
-  /// Require implicit routing; constructing over a non-tree is an error.
-  kImplicitTree,
   /// Legacy dense src·E+dst table with BFS precompute, even for trees.
   kDenseTable,
 };

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 #include "sim/parallel.h"
 #include "sim/perturb.h"
 
@@ -59,12 +60,9 @@ struct AccessMsg {
   std::uint8_t hops = 0;
 };
 
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
+/// Litmus fingerprints start from the published FNV-1a offset basis, not
+/// the repository-wide kFnvOffset; LITMUS_JSON pins hashes made with it.
+constexpr std::uint64_t kLitmusFpSeed = 0xcbf29ce484222325ull;
 
 class ShardedLitmusRun {
  public:
@@ -117,7 +115,7 @@ class ShardedLitmusRun {
 
     RandomizedRun result;
     const std::size_t obs_slots = program_.observer_slots();
-    std::uint64_t fp = 0xcbf29ce484222325ull;
+    std::uint64_t fp = kLitmusFpSeed;
     for (std::size_t p = 0; p < program_.pages; ++p) {
       std::size_t owner = nodes_.size();
       for (std::size_t n = 0; n < nodes_.size(); ++n) {
@@ -131,25 +129,25 @@ class ShardedLitmusRun {
       for (std::size_t v = 0; v < kVarsPerPage; ++v) {
         outcome_[obs_slots + p * kVarsPerPage + v] = page.vars[v];
       }
-      fnv_u64(fp, owner);
-      fnv_u64(fp, page.log.size());
+      fp = fnv_word(fp, owner);
+      fp = fnv_word(fp, page.log.size());
       for (const LogEntry& e : page.log) {
-        fnv_u64(fp, (std::uint64_t{e.thread} << 16) |
-                        (std::uint64_t{e.op_index} << 8) | e.kind);
-        fnv_u64(fp, e.value);
+        fp = fnv_word(fp, (std::uint64_t{e.thread} << 16) |
+                              (std::uint64_t{e.op_index} << 8) | e.kind);
+        fp = fnv_word(fp, e.value);
       }
     }
-    for (const std::uint64_t v : outcome_) fnv_u64(fp, v);
+    for (const std::uint64_t v : outcome_) fp = fnv_word(fp, v);
     for (const NodeState& n : nodes_) {
       result.nacks += n.nacks;
       result.failovers += n.failovers;
       result.migrations += n.migrations;
       result.forwards += n.forwards;
     }
-    fnv_u64(fp, result.nacks);
-    fnv_u64(fp, result.failovers);
-    fnv_u64(fp, result.migrations);
-    fnv_u64(fp, result.forwards);
+    fp = fnv_word(fp, result.nacks);
+    fp = fnv_word(fp, result.failovers);
+    fp = fnv_word(fp, result.migrations);
+    fp = fnv_word(fp, result.forwards);
     result.outcome = outcome_;
     result.fingerprint = fp;
     result.events = sim_.events_processed();
@@ -467,11 +465,11 @@ RandomizedRun run_randomized_once(const LitmusProgram& program,
 RandomizedResult run_randomized(const LitmusProgram& program,
                                 const RandomizedConfig& config) {
   RandomizedResult result;
-  result.fingerprint = 0xcbf29ce484222325ull;
+  result.fingerprint = kLitmusFpSeed;
   for (std::uint64_t r = 0; r < config.rounds; ++r) {
     RandomizedRun run = run_randomized_once(program, config, r);
     result.outcomes.insert(run.outcome);
-    fnv_u64(result.fingerprint, run.fingerprint);
+    result.fingerprint = fnv_word(result.fingerprint, run.fingerprint);
     result.events += run.events;
     result.nacks += run.nacks;
     result.failovers += run.failovers;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 #include "common/reduce.h"
 #include "common/rng.h"
 #include "interconnect/network.h"
@@ -13,17 +14,6 @@
 namespace ecoscale::repart {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-constexpr std::uint64_t kFnvSeed = 1469598103934665603ull;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 struct MeshTraceNames {
   CounterId settle = CounterRegistry::intern("repart.settle");
@@ -198,7 +188,7 @@ MeshWorkload::Report MeshWorkload::report() const {
         leaf.halo_in = st.halo_in;
         leaf.migrations_in = st.migrations_in;
         leaf.finish = st.finish;
-        std::uint64_t h = kFnvSeed;
+        std::uint64_t h = kFnvOffset;
         h = fnv_word(h, st.updates);
         h = fnv_word(h, st.steps);
         h = fnv_word(h, st.remote_reads);

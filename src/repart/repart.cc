@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 #include "interconnect/network.h"
 #include "obs/trace.h"
 #include "runtime/scheduler.h"
@@ -11,16 +12,6 @@
 namespace ecoscale::repart {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 struct RepartTraceNames {
   CounterId epoch = CounterRegistry::intern("repart.epoch");

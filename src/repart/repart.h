@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "common/units.h"
 #include "repart/diffusion.h"
 #include "repart/load.h"
@@ -123,7 +124,7 @@ class Repartitioner {
     std::uint64_t move_byte_hops = 0;
     /// FNV-1a fold of (epoch, item, from, to) over every executed move —
     /// the plan's determinism witness.
-    std::uint64_t plan_fingerprint = 1469598103934665603ull;
+    std::uint64_t plan_fingerprint = kFnvOffset;
     /// Capacity-normalized imbalance observed at the last epoch.
     double last_imbalance = 0.0;
   };

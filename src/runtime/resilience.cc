@@ -1,16 +1,15 @@
 #include "runtime/resilience.h"
 
-#include <algorithm>
-#include <deque>
+#include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace ecoscale {
 
 namespace {
 
-/// Pre-sampled Poisson failure times for one worker over a generous
-/// horizon.
+/// Pre-sampled Poisson event times over [0, horizon).
 std::vector<SimTime> sample_failures(Rng& rng, double per_second,
                                      SimTime horizon) {
   std::vector<SimTime> out;
@@ -26,95 +25,6 @@ std::vector<SimTime> sample_failures(Rng& rng, double per_second,
 }
 
 }  // namespace
-
-ResilienceOutcome run_with_failures(const std::vector<ResilientTask>& tasks,
-                                    const ResilienceConfig& config) {
-  ECO_CHECK(config.workers >= 1);
-  // Failures are sampled lazily, one independent exponential stream per
-  // worker, advanced memorylessly past each dispatch. There is no sampling
-  // horizon: arbitrarily long crash/re-execute chains stay under injection
-  // instead of running on a spuriously failure-free tail.
-  const double mean_gap_ps =
-      config.failures_per_second > 0 ? 1e12 / config.failures_per_second : 0;
-  std::vector<Rng> rng;
-  rng.reserve(config.workers);
-  std::vector<double> next_failure(config.workers, 0.0);
-  for (std::size_t w = 0; w < config.workers; ++w) {
-    rng.emplace_back(config.seed * 0x9e3779b97f4a7c15ull + w);
-    if (mean_gap_ps > 0) next_failure[w] = rng[w].exponential(mean_gap_ps);
-  }
-
-  // A re-queued task carries the instant its crash becomes *detectable*:
-  // no attempt may start before its predecessor's crash + detect_timeout,
-  // even on a worker that happens to be idle earlier.
-  struct Pending {
-    ResilientTask task;
-    SimTime not_before = 0;
-    bool is_retry = false;
-  };
-  std::vector<SimTime> free_at(config.workers, 0);
-  std::deque<Pending> queue;
-  for (const auto& t : tasks) queue.push_back({t, 0, false});
-  ResilienceOutcome out;
-  SimTime earliest_reexec = ~SimTime{0};
-
-  while (!queue.empty()) {
-    Pending pending = queue.front();
-    queue.pop_front();
-    const ResilientTask& task = pending.task;
-    // Least-loaded (earliest-free) worker.
-    std::size_t w = 0;
-    for (std::size_t i = 1; i < config.workers; ++i) {
-      if (free_at[i] < free_at[w]) w = i;
-    }
-    const SimTime start = std::max(free_at[w], pending.not_before);
-    const SimTime would_finish = start + task.duration;
-    if (pending.is_retry) earliest_reexec = std::min(earliest_reexec, start);
-    // Advance w's failure stream past `start` (memoryless, so re-sampling
-    // the gap after skipped failures keeps the process Poisson), then ask
-    // whether the next failure lands inside (start, would_finish).
-    if (mean_gap_ps > 0) {
-      while (next_failure[w] <= static_cast<double>(start)) {
-        next_failure[w] += rng[w].exponential(mean_gap_ps);
-      }
-    }
-    if (mean_gap_ps > 0 &&
-        next_failure[w] < static_cast<double>(would_finish)) {
-      // Crash mid-task.
-      const auto crash = static_cast<SimTime>(next_failure[w]);
-      next_failure[w] += rng[w].exponential(mean_gap_ps);
-      ++out.failures;
-      // Dispatch order is not time order across workers: track the true
-      // extremes, not the first/last crash the loop happened to visit.
-      if (out.failures == 1 || crash < out.first_crash) {
-        out.first_crash = crash;
-      }
-      if (crash > out.last_crash) out.last_crash = crash;
-      const double progress_ns = to_nanoseconds(crash - start);
-      out.wasted_energy += task.energy_pj_per_ns * progress_ns;
-      free_at[w] = crash + config.repair_time;
-      out.makespan = std::max(out.makespan, free_at[w]);
-      if (config.reexecute) {
-        ++out.reexecutions;
-        // Detection delays the restart: the retry is not eligible to run
-        // anywhere before the heartbeat monitor can have noticed the crash.
-        queue.push_back({task, crash + config.detect_timeout, true});
-        out.makespan = std::max(out.makespan, crash + config.detect_timeout);
-      } else {
-        ++out.lost;
-      }
-      continue;
-    }
-    // Clean completion.
-    free_at[w] = would_finish;
-    ++out.completed;
-    out.useful_energy +=
-        task.energy_pj_per_ns * to_nanoseconds(task.duration);
-    out.makespan = std::max(out.makespan, would_finish);
-  }
-  if (earliest_reexec != ~SimTime{0}) out.earliest_reexec_start = earliest_reexec;
-  return out;
-}
 
 ScrubOutcome scrubbing_policy(SimDuration scrub_period, double seu_per_second,
                               std::uint64_t calls, SimTime horizon,

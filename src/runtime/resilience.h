@@ -1,67 +1,16 @@
-// Resilience through re-execution and fabric scrubbing (paper abstract:
-// "To further increase energy efficiency, as well as to provide
-// resilience, the Workers employ reconfigurable accelerators…").
-//
-// Two failure classes are modelled:
-//  * Worker failures — Poisson per-worker crashes that lose in-flight work
-//    and take the worker down for a repair interval. Recovery policies:
-//    none (work lost), or detect-and-re-execute on a surviving worker.
-//  * Fabric soft errors (SEUs) — configuration upsets that corrupt a
-//    loaded module; repaired by reloading the bitstream (scrubbing),
-//    either periodically or on detection at the next call.
+// Fabric configuration scrubbing (paper abstract: "To further increase
+// energy efficiency, as well as to provide resilience, the Workers employ
+// reconfigurable accelerators…"). Fabric soft errors (SEUs) corrupt a
+// loaded module; scrubbing repairs them by reloading the bitstream.
+// Worker crashes, node losses and their recovery run live, through the
+// simulator: see runtime/fault.h and DESIGN.md §7.5.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/rng.h"
 #include "common/units.h"
 
 namespace ecoscale {
-
-struct ResilienceConfig {
-  std::size_t workers = 8;
-  /// Per-worker failure rate (failures per simulated second). Real MTBFs
-  /// are hours; simulated runs are milliseconds, so rates here are scaled
-  /// to exercise the machinery, not to be literal.
-  double failures_per_second = 20.0;
-  SimDuration detect_timeout = microseconds(200);  // heartbeat loss
-  SimDuration repair_time = milliseconds(2);
-  bool reexecute = true;
-  std::uint64_t seed = 12345;
-};
-
-struct ResilientTask {
-  std::uint64_t id = 0;
-  SimDuration duration = 0;
-  double energy_pj_per_ns = 100.0;
-};
-
-struct ResilienceOutcome {
-  std::size_t completed = 0;
-  std::size_t lost = 0;           // never completed (policy: none)
-  std::size_t failures = 0;       // worker crashes that hit running tasks
-  std::size_t reexecutions = 0;
-  SimTime makespan = 0;
-  Picojoules useful_energy = 0.0;
-  Picojoules wasted_energy = 0.0;  // progress destroyed by crashes
-  // Causality bookkeeping (0 when no crash / no re-execution happened):
-  SimTime first_crash = 0;
-  SimTime last_crash = 0;
-  /// Earliest start of any re-executed attempt. The detection-latency
-  /// invariant is `earliest_reexec_start >= first_crash + detect_timeout`
-  /// (every retry's start is >= its *own* crash + detect_timeout, which
-  /// implies this observable bound).
-  SimTime earliest_reexec_start = 0;
-};
-
-/// Run `tasks` over a pool of workers under failure injection. Tasks are
-/// dispatched least-loaded-first; a crash loses the running task's
-/// progress and takes the worker offline for repair. With `reexecute` the
-/// task restarts (from zero) on the earliest-available worker after the
-/// detection timeout; without it the task is lost.
-ResilienceOutcome run_with_failures(const std::vector<ResilientTask>& tasks,
-                                    const ResilienceConfig& config);
 
 /// Fabric configuration scrubbing. SEUs silently corrupt the loaded
 /// configuration at `seu_per_second`; corrupted calls produce wrong

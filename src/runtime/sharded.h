@@ -158,11 +158,11 @@ class ShardedRuntime {
     std::uint64_t windows = 0;     // engine synchronization rounds
     std::uint64_t mailbox_spills = 0;
     /// Per-shard window executions / skips across all rounds (a skip is a
-    /// shard whose horizon held no work — the barrier-stall metric) and
-    /// cross-thread shard-window steals (wall-clock-side only; see
-    /// sim/parallel.h).
+    /// shard whose horizon held no work — the barrier-stall metric).
     std::uint64_t shard_windows = 0;
     std::uint64_t stalled_shard_windows = 0;
+    /// Always 0: every shard has a fixed owner thread (sim/parallel.h).
+    /// Kept only until the end-to-end benchmark stops reporting it.
     std::uint64_t steals = 0;
   };
   /// Folded over nodes with a deterministic balanced reduction tree

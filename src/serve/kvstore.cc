@@ -5,6 +5,7 @@
 #include <span>
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 #include "common/reduce.h"
 #include "interconnect/network.h"
 #include "obs/trace.h"
@@ -451,15 +452,6 @@ std::uint64_t KvStore::sheds() const {
 }
 
 std::uint64_t KvStore::apply_log_hash() const {
-  constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-  auto mix_word = [](std::uint64_t h, std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFF;
-      h *= kFnvPrime;
-    }
-    return h;
-  };
   // Per-node FNV streams folded with a balanced deterministic tree: the
   // result depends only on the logs' contents and the node count.
   return reduce_tree<std::uint64_t>(
@@ -467,17 +459,17 @@ std::uint64_t KvStore::apply_log_hash() const {
       [&](std::size_t n) {
         std::uint64_t h = kFnvOffset;
         for (const KvApplyRecord& r : apply_log_[n]) {
-          h = mix_word(h, r.at);
-          h = mix_word(h, r.request);
-          h = mix_word(h, r.key);
-          h = mix_word(h, static_cast<std::uint64_t>(r.op));
-          h = mix_word(h, r.value);
-          h = mix_word(h, r.found);
-          h = mix_word(h, r.returned);
+          h = fnv_word(h, r.at);
+          h = fnv_word(h, r.request);
+          h = fnv_word(h, r.key);
+          h = fnv_word(h, static_cast<std::uint64_t>(r.op));
+          h = fnv_word(h, r.value);
+          h = fnv_word(h, r.found);
+          h = fnv_word(h, r.returned);
         }
         return h;
       },
-      [&](std::uint64_t a, std::uint64_t b) { return mix_word(a, b); });
+      [](std::uint64_t a, std::uint64_t b) { return fnv_word(a, b); });
 }
 
 }  // namespace ecoscale::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 #include "common/reduce.h"
 #include "obs/trace.h"
 
@@ -23,17 +24,6 @@ struct LoadTraceNames {
 [[maybe_unused]] const LoadTraceNames& load_trace_names() {
   static const LoadTraceNames names;
   return names;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 }  // namespace

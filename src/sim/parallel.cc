@@ -1,6 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -93,13 +94,11 @@ namespace {
 
 /// Interned names for the engine's own trace lane: a span per
 /// synchronization round plus cumulative counter tracks for merged
-/// messages, horizon stalls and work steals (README "sim.stall /
-/// sim.steal" — stalls are deterministic, steals wall-clock-side).
+/// messages and horizon stalls (both deterministic).
 struct ParTraceNames {
   CounterId window = CounterRegistry::intern("sim.window");
   CounterId messages = CounterRegistry::intern("sim.messages");
   CounterId stall = CounterRegistry::intern("sim.stall");
-  CounterId steal = CounterRegistry::intern("sim.steal");
 };
 [[maybe_unused]] const ParTraceNames& par_trace_names() {
   static const ParTraceNames names;
@@ -123,9 +122,9 @@ thread_local RunContext tls_run_context;
 /// Canonical merge order: by destination, then (time, source shard, send
 /// sequence). The destination queue assigns its tie-breaking sequence
 /// numbers in this order, so execution is independent of thread count, of
-/// which lane a message rode, of stealing, and of the order the producing
-/// shards happened to finish their windows. (src, seq) is unique, so the
-/// key is a total order and no stable sort/merge is needed.
+/// which lane a message rode, and of the order the producing shards
+/// happened to finish their windows. (src, seq) is unique, so the key is a
+/// total order and no stable sort/merge is needed.
 struct MergeKeyLess {
   template <typename Item>
   bool operator()(const Item& a, const Item& b) const {
@@ -482,10 +481,8 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
     slot.events = 0;
     shard_windows_ += slot.executed;
     stalled_windows_ += slot.stalled;
-    steals_ += slot.stolen;
     slot.executed = 0;
     slot.stalled = 0;
-    slot.stolen = 0;
   }
   if (trace_prev_valid_) {
     // Fixed-point EWMA update, alpha = 1/8: x8' = x8 - x8/8 + events.
@@ -504,11 +501,6 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
     ECO_TRACE_COUNTER(obs::Cat::kSim, par_trace_names().stall,
                       (obs::Lane{obs::kSimPid, kEngineTid}),
                       trace_prev_floor_, stalled_windows_);
-    if (threads_ > 1) {
-      ECO_TRACE_COUNTER(obs::Cat::kSim, par_trace_names().steal,
-                        (obs::Lane{obs::kSimPid, kEngineTid}),
-                        trace_prev_floor_, steals_);
-    }
   }
   if (floor == kNever || floor >= run_bound_) {
     // Drained, or every remaining event sits at or past the run_until()
@@ -519,7 +511,7 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
   plan_src2_ = src2;
   plan_src_arg_ = src_arg;
   // Publish the round: the pending shards in ascending order, each
-  // thread's range a contiguous claim segment of it, and their horizons.
+  // thread's owned range a contiguous slice of it, and their horizons.
   pending_.clear();
   pending_next_.clear();
   for (auto& slot_ptr : slots_) {
@@ -530,7 +522,6 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
       pending_next_.push_back(next_times_[d]);
     }
     slot.claim_end = static_cast<std::uint32_t>(pending_.size());
-    slot.cursor.store(slot.claim_begin, std::memory_order_relaxed);
   }
   plan_horizons();
   trace_prev_valid_ = true;
@@ -543,20 +534,18 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
   return Round::kNarrow;
 }
 
-void ShardedSimulator::run_window(std::size_t i, std::size_t tid,
-                                  bool stolen) {
+void ShardedSimulator::run_window(std::size_t i, std::size_t tid) {
   WorkerSlot& me = *slots_[tid];
   const std::uint32_t d = pending_[i];
   const SimTime horizon = horizon_[d];
   if (horizon > pending_next_[i]) {
     ++me.executed;
-    if (stolen) ++me.stolen;  // only a claim that runs a window
     const Simulator& sim = shards_[d]->sim;
     const std::uint64_t before = sim.events_processed();
     run_shard_window(d, horizon, tid);
     me.events += sim.events_processed() - before;
-    // Until the execute gate, next_times_[d] belongs to whichever thread
-    // claimed d; the merge phase's range owner reads it after the gate.
+    // next_times_[d] belongs to d's owner, which also reads it in the
+    // merge phase, after the execute gate.
     next_times_[d] = sim.idle() ? kNever : sim.next_event_time();
   } else {
     // Pending work the horizon forbade: a barrier stall. Deterministic
@@ -623,7 +612,7 @@ void ShardedSimulator::run_narrow_round() {
   // Every runnable window back to back, with one clock pair for the lot.
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    run_window(i, 0, /*stolen=*/false);
+    run_window(i, 0);
   }
   slots_[0]->window_ns += elapsed_ns(t0);
   drain_lane(0);
@@ -635,22 +624,14 @@ void ShardedSimulator::run_narrow_round() {
 }
 
 void ShardedSimulator::execute_wide(std::size_t tid) {
-  // Claim shard windows: own segment first, then sweep the other segments
-  // round-robin. Segments are fixed for the round, so one sweep claims
-  // every candidate exactly once (atomic cursor bump), and whichever
-  // thread claims a shard never affects results — only which lane its
-  // messages ride, which the canonical merge washes out.
+  // The thread's own pending shards, in ascending order: the slice of
+  // pending_ its range contributed at the plan.
+  WorkerSlot& me = *slots_[tid];
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t v = 0; v < threads_; ++v) {
-    WorkerSlot& q = *slots_[(tid + v) % threads_];
-    for (;;) {
-      const std::uint32_t idx =
-          q.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= q.claim_end) break;
-      run_window(idx, tid, /*stolen=*/v != 0);
-    }
+  for (std::uint32_t i = me.claim_begin; i < me.claim_end; ++i) {
+    run_window(i, tid);
   }
-  slots_[tid]->window_ns += elapsed_ns(t0);
+  me.window_ns += elapsed_ns(t0);
   drain_lane(tid);
 }
 

@@ -56,16 +56,14 @@
 // round runs on the leader alone, exactly as a 1-thread engine runs every
 // round: it walks the pending list, running every runnable window back to
 // back, then merges the round's messages, crossing no gate. In a wide
-// round, each thread's range of the pending list is its claim segment,
-// and shards are claimed with work stealing — a thread that drains its
-// own segment steals windows from a loaded peer, so shards >> threads no
-// longer serializes behind the static stripe. Claiming is an atomic
-// cursor bump per segment (the segments are fixed before the plan gate,
-// so the classic Chase-Lev push/steal races don't arise). Steals are
-// counted in wide rounds only; a narrow round has no owner to steal from.
-// Which thread runs a window never affects results: the shard's trace
-// lane and post() sequence counter travel with the shard, and the merge
-// key orders messages independently of the lane they rode.
+// round, each shard has one owner thread: thread t runs exactly the
+// pending shards in its contiguous range [t*S/T, (t+1)*S/T) — the same
+// range it merges into and folds — so a shard's queue, next-event time and
+// lane traffic stay on one core from round to round (the Compute Node as
+// the partitioning boundary). Which thread owns a shard never affects
+// results: the shard's trace lane and post() sequence counter belong to
+// the shard, and the merge key orders messages independently of the lane
+// they rode.
 //
 // Merging: each thread owns a contiguous destination range [lo, hi) of
 // shards. After the execute gate of a wide round every thread gathers the
@@ -110,15 +108,14 @@
 // Determinism: the merge is canonical — messages sort by (destination,
 // time, source shard, source sequence), a total order — so destination
 // tie-breaking sequence numbers are assigned in an order independent of
-// thread count, lane assignment, stealing, and completion order. Horizons
-// are computed only from the published next-event times (deterministic
+// thread count, lane assignment and completion order. Horizons are
+// computed only from the published next-event times (deterministic
 // simulation state), so the window schedule itself is thread-count
 // invariant and a run with `threads = N` is byte-identical to
-// `threads = 1`. Only lane *spill counts* and the *steal count* —
-// wall-clock-side metrics — vary with the thread count.
+// `threads = 1`. Only lane *spill counts* — a wall-clock-side metric —
+// vary with the thread count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -237,8 +234,8 @@ class ShardedSimulator {
   bool run_until(SimTime bound);
 
   // --- accounting ---------------------------------------------------------
-  // The first five are deterministic (thread-count invariant); spills,
-  // steals and spawned workers vary with the thread count.
+  // The first five are deterministic (thread-count invariant); spills and
+  // spawned workers vary with the thread count.
   /// Synchronization rounds executed so far.
   std::uint64_t windows() const { return windows_; }
   /// Rounds that ran wide, across threads_used() threads. The narrow/wide
@@ -256,11 +253,10 @@ class ShardedSimulator {
   /// Cross-shard messages routed through the lanes (sum of the per-source
   /// send counters — identical whatever the lane layout).
   std::uint64_t messages() const;
-  /// Shard windows a wide round executed on a thread other than the queue
-  /// owner's (a claimed shard whose horizon forbids running is a stall, not
-  /// a steal), so steals() <= shard_windows(). Wall-clock-side: depends on
-  /// thread timing, never on results.
-  std::uint64_t steals() const { return steals_; }
+  /// Always 0: every shard has a fixed owner thread, so no window runs
+  /// anywhere else. Kept only until the end-to-end benchmark stops
+  /// reporting it.
+  std::uint64_t steals() const { return 0; }
   /// Pushes that overflowed a lane ring into its spill vector. Lane load
   /// depends on how many shards share a thread, so this varies with the
   /// thread count (simulation results never do).
@@ -275,8 +271,8 @@ class ShardedSimulator {
   /// Host time spent in window loops, summed over threads (CPU time, not
   /// elapsed time — threads run concurrently). Each thread reads the clock
   /// once around all the windows it runs in a round, so this covers event
-  /// execution plus the per-window horizon checks and claims, not the
-  /// plan, merge or gates.
+  /// execution plus the per-window horizon checks, not the plan, merge or
+  /// gates.
   std::uint64_t shard_wall_time_ns() const;
   /// Worker threads started so far: 0 until the first wide round, then
   /// threads_used() - 1 for the engine's lifetime.
@@ -293,7 +289,8 @@ class ShardedSimulator {
     std::exception_ptr error;
     /// Messages this shard has posted — the `seq` of its next post and the
     /// third key of the canonical merge order. Owned by whichever thread
-    /// is executing the shard's window (never two at once).
+    /// is executing the shard's window: its owner in a wide round, the
+    /// leader in a narrow one (never two at once).
     std::uint64_t post_seq = 0;
   };
 
@@ -309,18 +306,16 @@ class ShardedSimulator {
     std::uint32_t pos;
   };
 
-  /// Per-worker-thread state: the thread's claim segment of the round's
-  /// pending list (any thread may claim from it), the lane-drain scratch,
-  /// the merge gather buffer for the thread's destination range,
-  /// per-round tallies and the fold outputs the planner combines.
+  /// Per-worker-thread state: the thread's own slice of the round's
+  /// pending list, the lane-drain scratch, the merge gather buffer for the
+  /// thread's destination range, per-round tallies and the fold outputs
+  /// the planner combines.
   struct alignas(64) WorkerSlot {
-    // Claim segment [claim_begin, claim_end) of pending_, published by the
-    // planner; a wide round claims from it via `cursor` (atomic bump — the
-    // segments are fixed before the plan gate, so no push ever races a
-    // steal). A narrow round walks pending_ directly.
+    // The owned pending shards, [claim_begin, claim_end) of pending_,
+    // published by the planner; a wide round runs exactly these. A narrow
+    // round walks pending_ directly.
     std::uint32_t claim_begin = 0;
     std::uint32_t claim_end = 0;
-    std::atomic<std::uint32_t> cursor{0};
     // This thread's lane, drained after its windows each round; every
     // thread reads it in the merge step, only the owner writes it.
     std::vector<ShardMessage> msgs;
@@ -328,11 +323,10 @@ class ShardedSimulator {
     // every slot's `msgs` and sorted canonically.
     std::vector<MergeItem> gather;
     // Deterministic per-round tallies (zeroed by the planner after
-    // folding) plus the wall-clock-side steal count and window time.
+    // folding) plus the wall-clock-side window time.
     std::uint64_t events = 0;  // events retired, for the wide/narrow rule
     std::uint64_t executed = 0;
     std::uint64_t stalled = 0;
-    std::uint64_t stolen = 0;
     std::uint64_t errors = 0;  // windows that threw (planner folds it)
     std::uint64_t window_ns = 0;  // host time in window loops, cumulative
     // Fold outputs over the thread's contiguous shard range: its pending
@@ -364,8 +358,8 @@ class ShardedSimulator {
   /// Leader, between rounds: fold the per-thread partials (O(threads)),
   /// emit the previous round's trace span/counters, update the
   /// events-per-round EWMA, and publish the next round — its pending list,
-  /// claim segments and horizons — or report the segment over. Rethrows a
-  /// shard's exception.
+  /// each thread's owned slice of it and the horizons — or report the
+  /// segment over. Rethrows a shard's exception.
   Round plan_round();
   /// The per-shard execution horizon of every pending shard, into
   /// horizon_ (see file comment): one batched pass over the pending
@@ -383,12 +377,12 @@ class ShardedSimulator {
   void worker_loop(std::size_t tid) noexcept;
   /// Run the window of pending shard pending_[i] on thread `tid` and
   /// re-read its next event time if its horizon allows, else count a
-  /// stall. `stolen`: claimed from another thread's segment.
-  void run_window(std::size_t i, std::size_t tid, bool stolen);
+  /// stall.
+  void run_window(std::size_t i, std::size_t tid);
   /// Move thread `tid`'s lane into its `msgs`, for the merge step.
   void drain_lane(std::size_t tid);
-  /// Wide execute phase: claim windows (own segment, then the others),
-  /// run them, drain the lane. Claims from another segment count as steals.
+  /// Wide execute phase: run the windows of the thread's own pending
+  /// shards, then drain its lane.
   void execute_wide(std::size_t tid);
   /// Wide merge phase for thread `tid`'s destination range.
   void merge_wide(std::size_t tid);
@@ -416,9 +410,10 @@ class ShardedSimulator {
   std::vector<SimDuration> source_floor_;
   std::vector<SimDuration> dest_floor_;
   // Published next event time per shard (kNever = idle). Read by the
-  // planner; in the execute phase, the thread that claimed d re-reads d's
-  // after its window; in the merge phase, the range owner lowers it for
-  // each delivery. The round gates order the phases.
+  // planner; in the execute phase, d's owner re-reads it after d's window
+  // (in a narrow round the leader owns every shard); in the merge phase,
+  // the same owner lowers it for each delivery. The round gates order the
+  // phases.
   std::vector<SimTime> next_times_;
   // The round's pending shards (ascending) and their horizons (valid for
   // pending shards only), written by the leader's plan and read by every
@@ -456,7 +451,6 @@ class ShardedSimulator {
   std::uint64_t windows_ = 0;
   std::uint64_t shard_windows_ = 0;
   std::uint64_t stalled_windows_ = 0;
-  std::uint64_t steals_ = 0;
   std::uint64_t wide_rounds_ = 0;
 
   // Persistent worker pool (threads 1..N-1), started at the first wide

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <vector>
 
 #include "common/check.h"
 #include "common/energy.h"
+#include "common/fingerprint.h"
 #include "common/latency.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -520,6 +523,51 @@ TEST(TableFormat, Helpers) {
   EXPECT_EQ(fmt_bytes(2048), "2.00 KiB");
   EXPECT_EQ(fmt_time_ps(1500.0), "1.50 ns");
   EXPECT_EQ(fmt_energy_pj(2.5e6), "2.50 uJ");
+}
+
+// --- fingerprint fold ------------------------------------------------------
+
+// Bytewise FNV-1a, written independently of common/fingerprint.h.
+std::uint64_t fnv1a_bytes(std::uint64_t h, const unsigned char* p,
+                          std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Fingerprint, FnvWordIsFnv1aOverLittleEndianBytes) {
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t h = rng();
+    const std::uint64_t v = rng();
+    unsigned char bytes[8];
+    for (int b = 0; b < 8; ++b) {
+      bytes[b] = static_cast<unsigned char>(v >> (8 * b));
+    }
+    ASSERT_EQ(fnv_word(h, v), fnv1a_bytes(h, bytes, 8)) << "i " << i;
+  }
+}
+
+TEST(Fingerprint, PinnedValues) {
+  // The baseline hashes depend on these exact values.
+  static_assert(fnv_word(kFnvOffset, 0) == 0x47fe0d7eaf8e51e3ull);
+  EXPECT_EQ(fnv_word(kFnvOffset, 0x0123456789abcdefull),
+            0xe1b1f298cfb61863ull);
+  // With the published offset basis, folding the word whose little-endian
+  // bytes spell "abcdefgh" is the standard FNV-1a 64 of that string.
+  EXPECT_EQ(fnv_word(14695981039346656037ull, 0x6867666564636261ull),
+            0x25da8c1836a8d66dull);
+}
+
+TEST(Fingerprint, FoldIsOrderSensitive) {
+  // A fingerprint must tell reordered events apart.
+  const std::uint64_t ab = fnv_word(fnv_word(kFnvOffset, 1), 2);
+  const std::uint64_t ba = fnv_word(fnv_word(kFnvOffset, 2), 1);
+  EXPECT_EQ(ab, 0x162a8345ecfd7fc0ull);
+  EXPECT_EQ(ba, 0xe6273486e4d7b1a0ull);
+  EXPECT_NE(ab, ba);
 }
 
 }  // namespace

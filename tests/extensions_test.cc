@@ -1,11 +1,12 @@
 // Tests for the extension substrates: PGAS atomics, PA regression,
 // streaming PCA, pre-emptive hardware execution / accelerator migration,
-// the reconfiguration daemon, and resilience with failure injection.
+// the reconfiguration daemon, and fabric configuration scrubbing.
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "hls/dse.h"
 #include "model/pca.h"
 #include "model/svr.h"
@@ -315,58 +316,7 @@ TEST(Daemon, ScoresDecay) {
   EXPECT_LT(daemon.score(m.kernel), s0);
 }
 
-// --- resilience ----------------------------------------------------------------------
-
-std::vector<ResilientTask> make_tasks(std::size_t n, SimDuration d) {
-  std::vector<ResilientTask> tasks(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks[i].id = i;
-    tasks[i].duration = d;
-  }
-  return tasks;
-}
-
-TEST(Resilience, NoFailuresAllComplete) {
-  ResilienceConfig cfg;
-  cfg.failures_per_second = 0.0;
-  const auto out = run_with_failures(make_tasks(32, microseconds(100)), cfg);
-  EXPECT_EQ(out.completed, 32u);
-  EXPECT_EQ(out.failures, 0u);
-  EXPECT_DOUBLE_EQ(out.wasted_energy, 0.0);
-}
-
-TEST(Resilience, ReexecutionCompletesEverythingDespiteFailures) {
-  ResilienceConfig cfg;
-  cfg.failures_per_second = 2000.0;  // aggressive, scaled for ms-runs
-  cfg.reexecute = true;
-  const auto out = run_with_failures(make_tasks(64, microseconds(200)), cfg);
-  EXPECT_EQ(out.completed, 64u);
-  EXPECT_EQ(out.lost, 0u);
-  EXPECT_GT(out.failures, 0u);
-  EXPECT_EQ(out.reexecutions, out.failures);
-  EXPECT_GT(out.wasted_energy, 0.0);
-}
-
-TEST(Resilience, WithoutReexecutionWorkIsLost) {
-  ResilienceConfig cfg;
-  cfg.failures_per_second = 2000.0;
-  cfg.reexecute = false;
-  cfg.seed = 7;
-  const auto out = run_with_failures(make_tasks(64, microseconds(200)), cfg);
-  EXPECT_GT(out.lost, 0u);
-  EXPECT_EQ(out.completed + out.lost, 64u);
-}
-
-TEST(Resilience, FailureFreeRunsAreFasterThanFailingOnes) {
-  ResilienceConfig clean;
-  clean.failures_per_second = 0.0;
-  ResilienceConfig faulty;
-  faulty.failures_per_second = 3000.0;
-  const auto tasks = make_tasks(48, microseconds(150));
-  const auto a = run_with_failures(tasks, clean);
-  const auto b = run_with_failures(tasks, faulty);
-  EXPECT_LT(a.makespan, b.makespan);
-}
+// --- fabric scrubbing ----------------------------------------------------------------
 
 TEST(Scrubbing, PeriodicBoundsCorruptionWindow) {
   const SimTime horizon = milliseconds(100);

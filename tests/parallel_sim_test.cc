@@ -735,13 +735,11 @@ TEST(ShardedSimulator, ImbalancedTopologyByteIdenticalAcross1_2_3_8Threads) {
   EXPECT_EQ(r1.hash, r2.hash);
   EXPECT_EQ(r1.hash, r3.hash);
   EXPECT_EQ(r1.hash, r8.hash);
-  // Single-threaded runs have nothing to steal from.
+  // Every shard has a fixed owner thread: nothing is ever stolen.
   EXPECT_EQ(r1.steals, 0u);
-  // A steal is a window executed off the owner's thread; a claimed shard
-  // that stalls on its horizon runs nothing and is no steal.
-  EXPECT_LE(r2.steals, r2.shard_windows);
-  EXPECT_LE(r3.steals, r3.shard_windows);
-  EXPECT_LE(r8.steals, r8.shard_windows);
+  EXPECT_EQ(r2.steals, 0u);
+  EXPECT_EQ(r3.steals, 0u);
+  EXPECT_EQ(r8.steals, 0u);
 }
 
 // The round gate's park path: one shard's action blocks for ~2 ms of host
@@ -1044,6 +1042,17 @@ TEST(ShardedRuntime, MixedUnimemUnilogicWorkloadIdenticalAcrossThreads) {
   EXPECT_GT(s1.makespan, 0u);
 }
 
+TEST(ShardedRuntime, WideRoundsReportNoSteals) {
+  // Every shard has a fixed owner thread, so even a run whose rounds go
+  // wide on four threads executes no window off its owner.
+  ShardedRuntime::Stats s{};
+  std::uint64_t wide = 0;
+  sharded_runtime_hash(4, &s, &wide);
+  EXPECT_GT(wide, 0u);
+  EXPECT_GT(s.shard_windows, 0u);
+  EXPECT_EQ(s.steals, 0u);
+}
+
 // --- run_until(): the epoch-pause primitive ---------------------------------
 
 TEST(ShardedSimulator, RunUntilPausesAtTheExclusiveBoundary) {
@@ -1267,6 +1276,54 @@ TEST(ShardedSimulator, WorkerThreadsSurviveRunUntilSegments) {
   EXPECT_LE(log.all_births().size(), 4u);
   // The first rounds (EWMA still low) ran narrow, on the caller.
   EXPECT_EQ(log.all_ids().count(std::this_thread::get_id()), 1u);
+}
+
+// Wide rounds run shard s only on its owner, thread t with
+// t*S/T <= s < (t+1)*S/T. A warm-up segment lifts the events-per-round
+// EWMA past the wide threshold; every round of the logged segment after it
+// must run wide, so each shard's log holds only its owner's thread.
+void expect_fixed_owners(std::size_t threads) {
+  SCOPED_TRACE(threads);
+  constexpr std::size_t kShards = 8;
+  ShardedConfig sc = pool_config();
+  sc.shards = kShards;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  ThreadLog log(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    add_ticks(engine.shard(s), 4, 1, 1000);  // ~320 events a round: wide
+  }
+  EXPECT_FALSE(engine.run_until(100));
+  for (std::size_t s = 0; s < kShards; ++s) {
+    engine.shard(s).schedule_at(100,
+                                LoggedTick{&engine.shard(s), s, &log, 900});
+  }
+  const std::uint64_t rounds0 = engine.windows();
+  const std::uint64_t wide0 = engine.wide_rounds();
+  EXPECT_FALSE(engine.run_until(900));
+  ASSERT_GT(engine.windows(), rounds0);
+  ASSERT_EQ(engine.wide_rounds() - wide0, engine.windows() - rounds0);
+  const auto owner = [&](std::size_t s) {
+    std::size_t t = 0;
+    while (s >= (t + 1) * kShards / threads) ++t;
+    return t;
+  };
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_EQ(log.ids[s].size(), 1u) << "shard " << s;
+  }
+  for (std::size_t a = 0; a < kShards; ++a) {
+    for (std::size_t b = a + 1; b < kShards; ++b) {
+      EXPECT_EQ(*log.ids[a].begin() == *log.ids[b].begin(),
+                owner(a) == owner(b))
+          << "shards " << a << " and " << b;
+    }
+  }
+  EXPECT_EQ(log.all_ids().size(), threads);
+  EXPECT_EQ(engine.steals(), 0u);
+}
+
+TEST(ShardedSimulator, WideRoundsRunEachShardOnlyOnItsOwnerThread) {
+  for (std::size_t threads : {2, 3, 4}) expect_fixed_owners(threads);
 }
 
 TEST(ShardedSimulator, NarrowRoundsRunEveryActionOnTheCallersThread) {

@@ -1,17 +1,17 @@
 // End-to-end fault injection & recovery: the live FaultInjector path
 // (worker crashes, node loss, UNIMEM page failover, UNILOGIC dead-fabric
-// fallback) plus deterministic regressions for the fixed analytic model
-// (re-execution causality, lazy failure sampling) and the legacy
-// failures_per_second path (wasted-energy accounting).
+// fallback) plus the legacy failures_per_second path (wasted-energy
+// accounting).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "hls/dse.h"
 #include "obs/trace.h"
-#include "runtime/resilience.h"
 #include "runtime/scheduler.h"
 
 namespace ecoscale {
@@ -78,6 +78,69 @@ TEST(ResilienceLive, CrashRecoveryCompletesAllTasks) {
   EXPECT_GT(stats.reexecutions, 0u);
   // Destroyed in-flight progress is priced, not silently dropped.
   EXPECT_GT(stats.wasted_energy, 0.0);
+}
+
+TEST(ResilienceLive, CleanRunNeedsNoRecovery) {
+  LiveRig rig(crash_faults(0.0));
+  rig.run(64);
+  const auto stats = rig.runtime->stats();
+  EXPECT_EQ(rig.runtime->results().size(), 64u);
+  EXPECT_EQ(rig.runtime->faults()->crashes(), 0u);
+  EXPECT_EQ(stats.worker_failures, 0u);
+  EXPECT_EQ(stats.detections, 0u);
+  EXPECT_EQ(stats.reexecutions, 0u);
+  EXPECT_TRUE(rig.runtime->recovery_log().empty());
+  EXPECT_EQ(stats.wasted_energy, 0.0);
+}
+
+TEST(ResilienceLive, CrashesLengthenTheMakespan) {
+  // Recovery costs time: the same tasks finish sooner with no crashes.
+  LiveRig clean(crash_faults(0.0));
+  clean.run(64);
+  LiveRig faulty(crash_faults(3000.0));
+  faulty.run(64);
+  EXPECT_EQ(clean.runtime->results().size(), 64u);
+  EXPECT_EQ(faulty.runtime->results().size(), 64u);
+  ASSERT_GT(faulty.runtime->faults()->crashes(), 0u);
+  EXPECT_LT(clean.runtime->stats().makespan,
+            faulty.runtime->stats().makespan);
+}
+
+TEST(ResilienceLive, ReexecutionStartsAfterItsDetection) {
+  // A failed-over task must not restart on a survivor before the monitor
+  // could have declared its worker dead, and it completes exactly once.
+  LiveRig rig(crash_faults(2000.0));
+  rig.run(64);
+  const auto& log = rig.runtime->recovery_log();
+  ASSERT_FALSE(log.empty());
+  std::map<TaskId, const TaskResult*> by_id;
+  for (const TaskResult& r : rig.runtime->results()) {
+    EXPECT_TRUE(by_id.emplace(r.id, &r).second) << "task " << r.id;
+  }
+  EXPECT_EQ(by_id.size(), 64u);
+  for (const auto& rec : log) {
+    const auto it = by_id.find(rec.task);
+    ASSERT_NE(it, by_id.end()) << "task " << rec.task;
+    EXPECT_GE(it->second->started, rec.detected_at) << "task " << rec.task;
+  }
+}
+
+TEST(ResilienceLive, CrashChainsKeepFiringUntilTheWorkloadDrains) {
+  // Crashes are sampled lazily per worker for as long as tasks are
+  // pending, not up to a precomputed horizon: under a brutal rate the run
+  // stretches far past its clean makespan and crashes still land there.
+  LiveRig clean(crash_faults(0.0));
+  clean.run(64);
+  LiveRig rig(crash_faults(10000.0));
+  rig.run(64);
+  EXPECT_EQ(rig.runtime->results().size(), 64u);
+  const SimTime clean_makespan = clean.runtime->stats().makespan;
+  SimTime last_crash = 0;
+  for (const auto& rec : rig.runtime->recovery_log()) {
+    last_crash = std::max(last_crash, rec.crash_at);
+  }
+  EXPECT_GT(rig.runtime->stats().makespan, clean_makespan);
+  EXPECT_GT(last_crash, clean_makespan);
 }
 
 TEST(ResilienceLive, DetectionRespectsHeartbeatTimeout) {
@@ -291,65 +354,6 @@ TEST(PoolFault, DeadFabricTimesOutBlacklistsAndFallsBackLocal) {
   EXPECT_EQ(machine.health().blacklists(), 2u);
 }
 
-// --- analytic model regressions ---------------------------------------------
-
-TEST(AnalyticResilience, ReexecutionStartsAfterDetectionPoint) {
-  // Several idle-ish workers: before the fix, a re-queued crashed task
-  // could restart on a free worker *before* its crash was detectable.
-  std::vector<ResilientTask> tasks;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    tasks.push_back({i, milliseconds(1), 100.0});
-  }
-  ResilienceConfig cfg;
-  cfg.workers = 4;
-  cfg.failures_per_second = 2000.0;
-  cfg.detect_timeout = microseconds(500);
-  cfg.repair_time = microseconds(100);
-  cfg.seed = 7;
-  const auto out = run_with_failures(tasks, cfg);
-  EXPECT_EQ(out.completed, tasks.size());
-  ASSERT_GT(out.reexecutions, 0u);
-  EXPECT_GT(out.first_crash, 0u);
-  EXPECT_GE(out.earliest_reexec_start, out.first_crash + cfg.detect_timeout);
-}
-
-TEST(AnalyticResilience, LongCrashChainsOutliveOldSamplingHorizon) {
-  // One worker, brutal crash rate: the crash/repair chain runs far past
-  // 4x the serial time. The old implementation pre-sampled failures only
-  // to that horizon (and ECO_CHECKed against passing it); lazy per-worker
-  // sampling keeps injecting for as long as the run actually takes.
-  std::vector<ResilientTask> tasks;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    tasks.push_back({i, microseconds(200), 100.0});
-  }
-  ResilienceConfig cfg;
-  cfg.workers = 1;
-  cfg.failures_per_second = 10000.0;
-  cfg.seed = 3;
-  const auto out = run_with_failures(tasks, cfg);
-  EXPECT_EQ(out.completed, 4u);
-  const SimDuration serial = 4 * microseconds(200);
-  const SimTime old_horizon = 4 * serial + milliseconds(10);
-  EXPECT_GT(out.makespan, old_horizon);
-  EXPECT_GT(out.last_crash, static_cast<SimTime>(serial));
-}
-
-TEST(AnalyticResilience, CleanRunMatchesSerialSchedule) {
-  std::vector<ResilientTask> tasks;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    tasks.push_back({i, microseconds(100), 100.0});
-  }
-  ResilienceConfig cfg;
-  cfg.workers = 2;
-  cfg.failures_per_second = 0.0;
-  const auto out = run_with_failures(tasks, cfg);
-  EXPECT_EQ(out.completed, 8u);
-  EXPECT_EQ(out.failures, 0u);
-  EXPECT_EQ(out.makespan, static_cast<SimTime>(4 * microseconds(100)));
-  EXPECT_EQ(out.first_crash, 0u);
-  EXPECT_EQ(out.earliest_reexec_start, 0u);
-}
-
 // --- legacy failures_per_second path ----------------------------------------
 
 TEST(LegacyFailures, CrashedAttemptsChargeWastedEnergy) {
@@ -366,6 +370,8 @@ TEST(LegacyFailures, CleanRunWastesNothing) {
   FaultConfig off;
   LiveRig rig(off, /*legacy_failures_per_second=*/0.0);
   rig.run(16);
+  EXPECT_EQ(rig.runtime->results().size(), 16u);
+  EXPECT_EQ(rig.runtime->stats().worker_failures, 0u);
   EXPECT_EQ(rig.runtime->stats().wasted_energy, 0.0);
 }
 

@@ -9,7 +9,6 @@
 #include <random>
 #include <vector>
 
-#include "common/check.h"
 #include "interconnect/network.h"
 #include "interconnect/packet.h"
 #include "interconnect/topology.h"
@@ -129,12 +128,6 @@ TEST(RouteEquivalence, NonTreeTopologiesFallBackToDenseRouting) {
   Network fly(make_dragonfly(3, 2, 2), leveled_config(RoutingMode::kAuto));
   EXPECT_FALSE(fly.implicit_routing());
   EXPECT_GT(fly.diameter(), 0);
-}
-
-TEST(RouteEquivalence, ImplicitTreeModeRejectsNonTrees) {
-  EXPECT_THROW(Network(make_mesh2d(3, 3),
-                       leveled_config(RoutingMode::kImplicitTree)),
-               CheckError);
 }
 
 }  // namespace
