@@ -3,6 +3,9 @@
 // useful for keeping the experiment harnesses fast as the models grow.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "address/smmu.h"
 #include "common/rng.h"
 #include "fabric/bitstream.h"
@@ -10,6 +13,7 @@
 #include "interconnect/network.h"
 #include "memory/cache.h"
 #include "model/regression.h"
+#include "sim/timeline.h"
 
 namespace ecoscale {
 namespace {
@@ -62,6 +66,63 @@ void BM_NetworkSend(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetworkSend);
+
+// The graph workload's calendar traffic: each epoch, 32 worker streams run
+// one after another, each monotone from the epoch start, and every step
+// reserves on one of 128 calendars (the links and DRAM channels a remote
+// read crosses); release() runs at the barrier. About 130k intervals are
+// live before each release, 2 MB spread over 128 arrays, so unlike
+// bench_simcore's single-calendar sweep-restart row, lookups miss cache.
+void BM_CalendarSweepRestart128(benchmark::State& state) {
+  constexpr std::size_t kCalendars = 128;
+  constexpr std::uint64_t kStreams = 32;
+  constexpr std::uint64_t kPerStream = 4096;
+  std::vector<CalendarTimeline> cals(kCalendars);
+  Rng rng(8);
+  SimTime epoch_start = 0;
+  SimTime barrier = 0;
+  SimTime cursor = 0;
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    if (step % kPerStream == 0) {
+      if (step == kStreams * kPerStream) {
+        for (auto& cal : cals) cal.release(barrier);
+        epoch_start = barrier;
+        step = 0;
+      }
+      cursor = epoch_start;
+    }
+    cursor += rng.uniform_u64(2000);
+    cursor = cals[rng.uniform_u64(kCalendars)].reserve_until(
+        cursor, 1 + rng.uniform_u64(16));
+    barrier = std::max(barrier, cursor);
+    ++step;
+  }
+}
+BENCHMARK(BM_CalendarSweepRestart128);
+
+// The calendar's worst case: two streams alternating between the far ends
+// of one calendar holding range(0) intervals, so each reservation moves the
+// whole array across the gap: O(live) per reserve(). Both streams coalesce
+// into their end's interval, so the live count stays put.
+void BM_CalendarPingPong(benchmark::State& state) {
+  const auto runs = static_cast<SimTime>(state.range(0));
+  constexpr SimTime kFrontRoom = SimTime{1} << 40;
+  CalendarTimeline cal;
+  for (SimTime i = 0; i < runs; ++i) cal.reserve(kFrontRoom + 10 * i, 6);
+  SimTime front = 0;
+  SimTime back = kFrontRoom + 10 * runs;
+  bool at_front = true;
+  for (auto _ : state) {
+    if (at_front) {
+      front = cal.reserve_until(front, 1);
+    } else {
+      back = cal.reserve_until(back, 1);
+    }
+    at_front = !at_front;
+  }
+}
+BENCHMARK(BM_CalendarPingPong)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_RidgeObserve(benchmark::State& state) {
   RidgeRegression model(5);

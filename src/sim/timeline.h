@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -79,20 +80,25 @@ class Timeline {
 /// its workers one after another, each from the iteration's barrier time,
 /// so a link calendar sees one monotone stream per worker, each restarting
 /// at the iteration start, and release() runs only at the barrier. On one
-/// ecobench graph run (seed 1: 2.63M reservations over 112 calendars), 79%
-/// of the reservations landed before the calendar's last interval, a
-/// calendar held up to 13,081 live intervals, and 99.6% of reservations
-/// started at their ready time. The calendars are sparse; the cost is in
-/// finding the spot and inserting there.
+/// ecobench graph run (seed 1: 2.63M reservations over 112 calendars, up
+/// to 13,081 live intervals in one), 21% of the reservations append at
+/// the end. Of the 2.07M that land before the last interval, 23% land
+/// exactly where the previous reservation on that calendar landed, 75%
+/// land after it (61% of those within 7 intervals, 93% within 63), and
+/// 2.3% jump back: the restarts of worker streams.
 ///
-/// Storage: a blocked sorted interval set. Intervals live in blocks of
-/// kBlockIntervals, in start order; a block index keeps each block's first
-/// start for a binary search, and a finger remembers the block of the last
-/// lookup, which a monotone stream usually hits again. An insert moves at
-/// most one block's tail (a single sorted vector moved ~1,300 intervals,
-/// ~21 KB, per insert on that run). A full block first shifts intervals
-/// into a neighbour with room and splits only between two full ones, so
-/// blocks stay ~85% full. Emptied and released blocks go back to a pool.
+/// Storage: a gap buffer. The busy intervals live in one array, in start
+/// order, and the free slots form a gap [gs_, ge_) that stays where the
+/// last reservation landed. A reservation moves across the gap exactly
+/// the intervals between the previous landing and its own, so its cost is
+/// O(distance): a forward step walks the intervals the lookup has to pass
+/// anyway, and a backward jump binary-searches the prefix and moves the
+/// skipped range in one copy. The worst case is two streams alternating
+/// between the far ends of the array, O(live) per reservation (~160 us at
+/// 131k live intervals, bench_micro's BM_CalendarPingPong); no caller in
+/// the repository does that. A full array grows by 1.5x (2x cost ~8% more
+/// peak RSS on the graph workload), prefix to the front and suffix to the
+/// back.
 ///
 /// Two mechanisms keep the interval set small over long runs (it used to
 /// grow by one entry per reservation, turning reserve() into a scalability
@@ -102,14 +108,10 @@ class Timeline {
 ///  - release(watermark) prunes every interval that ends at or before the
 ///    watermark once the caller can promise that no future reservation will
 ///    be ready before it. Post-watermark reservations see exactly the same
-///    start times as they would without pruning. Whole retired blocks go
-///    back to the pool, so a warmed-up epoch loop never allocates.
+///    start times as they would without pruning. The array keeps its
+///    capacity, so a warmed-up epoch loop never allocates.
 class CalendarTimeline {
  public:
-  /// Intervals per block: 1 KiB, so an insert moves at most a few cache
-  /// lines, while 13k live intervals need only a few hundred index entries.
-  static constexpr std::size_t kBlockIntervals = 64;
-
   CalendarTimeline() = default;
   explicit CalendarTimeline(std::string name) : name_(std::move(name)) {}
 
@@ -121,29 +123,31 @@ class CalendarTimeline {
     busy_ += service;
     if (service == 0) return ready;
     SimTime candidate = ready > watermark_ ? ready : watermark_;
-    Pos next{order_.size(), 0};
-    if (order_.empty() || candidate >= last().start) {
-      // Fast path: the reservation lands at or after everything tracked.
-      if (!order_.empty() && last().end > candidate) candidate = last().end;
+    // Put the gap at the first interval starting after `candidate`.
+    Interval* const iv = buf_.get();
+    if (gs_ > 0 && iv[gs_ - 1].start > candidate) {
+      const std::size_t p = static_cast<std::size_t>(
+          std::upper_bound(iv, iv + gs_, candidate,
+                           [](SimTime t, const Interval& v) {
+                             return t < v.start;
+                           }) -
+          iv);
+      ge_ -= gs_ - p;
+      shift(iv + p, iv + gs_, iv + ge_);
+      gs_ = p;
     } else {
-      // First interval starting after `candidate` (it may be preceded by
-      // one that still overlaps), then walk forward over overlaps.
-      next = upper_bound(candidate);
-      const Interval* prev = before(next);
-      if (prev != nullptr && prev->end > candidate) candidate = prev->end;
-      while (next.block < order_.size()) {
-        const Interval& iv = at(next);
-        if (iv.start >= candidate + service) break;
-        candidate = std::max(candidate, iv.end);
-        if (++next.index == block(next.block).size) {
-          ++next.block;
-          next.index = 0;
-        }
-      }
+      while (ge_ < cap_ && iv[ge_].start <= candidate) iv[gs_++] = iv[ge_++];
     }
-    insert_coalesced(next, candidate, candidate + service);
+    // The interval before the gap may still overlap; then walk forward
+    // over the overlaps, moving each across the gap.
+    if (gs_ > 0 && iv[gs_ - 1].end > candidate) candidate = iv[gs_ - 1].end;
+    while (ge_ < cap_ && iv[ge_].start < candidate + service) {
+      candidate = std::max(candidate, iv[ge_].end);
+      iv[gs_++] = iv[ge_++];
+    }
+    land(candidate, candidate + service);
     horizon_ = std::max(horizon_, candidate + service);
-    if (live_ > peak_live_) peak_live_ = live_;
+    peak_live_ = std::max(peak_live_, live_intervals());
     return candidate;
   }
 
@@ -158,33 +162,26 @@ class CalendarTimeline {
   void release(SimTime watermark) {
     if (watermark <= watermark_) return;
     watermark_ = watermark;
-    std::size_t dropped = 0;  // whole blocks in the retired past
-    while (dropped < order_.size()) {
-      const Block& blk = block(dropped);
-      if (blk.iv[blk.size - 1].end > watermark) break;
-      pruned_ += blk.size;
-      live_ -= blk.size;
-      ++dropped;
+    // Ends are in start order too, so the retired intervals are a prefix
+    // of the calendar, which may reach across the gap.
+    const auto retired = [watermark](const Interval& v) {
+      return v.end <= watermark;
+    };
+    Interval* const iv = buf_.get();
+    const std::size_t live_before = live_intervals();
+    Interval* keep = std::partition_point(iv, iv + gs_, retired);
+    Interval* out = iv;
+    if (keep == iv + gs_) {
+      keep = std::partition_point(iv + ge_, iv + cap_, retired);
+    } else {
+      out = shift(keep, iv + gs_, iv);
+      keep = iv + ge_;
     }
-    const auto cut = static_cast<std::ptrdiff_t>(dropped);
-    free_.insert(free_.end(), order_.begin(), order_.begin() + cut);
-    order_.erase(order_.begin(), order_.begin() + cut);
-    first_.erase(first_.begin(), first_.begin() + cut);
-    finger_ = 0;
-    if (order_.empty()) return;
-    // The front block ends after the watermark: drop its retired prefix
-    // and truncate a straddler to its live tail [watermark, end).
-    Block& front = block(0);
-    std::uint32_t n = 0;
-    while (front.iv[n].end <= watermark) ++n;
-    if (n > 0) {
-      std::copy(front.iv + n, front.iv + front.size, front.iv);
-      front.size -= n;
-      pruned_ += n;
-      live_ -= n;
-    }
-    front.iv[0].start = std::max(front.iv[0].start, watermark);
-    first_[0] = front.iv[0].start;
+    out = shift(keep, iv + cap_, out);
+    gs_ = static_cast<std::size_t>(out - iv);
+    ge_ = cap_;
+    pruned_ += live_before - gs_;
+    if (gs_ > 0) iv[0].start = std::max(iv[0].start, watermark);
   }
 
   SimDuration busy_time() const { return busy_; }
@@ -194,7 +191,7 @@ class CalendarTimeline {
 
   // --- interval accounting (prune/coalesce effectiveness) ---------------
   /// Busy intervals currently tracked.
-  std::size_t live_intervals() const { return live_; }
+  std::size_t live_intervals() const { return gs_ + (cap_ - ge_); }
   /// High-water mark of live_intervals() over the run.
   std::size_t peak_live_intervals() const { return peak_live_; }
   /// Intervals dropped by release().
@@ -208,12 +205,8 @@ class CalendarTimeline {
   }
 
   void reset() {
-    pool_.clear();
-    order_.clear();
-    first_.clear();
-    free_.clear();
-    finger_ = 0;
-    live_ = 0;
+    buf_.reset();
+    cap_ = gs_ = ge_ = 0;
     busy_ = 0;
     reservations_ = 0;
     horizon_ = 0;
@@ -227,181 +220,52 @@ class CalendarTimeline {
     SimTime start;
     SimTime end;
   };
-  struct Block {
-    std::uint32_t size = 0;  // never 0 while the block is in order_
-    Interval iv[kBlockIntervals];
-  };
-  /// An interval's place: `index` within the block at `block` in order_.
-  /// {order_.size(), 0} is the end.
-  struct Pos {
-    std::size_t block;
-    std::size_t index;
-  };
 
-  Block& block(std::size_t b) { return *order_[b]; }
-  const Block& block(std::size_t b) const { return *order_[b]; }
-  Interval& at(Pos p) { return block(p.block).iv[p.index]; }
-  const Interval& last() const {
-    const Block& blk = block(order_.size() - 1);
-    return blk.iv[blk.size - 1];
-  }
-  /// The interval just before `p`, or nullptr at the front.
-  Interval* before(Pos p) {
-    if (p.index > 0) return &block(p.block).iv[p.index - 1];
-    if (p.block == 0) return nullptr;
-    Block& prev = block(p.block - 1);
-    return &prev.iv[prev.size - 1];
+  /// Copies [first, last) to `out`; the ranges may overlap. Returns the
+  /// end of the copy.
+  static Interval* shift(const Interval* first, const Interval* last,
+                         Interval* out) {
+    const auto n = static_cast<std::size_t>(last - first);
+    if (n > 0) std::memmove(out, first, n * sizeof(Interval));
+    return out + n;
   }
 
-  /// First interval with start > t. Requires a non-empty calendar.
-  Pos upper_bound(SimTime t) {
-    // The last block whose first start is <= t (block 0 if none is).
-    std::size_t b = finger_;
-    if (b >= first_.size() || first_[b] > t ||
-        (b + 1 < first_.size() && first_[b + 1] <= t)) {
-      const auto it = std::upper_bound(first_.begin(), first_.end(), t);
-      b = it == first_.begin()
-              ? 0
-              : static_cast<std::size_t>(it - first_.begin()) - 1;
-      finger_ = b;
-    }
-    const Block& blk = block(b);
-    const Interval* it = std::upper_bound(
-        blk.iv, blk.iv + blk.size, t,
-        [](SimTime x, const Interval& iv) { return x < iv.start; });
-    const auto i = static_cast<std::size_t>(it - blk.iv);
-    return i == blk.size ? Pos{b + 1, 0} : Pos{b, i};
-  }
-
-  /// Insert [start, end), merging with an abutting predecessor and/or
-  /// successor. `next` is the first interval with start >= end (the
-  /// position reserve()'s forward walk stopped at).
-  void insert_coalesced(Pos next, SimTime start, SimTime end) {
-    const bool has_next = next.block < order_.size();
-    Interval* prev = before(next);
-    if (prev != nullptr && prev->end == start) {
-      // Extend the predecessor in place; maybe bridge to the successor.
-      if (has_next && at(next).start == end) {
-        prev->end = at(next).end;
-        erase(next);
-      } else {
-        prev->end = end;
-      }
-      return;
-    }
-    if (has_next && at(next).start == end) {
-      // Extend the successor leftwards (order is preserved: start lies
-      // strictly after the predecessor's end).
-      at(next).start = start;
-      if (next.index == 0) first_[next.block] = start;
-      return;
-    }
-    insert(next, Interval{start, end});
-  }
-
-  void insert(Pos p, Interval v) {
-    ++live_;
-    // Between two blocks: the earlier one takes it if it has room.
-    if (p.index == 0 && p.block > 0 &&
-        block(p.block - 1).size < kBlockIntervals) {
-      Block& prev = block(p.block - 1);
-      prev.iv[prev.size++] = v;
-      return;
-    }
-    if (p.block == order_.size()) {
-      add_block(p.block);  // past a full last block
-    } else if (block(p.block).size == kBlockIntervals) {
-      p = make_room(p);
-    }
-    Block& blk = block(p.block);
-    std::copy_backward(blk.iv + p.index, blk.iv + blk.size,
-                       blk.iv + blk.size + 1);
-    blk.iv[p.index] = v;
-    ++blk.size;
-    if (p.index == 0) first_[p.block] = v.start;
-  }
-
-  /// Frees a slot in the full block at `p` and returns where p's insert
-  /// goes now. As in a B*-tree, intervals shift into a neighbour with room
-  /// (half of that room), so blocks stay ~85% full. Only between two full
-  /// neighbours does the block split, in half.
-  /// p.index > 0 whenever the previous block has room, since insert()
-  /// hands a block-front insert to that block; so a left shift always
-  /// leaves room where the insert lands.
-  Pos make_room(Pos p) {
-    const std::size_t b = p.block;
-    const bool next_full =
-        b + 1 == order_.size() || block(b + 1).size == kBlockIntervals;
-    if (next_full && b > 0 && block(b - 1).size < kBlockIntervals) {
-      // The block's head moves to the end of the previous block.
-      Block& lo = block(b - 1);
-      Block& hi = block(b);
-      const std::size_t moved = (kBlockIntervals - lo.size + 1) / 2;
-      std::copy(hi.iv, hi.iv + moved, lo.iv + lo.size);
-      std::copy(hi.iv + moved, hi.iv + kBlockIntervals, hi.iv);
-      lo.size += static_cast<std::uint32_t>(moved);
-      hi.size -= static_cast<std::uint32_t>(moved);
-      first_[b] = hi.iv[0].start;
-      return p.index < moved ? Pos{b - 1, lo.size - moved + p.index}
-                             : Pos{b, p.index - moved};
-    }
-    // The block's tail moves to the front of the next block, or of a new
-    // one.
-    if (next_full) add_block(b + 1);
-    Block& lo = block(b);
-    Block& hi = block(b + 1);
-    const std::size_t cut =
-        kBlockIntervals - (kBlockIntervals - hi.size + 1) / 2;
-    const std::size_t moved = kBlockIntervals - cut;
-    std::copy_backward(hi.iv, hi.iv + hi.size, hi.iv + hi.size + moved);
-    std::copy(lo.iv + cut, lo.iv + kBlockIntervals, hi.iv);
-    hi.size += static_cast<std::uint32_t>(moved);
-    lo.size = static_cast<std::uint32_t>(cut);
-    first_[b + 1] = hi.iv[0].start;
-    return p.index > cut ? Pos{b + 1, p.index - cut} : p;
-  }
-
-  void erase(Pos p) {
-    --live_;
-    Block& blk = block(p.block);
-    std::copy(blk.iv + p.index + 1, blk.iv + blk.size, blk.iv + p.index);
-    if (--blk.size == 0) {
-      const auto pos = static_cast<std::ptrdiff_t>(p.block);
-      free_.push_back(order_[p.block]);
-      order_.erase(order_.begin() + pos);
-      first_.erase(first_.begin() + pos);
-    } else if (p.index == 0) {
-      first_[p.block] = blk.iv[0].start;
-    }
-  }
-
-  /// Put an empty block at position `b` of order_, reusing a pooled one.
-  void add_block(std::size_t b) {
-    Block* blk = nullptr;
-    if (free_.empty()) {
-      blk = pool_.emplace_back(std::make_unique<Block>()).get();
-      // The index vectors never hold more blocks than the pool has, so
-      // sized with it, they allocate only when the pool grows.
-      order_.reserve(pool_.capacity());
-      first_.reserve(pool_.capacity());
-      free_.reserve(pool_.capacity());
+  /// Puts [start, end) at the gap, merging with an abutting predecessor
+  /// (before the gap) and/or successor (after it).
+  void land(SimTime start, SimTime end) {
+    Interval* const iv = buf_.get();
+    const bool to_prev = gs_ > 0 && iv[gs_ - 1].end == start;
+    const bool to_next = ge_ < cap_ && iv[ge_].start == end;
+    if (to_prev) {
+      iv[gs_ - 1].end = to_next ? iv[ge_++].end : end;
+    } else if (to_next) {
+      iv[ge_].start = start;
     } else {
-      blk = free_.back();
-      free_.pop_back();
-      blk->size = 0;
+      if (gs_ == ge_) grow();
+      buf_[gs_++] = Interval{start, end};
     }
-    const auto pos = static_cast<std::ptrdiff_t>(b);
-    order_.insert(order_.begin() + pos, blk);
-    first_.insert(first_.begin() + pos, SimTime{0});
+  }
+
+  /// Grows the full array by 1.5x: the prefix stays at the front, the
+  /// suffix moves to the back, and the new slots join the gap.
+  void grow() {
+    const std::size_t cap = std::max<std::size_t>(16, cap_ + cap_ / 2);
+    std::unique_ptr<Interval[]> next(new Interval[cap]);
+    shift(buf_.get(), buf_.get() + gs_, next.get());
+    shift(buf_.get() + ge_, buf_.get() + cap_, next.get() + cap - (cap_ - ge_));
+    ge_ += cap - cap_;
+    cap_ = cap;
+    buf_ = std::move(next);
   }
 
   std::string name_;
-  std::vector<std::unique_ptr<Block>> pool_;  // every block ever used
-  std::vector<Block*> order_;   // the live blocks, in time order
-  std::vector<SimTime> first_;  // first start of each live block
-  std::vector<Block*> free_;    // pooled blocks not in order_
-  std::size_t finger_ = 0;      // order_ position of the last lookup
-  std::size_t live_ = 0;
+  // Intervals [0, gs_) and [ge_, cap_) of buf_, in start order, never
+  // overlapping; [gs_, ge_) is the gap. Not a vector: gap slots are never
+  // read, so a grown buffer leaves them unwritten rather than zeroed.
+  std::unique_ptr<Interval[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t gs_ = 0;
+  std::size_t ge_ = 0;
   SimDuration busy_ = 0;
   std::uint64_t reservations_ = 0;
   SimTime horizon_ = 0;

@@ -183,10 +183,6 @@ TEST_P(CalendarPruneFuzz, PrunedPlacementMatchesBruteForceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CalendarPruneFuzz,
                          ::testing::Values(101, 202, 303, 404, 505));
 
-// Intervals per storage block; the cases below size themselves to cross
-// several block boundaries.
-constexpr std::size_t kBlock = CalendarTimeline::kBlockIntervals;
-
 /// Reserves on `tl` and `ref` alike and checks both place it at the same
 /// start.
 void reserve_both(CalendarTimeline& tl, BruteForceCalendar& ref,
@@ -194,6 +190,14 @@ void reserve_both(CalendarTimeline& tl, BruteForceCalendar& ref,
   const SimTime expected = ref.place(ready, service);
   EXPECT_EQ(tl.reserve(ready, service), expected)
       << "ready=" << ready << " service=" << service;
+}
+
+/// Appends `runs` busy runs [spacing * i, spacing * i + length) on both.
+void append_runs(CalendarTimeline& tl, BruteForceCalendar& ref,
+                 SimTime runs, SimTime spacing, SimDuration length) {
+  for (SimTime i = 0; i < runs; ++i) {
+    reserve_both(tl, ref, spacing * i, length);
+  }
 }
 
 class CalendarSweepRestartFuzz
@@ -206,120 +210,174 @@ class CalendarSweepRestartFuzz
 // last tracked interval, across hundreds of live intervals. On a coarse
 // time grid, intervals often abut, so inserts coalesce and bridge, and
 // some end exactly at the watermark.
+// The second shape interleaves 2-4 monotone streams that each restart at
+// the epoch start now and then, so the landing point hops back and forth
+// across the calendar between consecutive reservations.
 TEST_P(CalendarSweepRestartFuzz, MatchesBruteForceModel) {
   constexpr int kStreams = 32;
   constexpr int kPerStream = 24;
   constexpr int kEpochs = 8;
+  struct Shape {
+    std::size_t streams;
+    bool interleaved;
+  };
   Rng rng(GetParam());
-  for (const SimDuration grid : {1, 20}) {
-    CalendarTimeline tl;
-    BruteForceCalendar reference;
-    SimTime epoch_start = 0;
-    for (int epoch = 0; epoch < kEpochs; ++epoch) {
-      SimTime barrier = epoch_start;
-      for (int k = 0; k < kStreams; ++k) {
-        SimTime cursor = epoch_start;
-        for (int i = 0; i < kPerStream; ++i) {
+  const std::size_t interleaved_streams = 2 + GetParam() % 3;
+  for (const Shape shape :
+       {Shape{kStreams, false}, Shape{interleaved_streams, true}}) {
+    for (const SimDuration grid : {1, 20}) {
+      CalendarTimeline tl;
+      BruteForceCalendar reference;
+      SimTime epoch_start = 0;
+      for (int epoch = 0; epoch < kEpochs; ++epoch) {
+        SimTime barrier = epoch_start;
+        std::vector<SimTime> cursors(shape.streams, epoch_start);
+        for (int n = 0; n < kStreams * kPerStream; ++n) {
+          std::size_t k = static_cast<std::size_t>(n / kPerStream);
+          if (shape.interleaved) {
+            k = rng.uniform_u64(shape.streams);
+            if (rng.chance(0.02)) cursors[k] = epoch_start;  // restart
+          }
+          SimTime& cursor = cursors[k];
           cursor += grid * rng.uniform_u64(4000 / grid);
           const SimDuration service = grid * (1 + rng.uniform_u64(40 / grid));
           const SimTime expected = reference.place(cursor, service);
           ASSERT_EQ(tl.reserve(cursor, service), expected)
-              << "grid " << grid << " epoch " << epoch << " stream " << k
-              << " reservation " << i;
+              << "streams " << shape.streams << " grid " << grid
+              << " epoch " << epoch << " stream " << k << " reservation "
+              << n;
           cursor = expected + service;
           barrier = std::max(barrier, cursor);
         }
+        // Usually the barrier itself; sometimes earlier, so an interval
+        // straddles the watermark and the next epoch must skip its tail.
+        const SimTime watermark =
+            rng.chance(0.5)
+                ? barrier
+                : barrier - grid * rng.uniform_u64((barrier - epoch_start) /
+                                                   grid / 4);
+        tl.release(watermark);
+        ASSERT_EQ(tl.live_intervals(), reference.live_runs(watermark))
+            << "streams " << shape.streams << " grid " << grid << " epoch "
+            << epoch;
+        epoch_start = watermark;
       }
-      // Usually the barrier itself; sometimes earlier, so an interval
-      // straddles the watermark and the next epoch must skip its tail.
-      const SimTime watermark =
-          rng.chance(0.5)
-              ? barrier
-              : barrier - grid * rng.uniform_u64((barrier - epoch_start) /
-                                                 grid / 4);
-      tl.release(watermark);
-      ASSERT_EQ(tl.live_intervals(), reference.live_runs(watermark))
-          << "grid " << grid << " epoch " << epoch;
-      epoch_start = watermark;
+      EXPECT_GT(tl.peak_live_intervals(), 256u)
+          << "streams " << shape.streams << " grid " << grid;
     }
-    EXPECT_GT(tl.peak_live_intervals(), 4 * kBlock) << "grid " << grid;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CalendarSweepRestartFuzz,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// Append gapped runs, each built as X, then Y after a gap, then the gap
-// filled so X and Y coalesce: wherever X fills a block, Y opens the next
-// one alone and the bridge empties it. Then fill the gaps between runs
-// front to back, so the growing first run bridges into, and drains, each
-// following block.
-TEST(CalendarBlocks, CoalesceBridgesAndEmptiesBlocks) {
+// The calendar keeps a gap where the last reservation landed. A landing
+// that abuts both the interval before the gap and the one after it fuses
+// the two, so the live count drops by one: first after a backward jump,
+// then stepping forward run by run, then after jumps back again.
+TEST(CalendarGapBuffer, CoalesceBridgesBothSidesOfTheGap) {
   CalendarTimeline tl;
   BruteForceCalendar reference;
-  constexpr SimTime kRuns = 5 * kBlock + 7;
-  for (SimTime i = 0; i < kRuns; ++i) {
-    reserve_both(tl, reference, 10 * i, 3);      // X = [10i, 10i+3)
-    reserve_both(tl, reference, 10 * i + 5, 1);  // Y = [10i+5, 10i+6)
-    reserve_both(tl, reference, 10 * i, 2);      // bridges X and Y
-    ASSERT_EQ(tl.live_intervals(), i + 1);
+  constexpr SimTime kRuns = 300;
+  append_runs(tl, reference, kRuns, 10, 6);  // run i = [10i, 10i+6)
+  std::size_t live = kRuns;
+  // Backward jump to run 100, then bridge forward: each fill abuts the
+  // grown run before the gap and the next run after it.
+  for (SimTime i = 100; i < 200; ++i) {
+    reserve_both(tl, reference, 10 * i + 6, 4);
+    ASSERT_EQ(tl.live_intervals(), --live) << "forward bridge " << i;
   }
+  // Backward jumps: each bridge lands before the previous one.
+  for (SimTime i = 99; i >= 50; --i) {
+    reserve_both(tl, reference, 10 * i + 6, 4);
+    ASSERT_EQ(tl.live_intervals(), --live) << "backward bridge " << i;
+  }
+  // Ready before the bridged run: the walk crosses it and bridges the
+  // next hole, at 10 * 200 + 6.
+  reserve_both(tl, reference, 10 * 50, 4);
+  ASSERT_EQ(tl.live_intervals(), --live);
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
+  EXPECT_EQ(tl.peak_live_intervals(), kRuns);
+}
+
+// Every hole is 4 ticks wide, so a 5-tick reservation ready at 0 jumps
+// back to the front and walks over the whole array to append at the end;
+// a 1-tick one then jumps back to the front and lands in the first hole.
+TEST(CalendarGapBuffer, BackwardJumpToTheFrontThenWalkTheWholeArray) {
+  CalendarTimeline tl;
+  BruteForceCalendar reference;
+  constexpr SimTime kRuns = 500;
+  append_runs(tl, reference, kRuns, 10, 6);  // run i = [10i, 10i+6)
+  for (int round = 0; round < 3; ++round) {
+    reserve_both(tl, reference, 0, 1);  // into the front hole
+    reserve_both(tl, reference, 0, 5);  // no hole fits: appended
+    reserve_both(tl, reference, 1, 2);  // the front hole again
+  }
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
+  // Ready mid-array after a landing at the end: a binary search of the
+  // part before the gap.
+  reserve_both(tl, reference, 10 * (kRuns / 2), 3);
+  reserve_both(tl, reference, 10 * (kRuns / 2) + 9, 1);
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
+}
+
+// A full array grows while the gap sits mid-array: intervals before the
+// gap must stay at the front and those after it move to the back. Holes
+// are filled front to back and then back to front, so the live count
+// passes several capacities with intervals on both sides of the gap.
+TEST(CalendarGapBuffer, GrowsWithTheGapMidArray) {
+  CalendarTimeline tl;
+  BruteForceCalendar reference;
+  constexpr SimTime kRuns = 300;
+  append_runs(tl, reference, kRuns, 20, 6);  // run i = [20i, 20i+6)
+  std::size_t live = kRuns;
   for (SimTime i = 0; i + 1 < kRuns; ++i) {
-    reserve_both(tl, reference, 10 * i + 6, 4);  // bridges run 0 and i+1
-    ASSERT_EQ(tl.live_intervals(), kRuns - i - 1);
+    reserve_both(tl, reference, 20 * i + 8, 2);  // forward steps
+    ASSERT_EQ(tl.live_intervals(), ++live) << "forward fill " << i;
   }
-  EXPECT_EQ(tl.live_intervals(), 1u);
-  EXPECT_EQ(tl.peak_live_intervals(), kRuns + 1);
-  reserve_both(tl, reference, 0, 5);  // appends to the one run
-  reserve_both(tl, reference, 10 * kRuns + 9, 5);
+  for (SimTime i = kRuns - 1; i-- > 0;) {
+    reserve_both(tl, reference, 20 * i + 14, 2);  // backward jumps
+    ASSERT_EQ(tl.live_intervals(), ++live) << "backward fill " << i;
+  }
+  // Every interval survived the moves: the holes left at the front still
+  // take reservations where the reference puts them.
+  reserve_both(tl, reference, 0, 2);
+  reserve_both(tl, reference, 0, 2);
+  reserve_both(tl, reference, 0, 3);
   EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
 }
 
-// A bridge that erases a block's first interval must move that block's
-// index key up. Here block 0 holds runs 0..kBlock-1 with a slot free, and
-// block 1 holds runs kBlock and kBlock+1. Bridging runs kBlock-1 and
-// kBlock erases block 1's front; an interval then appended to block 0
-// starts after the erased run's old start, and the last reservation's
-// ready time lies between the two, with a one-tick gap to find.
-TEST(CalendarBlocks, BridgeAcrossBlocksMovesTheIndexKey) {
+// release() with the gap mid-array: it drops a retired prefix that spans
+// both sides of the gap or only part of the side before it, truncates the
+// run that straddles the watermark, and leaves later placements unchanged.
+TEST(CalendarGapBuffer, ReleaseWithTheGapMidArray) {
   CalendarTimeline tl;
   BruteForceCalendar reference;
-  constexpr SimTime kRuns = kBlock + 2;
-  for (SimTime i = 0; i < kRuns; ++i) {
-    reserve_both(tl, reference, 10 * i, 6);  // run i = [10i, 10i+6)
-  }
-  reserve_both(tl, reference, 6, 4);  // runs 0 and 1 coalesce
-  const SimTime seam = 10 * kBlock;   // start of run kBlock
-  reserve_both(tl, reference, seam - 4, 4);  // bridges the block seam
-  reserve_both(tl, reference, seam + 7, 1);  // [seam+7, seam+8)
-  reserve_both(tl, reference, seam + 1, 1);  // fits [seam+6, seam+7)
-  EXPECT_EQ(tl.live_intervals(), reference.live_runs(0));
-}
-
-// release() drops whole blocks of retired runs, truncates the run that
-// straddles the watermark (here the first run of a block) and leaves the
-// placements of later reservations unchanged.
-TEST(CalendarBlocks, ReleaseDropsWholeBlocksAndTruncatesAStraddler) {
-  CalendarTimeline tl;
-  BruteForceCalendar reference;
-  constexpr SimTime kRuns = 5 * kBlock + 7;
-  for (SimTime i = 0; i < kRuns; ++i) {
-    reserve_both(tl, reference, 10 * i, 6);  // run i = [10i, 10i+6)
-  }
-  // Inside run 2 * kBlock: the runs before it are dropped, it is cut.
-  const SimTime first = 10 * (2 * kBlock) + 3;
+  constexpr SimTime kRuns = 400;
+  append_runs(tl, reference, kRuns, 10, 6);  // run i = [10i, 10i+6)
+  // Gap after run 50; the watermark falls inside run 100, after the gap.
+  reserve_both(tl, reference, 10 * 50 + 7, 1);
+  const SimTime first = 10 * 100 + 3;
   tl.release(first);
-  EXPECT_EQ(tl.pruned_intervals(), 2 * kBlock);
-  EXPECT_EQ(tl.live_intervals(), kRuns - 2 * kBlock);
+  EXPECT_EQ(tl.pruned_intervals(), 101u);  // runs 0..99 and the 1-tick one
   EXPECT_EQ(tl.live_intervals(), reference.live_runs(first));
   reserve_both(tl, reference, first, 1);  // after the truncated tail
   reserve_both(tl, reference, first, 4);  // no longer fits that gap
-  // In a gap in the middle of a block: no straddler.
-  const SimTime second = 10 * (3 * kBlock + kBlock / 2) + 8;
+  // Gap after run 300; the watermark falls inside run 200, before the
+  // gap, so only part of the prefix goes.
+  reserve_both(tl, reference, 10 * 300 + 7, 1);
+  const SimTime second = 10 * 200 + 4;
   tl.release(second);
   EXPECT_EQ(tl.live_intervals(), reference.live_runs(second));
-  reserve_both(tl, reference, second, 3);
-  reserve_both(tl, reference, second, 3);
+  reserve_both(tl, reference, second, 1);
+  reserve_both(tl, reference, second, 5);
+  // Gap after run 350 again; the watermark falls in a hole after it.
+  reserve_both(tl, reference, 10 * 350 + 7, 1);
+  const SimTime third = 10 * 370 + 8;
+  tl.release(third);
+  EXPECT_EQ(tl.live_intervals(), reference.live_runs(third));
+  reserve_both(tl, reference, third, 2);
+  reserve_both(tl, reference, third, 2);
   // Past the horizon: nothing is left, and the calendar starts over at
   // the watermark.
   const SimTime past = 10 * kRuns + 100;
@@ -330,14 +388,14 @@ TEST(CalendarBlocks, ReleaseDropsWholeBlocksAndTruncatesAStraddler) {
   EXPECT_EQ(tl.live_intervals(), 1u);
 }
 
-TEST(CalendarBlocks, ResetForgetsEverything) {
+TEST(CalendarGapBuffer, ResetForgetsEverything) {
   CalendarTimeline tl;
   Rng rng(17);
-  for (int i = 0; i < 8 * static_cast<int>(kBlock); ++i) {
+  for (int i = 0; i < 512; ++i) {
     tl.reserve(rng.uniform_u64(100000), 1 + rng.uniform_u64(30));
   }
   tl.release(50000);
-  ASSERT_GT(tl.live_intervals(), kBlock);
+  ASSERT_GT(tl.live_intervals(), 64u);
   tl.reset();
   EXPECT_EQ(tl.live_intervals(), 0u);
   EXPECT_EQ(tl.peak_live_intervals(), 0u);
@@ -348,7 +406,7 @@ TEST(CalendarBlocks, ResetForgetsEverything) {
   EXPECT_EQ(tl.watermark(), 0u);
   // A reset calendar places exactly like a new one.
   BruteForceCalendar reference;
-  for (int i = 0; i < 4 * static_cast<int>(kBlock); ++i) {
+  for (int i = 0; i < 256; ++i) {
     reserve_both(tl, reference, rng.uniform_u64(20000),
                  1 + rng.uniform_u64(30));
   }
