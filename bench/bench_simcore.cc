@@ -142,12 +142,16 @@ struct ShardedMeshResult {
   std::uint64_t shard_windows = 0;  // per-shard executions across rounds
   std::uint64_t stalled = 0;        // skipped shard-windows (barrier stall)
   std::uint64_t wide_rounds = 0;    // rounds run wide (0 at one thread)
+  // Host ns per round outside shard windows: plan, merge and fold (plus
+  // gates when wide). Window time is summed over threads, so this is only
+  // a per-round cost at one thread.
+  double host_ns_per_round = 0.0;
 };
 
 /// Cross-posting actor mesh on the ShardedSimulator: per-shard
 /// self-rescheduling actors where one fire in four also posts an event to
 /// another shard at now + lookahead + jitter. Exercises window turnover,
-/// the canonical mailbox merge and the post() latency contract — the
+/// the lane-order mailbox merge and the post() latency contract — the
 /// engine-level analogue of the multi-node runtime workloads.
 ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
                                std::size_t actors_per_shard,
@@ -213,6 +217,9 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
   r.wide_rounds = engine.wide_rounds();
+  r.host_ns_per_round =
+      (r.wall_s * 1e9 - static_cast<double>(engine.shard_wall_time_ns())) /
+      static_cast<double>(std::max<std::uint64_t>(r.windows, 1));
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
   combined.mix(r.events);
@@ -520,19 +527,24 @@ int main(int argc, char** argv) {
   const double seq_eps = static_cast<double>(seq.events) / seq.wall_s;
   const double par_eps = static_cast<double>(par.events) / par.wall_s;
   Table sharded({"sim threads", "events", "windows", "wide rounds",
-                 "messages", "events/sec", "speedup", "hash"});
+                 "messages", "events/sec", "speedup", "host ns/round",
+                 "hash"});
   sharded.add_row({"1", fmt_u64(seq.events), fmt_u64(seq.windows),
                    fmt_u64(seq.wide_rounds), fmt_u64(seq.messages),
-                   fmt_sci(seq_eps, 3), "1.00x", fmt_u64(seq.hash)});
+                   fmt_sci(seq_eps, 3), "1.00x",
+                   fmt_u64(static_cast<std::uint64_t>(
+                       std::max(seq.host_ns_per_round, 0.0))),
+                   fmt_u64(seq.hash)});
   sharded.add_row({fmt_u64(par.threads), fmt_u64(par.events),
                    fmt_u64(par.windows), fmt_u64(par.wide_rounds),
                    fmt_u64(par.messages), fmt_sci(par_eps, 3),
-                   fmt_ratio(par_eps / seq_eps), fmt_u64(par.hash)});
+                   fmt_ratio(par_eps / seq_eps), "-", fmt_u64(par.hash)});
   bench::print_table(
       sharded,
       "sharded engine, 8 shards x 16 cross-posting actors (--sim-threads\n"
       "selects the parallel row; hashes must match — the merge order is\n"
-      "canonical, so thread count never changes results):");
+      "canonical, so thread count never changes results; host ns/round is\n"
+      "the 1-thread time outside shard windows per round):");
   if (!hashes_match) {
     std::cerr << "FATAL: sharded engine hash mismatch across thread counts\n";
     return 1;
@@ -603,6 +615,7 @@ int main(int argc, char** argv) {
             << ", \"calendar_sweep_restart_reserves_per_sec\": " << sweep_rps
             << ", \"sharded_events_per_sec_1t\": " << seq_eps
             << ", \"sharded_events_per_sec_nt\": " << par_eps
+            << ", \"sharded_host_ns_per_round_1t\": " << seq.host_ns_per_round
             << ", \"sharded_threads\": " << par.threads
             << ", \"sharded_hash_match\": " << (hashes_match ? 1 : 0)
             << ", \"sharded_windows_executed\": " << par.shard_windows

@@ -1,4 +1,4 @@
-// Single-producer / single-consumer lanes for cross-shard events.
+// Per-thread lanes for cross-shard events.
 //
 // The sharded parallel engine used to give every ordered shard pair
 // (from, to) its own mailbox — shards² heap-allocated rings, ~34 MB of
@@ -6,46 +6,45 @@
 // 100k-worker machine wants. Lanes consolidate that to one ring per
 // *worker thread* (DESIGN.md §7.7): a shard's thread owns exactly one lane
 // for the whole window, every message it posts — whatever the destination —
-// goes into that lane, and the message itself carries the full merge key
-// (time, source shard, destination shard, per-source sequence). The lane is
-// still SPSC by construction: only the owning thread pushes during a
-// window, and the merge thread drains at the barrier when all producers
-// are quiescent. The ring is a power-of-two array with acquire/release
-// head/tail indices — the classic wait-free SPSC queue — so a drain could
-// even overlap the producer's window without a data race, although the
-// engine only drains at barriers.
+// goes into that lane, and the message carries its time, source and
+// destination shard. Only the owning thread pushes, during its windows;
+// after the round's windows (in a wide round, after its execute gate)
+// every merging thread reads the lane in place (for_each), each moving
+// out only the messages bound for its own destination range; the owner
+// clears the lane before its next windows. The round gates order the
+// three phases, so the indices are plain integers, not atomics.
+//
+// Push order is the merge order: a thread runs its shards in ascending
+// order, so a lane holds ascending (source shard, send index), and the
+// engine relies on for_each visiting messages in exactly push order.
 //
 // Capacity is fixed after construction. A burst larger than the ring spills
 // into a producer-owned overflow vector: once a window overflows, every
-// later push of that window goes to the overflow too, so FIFO order is
-// preserved (ring first, then overflow — and the drain happens before the
-// producer can push again). Spills are counted; steady state should be
-// allocation-free with a well-sized ring. Note spill *counts* depend on how
-// many shards share a lane and are therefore a wall-clock-side metric that
-// varies with the thread count; simulation results never do.
+// later push of that round goes to the overflow too, so FIFO order is
+// preserved (ring first, then overflow). Spills are counted; steady state
+// should be allocation-free with a well-sized ring. Note spill *counts*
+// depend on how many shards share a lane and are therefore a
+// wall-clock-side metric that varies with the thread count; simulation
+// results never do.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/units.h"
 #include "sim/inline_action.h"
 
 namespace ecoscale {
 
 /// One cross-shard event in flight: deliver `action` on shard `dst` at
-/// absolute sim time `time`. `src` and `seq` (the source shard's running
-/// send counter) complete the canonical merge key — lanes are shared by
-/// many shard pairs, so every message is self-describing.
+/// absolute sim time `time`. `src` is the posting shard; lanes are shared
+/// by many shard pairs, so every message is self-describing.
 struct ShardMessage {
   SimTime time = 0;
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
-  std::uint64_t seq = 0;
   InlineAction action;
 };
 
@@ -58,63 +57,54 @@ class ShardLane {
     mask_ = cap - 1;
   }
 
-  // The ring indices are atomics; moving a lane after threads saw it would
-  // be a bug, so lanes are built once and pinned.
+  // Threads hold pointers to their lanes, so lanes are built once and
+  // pinned.
   ShardLane(const ShardLane&) = delete;
   ShardLane& operator=(const ShardLane&) = delete;
 
-  /// Producer side (the lane-owning thread only). The caller supplies the
-  /// full merge key; the lane never orders, only buffers. Falls back to
-  /// the overflow vector when the ring is full (or once anything is
-  /// already waiting there, to keep FIFO order).
+  /// Producer side (the lane-owning thread only). The lane never orders,
+  /// only buffers. Falls back to the overflow vector when the ring is full
+  /// (or once anything is already waiting there, to keep FIFO order).
   template <typename F>
-  void push(SimTime time, std::uint32_t src, std::uint32_t dst,
-            std::uint64_t seq, F&& action) {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (!overflow_.empty() || tail - head > mask_) {
+  void push(SimTime time, std::uint32_t src, std::uint32_t dst, F&& action) {
+    if (!overflow_.empty() || tail_ - head_ > mask_) {
       ++overflow_spills_;
-      overflow_.push_back(ShardMessage{time, src, dst, seq,
-                                       InlineAction(std::forward<F>(action))});
+      overflow_.push_back(
+          ShardMessage{time, src, dst, InlineAction(std::forward<F>(action))});
       return;
     }
-    ShardMessage& slot = ring_[static_cast<std::size_t>(tail) & mask_];
+    ShardMessage& slot = ring_[static_cast<std::size_t>(tail_) & mask_];
     slot.time = time;
     slot.src = src;
     slot.dst = dst;
-    slot.seq = seq;
     slot.action.emplace(std::forward<F>(action));
-    tail_.store(tail + 1, std::memory_order_release);
+    ++tail_;
   }
 
-  /// Consumer side: move every pending message into `out` (appended) in
-  /// push order. Called at window barriers; the producer is quiescent by
-  /// then, so the overflow vector is safe to steal as well.
-  void drain(std::vector<ShardMessage>& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    std::uint64_t head = head_.load(std::memory_order_relaxed);
-    while (head != tail) {
-      ShardMessage& slot = ring_[static_cast<std::size_t>(head) & mask_];
-      out.push_back(std::move(slot));
-      slot.action.reset();
-      ++head;
+  /// Visit every pending message in push order (ring, then overflow). The
+  /// visitor may move a message's action out; the lane keeps the slot
+  /// until clear(). Several threads may walk one lane at once between the
+  /// producer's rounds, provided each touches only its own messages'
+  /// actions.
+  template <typename F>
+  void for_each(F&& visit) {
+    for (std::uint64_t i = head_; i != tail_; ++i) {
+      visit(ring_[static_cast<std::size_t>(i) & mask_]);
     }
-    head_.store(head, std::memory_order_release);
-    if (!overflow_.empty()) {
-      for (ShardMessage& m : overflow_) out.push_back(std::move(m));
-      overflow_.clear();
-    }
+    for (ShardMessage& m : overflow_) visit(m);
   }
 
-  bool empty() const {
-    return head_.load(std::memory_order_acquire) ==
-               tail_.load(std::memory_order_acquire) &&
-           overflow_.empty();
+  /// Forget every pending message (the owner, before its next window). The
+  /// engine has moved every action out by then; an action left in a ring
+  /// slot is destroyed when the slot is reused or the lane dies.
+  void clear() {
+    head_ = tail_;
+    overflow_.clear();
   }
 
-  /// The engine pre-reserves its per-lane drain and merge scratch from
-  /// this at run() entry, so a drain of a non-overflowed window never
-  /// reallocates (the sim_alloc_test steady-state guarantee).
+  bool empty() const { return head_ == tail_ && overflow_.empty(); }
+
+  /// Ring slots: pushes beyond this many per round spill.
   std::size_t capacity() const { return mask_ + 1; }
   /// Pushes that missed the ring and took the overflow vector.
   std::uint64_t overflow_spills() const { return overflow_spills_; }
@@ -127,12 +117,10 @@ class ShardLane {
  private:
   std::vector<ShardMessage> ring_;
   std::size_t mask_ = 0;
-  // Producer-owned (no concurrent access by contract):
+  std::uint64_t head_ = 0;  // first pending message
+  std::uint64_t tail_ = 0;  // one past the last
   std::uint64_t overflow_spills_ = 0;
   std::vector<ShardMessage> overflow_;
-  // Shared SPSC cursors:
-  alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer
 };
 
 }  // namespace ecoscale

@@ -119,22 +119,6 @@ struct RunContext {
 };
 thread_local RunContext tls_run_context;
 
-/// Canonical merge order: by destination, then (time, source shard, send
-/// sequence). The destination queue assigns its tie-breaking sequence
-/// numbers in this order, so execution is independent of thread count, of
-/// which lane a message rode, and of the order the producing shards
-/// happened to finish their windows. (src, seq) is unique, so the key is a
-/// total order and no stable sort/merge is needed.
-struct MergeKeyLess {
-  template <typename Item>
-  bool operator()(const Item& a, const Item& b) const {
-    if (a.dst != b.dst) return a.dst < b.dst;
-    if (a.time != b.time) return a.time < b.time;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
-  }
-};
-
 /// Fold one (value, shard) candidate into a top-2-with-argmin accumulator.
 inline void fold_top2(SimTime cand, std::uint32_t arg, SimTime& best1,
                       SimTime& best2, std::uint32_t& best_arg) {
@@ -330,9 +314,9 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
   // latency into `from` — so the posting shard's window must stop before
   // that time.
   src.sim.tighten_run_bound(t + dest_floor_[from]);
+  ++src.post_seq;
   tls_run_context.lane->push(t, static_cast<std::uint32_t>(from),
-                             static_cast<std::uint32_t>(to), src.post_seq++,
-                             std::move(action));
+                             static_cast<std::uint32_t>(to), std::move(action));
 }
 
 void ShardedSimulator::run_shard_window(std::size_t s, SimTime end,
@@ -408,20 +392,13 @@ void ShardedSimulator::prepare_run() {
   trace_prev_valid_ = false;
   const std::size_t nshards = shards_.size();
   const std::size_t nthreads = threads_;
-  // Pre-reserve every per-round buffer so the steady state allocates
-  // nothing (sim_alloc_test gates this at 1 and 4 threads): the drain
-  // scratch holds one lane, a gather buffer every lane (one destination
-  // range may receive the whole round's messages).
-  std::size_t total_cap = 0;
-  for (const auto& lane : lanes_) total_cap += lane->capacity();
+  // Pre-reserve the fold buffers so the steady state allocates nothing
+  // (sim_alloc_test gates this at 1 and 4 threads); the merge reads the
+  // lanes in place and needs no scratch.
   for (std::size_t t = 0; t < nthreads; ++t) {
-    WorkerSlot& slot = *slots_[t];
-    slot.msgs.clear();
-    slot.msgs.reserve(lanes_[t]->capacity());
-    slot.gather.reserve(total_cap);
     const std::size_t lo = t * nshards / nthreads;
     const std::size_t hi = (t + 1) * nshards / nthreads;
-    slot.pending.reserve(hi - lo);
+    slots_[t]->pending.reserve(hi - lo);
   }
   // Between segments the controller may have scheduled on any shard, so
   // the seed reads every queue; rounds then refresh only what they touch.
@@ -554,91 +531,76 @@ void ShardedSimulator::run_window(std::size_t i, std::size_t tid) {
   }
 }
 
-void ShardedSimulator::drain_lane(std::size_t tid) {
-  WorkerSlot& me = *slots_[tid];
-  me.msgs.clear();
-  lanes_[tid]->drain(me.msgs);
-}
-
-void ShardedSimulator::insert_messages(std::size_t tid, std::size_t lo,
-                                       std::size_t hi, std::size_t nlanes) {
-  // Gather the messages bound for [lo, hi) from lanes [0, nlanes) and
-  // insert them in canonical order, so destination seq numbers come out
-  // thread-count invariant. In a wide round other threads move actions out
-  // of the same `msgs` vectors concurrently, but only those of their own
-  // destinations; this thread reads the key fields alone for every other
-  // message.
-  std::vector<MergeItem>& gather = slots_[tid]->gather;
-  gather.clear();
+void ShardedSimulator::insert_messages(std::size_t lo, std::size_t hi,
+                                       std::size_t nlanes) {
+  // Insert the messages bound for [lo, hi) from lanes [0, nlanes) in lane
+  // order, which is ascending (source shard, send index): each thread runs
+  // its pending shards in ascending order into its own lane, and thread
+  // t's shards all lie above thread t-1's. A destination queue orders
+  // events by (time, seq) and the inserts take consecutive seqs, so
+  // same-time messages run in (source, send index) order and the rest in
+  // time order — exactly what sorting the round first would give, at any
+  // thread count (parallel.h, "Determinism"). In a wide round other
+  // threads walk the same lanes concurrently, but move out only their own
+  // destinations' actions; this thread reads the key fields alone for
+  // every other message.
+  std::uint32_t prev_src = 0;
   for (std::size_t t = 0; t < nlanes; ++t) {
-    const std::vector<ShardMessage>& msgs = slots_[t]->msgs;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      const ShardMessage& m = msgs[i];
-      if (m.dst < lo || m.dst >= hi) continue;
-      gather.push_back(MergeItem{m.time, m.src, m.dst, m.seq,
-                                 static_cast<std::uint32_t>(t),
-                                 static_cast<std::uint32_t>(i)});
-    }
-  }
-  // A narrow kv-style round carries zero or one message: nothing to sort.
-  if (gather.size() > 1) {
-    std::sort(gather.begin(), gather.end(), MergeKeyLess{});
-  }
-  std::uint32_t prev_dst = std::numeric_limits<std::uint32_t>::max();
-  for (const MergeItem& it : gather) {
-    shards_[it.dst]->sim.schedule_at(
-        it.time, std::move(slots_[it.lane]->msgs[it.pos].action));
-    // A delivery can only pull the destination's next event earlier, and
-    // in canonical order a destination's first delivery is its earliest:
-    // one store per destination, not per message (in a wide round the
-    // range owners' stores share next_times_' cache lines).
-    if (it.dst != prev_dst) {
-      prev_dst = it.dst;
-      next_times_[it.dst] = std::min(next_times_[it.dst], it.time);
-    }
+    lanes_[t]->for_each([&](ShardMessage& m) {
+      ECO_CHECK_MSG(m.src >= prev_src,
+                    "lane order is not ascending by source shard");
+      prev_src = m.src;
+      if (m.dst < lo || m.dst >= hi) return;
+      shards_[m.dst]->sim.schedule_at(m.time, std::move(m.action));
+      // A delivery can only pull the destination's next event earlier.
+      // Store only when it does: in a wide round the range owners'
+      // entries share next_times_' cache lines.
+      if (m.time < next_times_[m.dst]) next_times_[m.dst] = m.time;
+    });
   }
 }
 
 // Round schedule. Narrow: the leader plans, then runs every window and
 // merges every message itself — no gate. Wide, three gates whatever the
 // thread count:
-//   plan (leader) | gate | execute | gate | gather + insert + fold | gate |
+//   plan (leader) | gate | execute | gate | insert + fold | gate |
 //   next plan ...
 // Workers sit at the plan gate between wide rounds, so a round the leader
 // runs narrow — or a pause between run_until() segments — leaves them
 // parked.
 
 void ShardedSimulator::run_narrow_round() {
-  // Every runnable window back to back, with one clock pair for the lot.
+  // The last round's merge is over. Every runnable window back to back,
+  // with one clock pair for the lot.
+  lanes_[0]->clear();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     run_window(i, 0);
   }
   slots_[0]->window_ns += elapsed_ns(t0);
-  drain_lane(0);
-  // Only lane 0 carried messages, so one gather over every destination
-  // replaces the per-range merges; the canonical key orders destinations
-  // too.
-  insert_messages(0, 0, shards_.size(), 1);
+  // Only lane 0 carried messages, so one pass over every destination
+  // replaces the per-range merges.
+  insert_messages(0, shards_.size(), 1);
   for (std::size_t t = 0; t < threads_; ++t) fold_range(t);
 }
 
 void ShardedSimulator::execute_wide(std::size_t tid) {
   // The thread's own pending shards, in ascending order: the slice of
-  // pending_ its range contributed at the plan.
+  // pending_ its range contributed at the plan. Every thread's reads of
+  // the lane ended at the last wide round's fold gate, so it can clear.
   WorkerSlot& me = *slots_[tid];
+  lanes_[tid]->clear();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint32_t i = me.claim_begin; i < me.claim_end; ++i) {
     run_window(i, tid);
   }
   me.window_ns += elapsed_ns(t0);
-  drain_lane(tid);
 }
 
 void ShardedSimulator::merge_wide(std::size_t tid) {
   const std::size_t nshards = shards_.size();
-  insert_messages(tid, tid * nshards / threads_,
-                  (tid + 1) * nshards / threads_, threads_);
+  insert_messages(tid * nshards / threads_, (tid + 1) * nshards / threads_,
+                  threads_);
   fold_range(tid);
 }
 
@@ -652,7 +614,7 @@ void ShardedSimulator::run_wide_round() {
   }
   gate_->sync();  // plan published
   execute_wide(0);
-  gate_->sync();  // every window finished, every lane drained
+  gate_->sync();  // every window finished, every lane complete
   merge_wide(0);
   gate_->sync();  // partials published for the next plan
 }

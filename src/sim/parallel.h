@@ -61,16 +61,15 @@
 // range it merges into and folds — so a shard's queue, next-event time and
 // lane traffic stay on one core from round to round (the Compute Node as
 // the partitioning boundary). Which thread owns a shard never affects
-// results: the shard's trace lane and post() sequence counter belong to
-// the shard, and the merge key orders messages independently of the lane
-// they rode.
+// results (see Determinism).
 //
 // Merging: each thread owns a contiguous destination range [lo, hi) of
-// shards. After the execute gate of a wide round every thread gathers the
-// messages bound for its range from every thread's drained lane, sorts
-// them into canonical order and inserts them — one merge step, no extra
-// gates. A narrow round has one lane, so it gathers every destination at
-// once, and skips the sort for zero or one message.
+// shards. After the execute gate of a wide round every thread walks every
+// thread's lane in place, in lane order, and inserts the messages bound
+// for its range — one merge step, no extra gates, no sort and no copy. A
+// narrow round has one lane, so it inserts every destination's messages
+// in one pass. Each thread clears its own lane at the start of its next
+// execute phase (the leader clears lane 0 before a narrow round).
 //
 // Narrow-round cost: a round costs work in proportion to the shards it
 // touches, not to every shard. Only a shard that ran a window re-reads its
@@ -105,14 +104,21 @@
 // Runs that never go wide spawn no thread at all. The destructor releases
 // the parked workers with a stop flag and joins them.
 //
-// Determinism: the merge is canonical — messages sort by (destination,
-// time, source shard, source sequence), a total order — so destination
-// tie-breaking sequence numbers are assigned in an order independent of
-// thread count, lane assignment and completion order. Horizons are
-// computed only from the published next-event times (deterministic
-// simulation state), so the window schedule itself is thread-count
-// invariant and a run with `threads = N` is byte-identical to
-// `threads = 1`. Only lane *spill counts* — a wall-clock-side metric —
+// Determinism: lane order is canonical. Thread t runs its pending shards
+// in ascending order into lane t, and its shards all lie above thread
+// t-1's; a narrow round runs every shard in ascending order into lane 0.
+// So lanes 0..T-1 read in order give ascending (source shard, send index)
+// at any thread count, and insert_messages() checks that the source never
+// decreases. A destination queue orders events by (time, seq), and the
+// merge gives each message the next seq in the order it inserts them:
+// same-time messages run in (source shard, send index) order, the rest in
+// time order, and every message of a round takes a seq above the events
+// scheduled before the merge and below those scheduled after it — the
+// order a (destination, time, source, send index) sort would give, with
+// no sort. Horizons are computed only from the published next-event times
+// (deterministic simulation state), so the window schedule itself is
+// thread-count invariant and a run with `threads = N` is byte-identical
+// to `threads = 1`. Only lane *spill counts* — a wall-clock-side metric —
 // vary with the thread count.
 #pragma once
 
@@ -210,8 +216,8 @@ class ShardedSimulator {
   /// inside an action currently executing on shard `from`. Requires
   /// t >= now(from) + pair_lookahead(from, to) — the conservative contract
   /// that keeps windows race-free. Messages become destination events at
-  /// the next round boundary, merged canonically by (time, source shard,
-  /// seq).
+  /// the next round boundary; same-time messages run in (source shard,
+  /// send order).
   template <typename F>
   void post(std::size_t from, std::size_t to, SimTime t, F&& action) {
     post_message(from, to, t, InlineAction(std::forward<F>(action)));
@@ -287,41 +293,21 @@ class ShardedSimulator {
   struct Shard {
     Simulator sim;
     std::exception_ptr error;
-    /// Messages this shard has posted — the `seq` of its next post and the
-    /// third key of the canonical merge order. Owned by whichever thread
-    /// is executing the shard's window: its owner in a wide round, the
-    /// leader in a narrow one (never two at once).
+    /// Messages this shard has posted (messages() sums them). Owned by
+    /// whichever thread is executing the shard's window: its owner in a
+    /// wide round, the leader in a narrow one (never two at once).
     std::uint64_t post_seq = 0;
   };
 
-  /// One gathered entry of the canonical merge: the full merge key plus
-  /// where the message body lives (producing lane, index in that lane's
-  /// drain scratch).
-  struct MergeItem {
-    SimTime time;
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint64_t seq;
-    std::uint32_t lane;
-    std::uint32_t pos;
-  };
-
   /// Per-worker-thread state: the thread's own slice of the round's
-  /// pending list, the lane-drain scratch, the merge gather buffer for the
-  /// thread's destination range, per-round tallies and the fold outputs
-  /// the planner combines.
+  /// pending list, per-round tallies and the fold outputs the planner
+  /// combines.
   struct alignas(64) WorkerSlot {
     // The owned pending shards, [claim_begin, claim_end) of pending_,
     // published by the planner; a wide round runs exactly these. A narrow
     // round walks pending_ directly.
     std::uint32_t claim_begin = 0;
     std::uint32_t claim_end = 0;
-    // This thread's lane, drained after its windows each round; every
-    // thread reads it in the merge step, only the owner writes it.
-    std::vector<ShardMessage> msgs;
-    // Messages bound for this thread's destination range, gathered from
-    // every slot's `msgs` and sorted canonically.
-    std::vector<MergeItem> gather;
     // Deterministic per-round tallies (zeroed by the planner after
     // folding) plus the wall-clock-side window time.
     std::uint64_t events = 0;  // events retired, for the wide/narrow rule
@@ -340,7 +326,7 @@ class ShardedSimulator {
   };
 
   /// The non-template body of post(): validates the calling context and
-  /// pushes the fully-tagged message into the executing thread's lane.
+  /// pushes the tagged message into the executing thread's lane.
   void post_message(std::size_t from, std::size_t to, SimTime t,
                     InlineAction action);
 
@@ -351,9 +337,9 @@ class ShardedSimulator {
   void rethrow_shard_error();
 
   // --- round phases (see parallel.cc for the gate schedule) -------------
-  /// Reset per-run state: pre-reserve every merge/drain/pending buffer
-  /// from the lane capacities (steady state allocates nothing) and seed
-  /// the next-event times and fold outputs from every shard's queue.
+  /// Reset per-run state: pre-reserve the pending buffers (steady state
+  /// allocates nothing) and seed the next-event times and fold outputs
+  /// from every shard's queue.
   void prepare_run();
   /// Leader, between rounds: fold the per-thread partials (O(threads)),
   /// emit the previous round's trace span/counters, update the
@@ -365,7 +351,8 @@ class ShardedSimulator {
   /// horizon_ (see file comment): one batched pass over the pending
   /// sources, read by narrow and wide rounds alike.
   void plan_horizons();
-  /// Leader alone: every runnable window back to back, then one merge.
+  /// Leader alone: clear lane 0, run every runnable window back to back,
+  /// then one merge.
   void run_narrow_round();
   /// Leader's share of a wide round; starts the workers on first use.
   void run_wide_round();
@@ -379,18 +366,14 @@ class ShardedSimulator {
   /// re-read its next event time if its horizon allows, else count a
   /// stall.
   void run_window(std::size_t i, std::size_t tid);
-  /// Move thread `tid`'s lane into its `msgs`, for the merge step.
-  void drain_lane(std::size_t tid);
-  /// Wide execute phase: run the windows of the thread's own pending
-  /// shards, then drain its lane.
+  /// Wide execute phase: clear the thread's lane, then run the windows of
+  /// its own pending shards.
   void execute_wide(std::size_t tid);
   /// Wide merge phase for thread `tid`'s destination range.
   void merge_wide(std::size_t tid);
-  /// Gather the messages bound for [lo, hi) from lanes [0, nlanes) into
-  /// slot `tid`'s buffer, sort them canonically, insert them, and lower
-  /// the destinations' next-event times.
-  void insert_messages(std::size_t tid, std::size_t lo, std::size_t hi,
-                       std::size_t nlanes);
+  /// Insert the messages bound for [lo, hi) from lanes [0, nlanes), in
+  /// lane order, and lower the destinations' next-event times.
+  void insert_messages(std::size_t lo, std::size_t hi, std::size_t nlanes);
   /// Rebuild slot `tid`'s pending list and partials from next_times_.
   void fold_range(std::size_t tid);
 

@@ -1,9 +1,10 @@
 // Tests for the sharded parallel simulation engine (sim/parallel.h):
 // per-thread lane FIFO + wraparound, the conservative post() contract, the
-// canonical window merge, and — the load-bearing property — byte-identical
-// determinism across --sim-threads 1, 2 and 8, both for a raw engine
-// workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime —
-// plus the narrow/wide round rule and the lifetime of the worker pool.
+// lane-order merge's tie order, and — the load-bearing property —
+// byte-identical determinism across --sim-threads 1, 2 and 8, both for a
+// raw engine workload and for a mixed UNIMEM+UNILOGIC workload on
+// ShardedRuntime — plus the narrow/wide round rule and the lifetime of the
+// worker pool.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -12,6 +13,7 @@
 #include <functional>
 #include <numeric>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -72,80 +74,81 @@ std::uint64_t add_ticks(Simulator& sim, std::size_t chains, SimTime start,
   return chains * ((stop - start + period - 1) / period);
 }
 
-// --- per-thread SPSC lane ---------------------------------------------------
+// --- per-thread lane --------------------------------------------------------
+
+// Run every pending message's action in visit order, as the merge does.
+std::size_t run_lane(ShardLane& lane) {
+  std::size_t n = 0;
+  lane.for_each([&n](ShardMessage& m) {
+    m.action();
+    ++n;
+  });
+  return n;
+}
 
 TEST(ShardLane, FifoAcrossRingWraparound) {
   ShardLane lane(4);
   ASSERT_EQ(lane.capacity(), 4u);
   std::vector<int> got;
-  std::vector<ShardMessage> out;
-  // 32 push/drain rounds of 3 messages wrap the 4-slot ring many times.
+  // 32 push/visit/clear rounds of 3 messages wrap the 4-slot ring many
+  // times.
   for (int round = 0; round < 32; ++round) {
     for (int i = 0; i < 3; ++i) {
       const int v = round * 3 + i;
       lane.push(static_cast<SimTime>(v), /*src=*/0, /*dst=*/1,
-                static_cast<std::uint64_t>(v),
                 [&got, v] { got.push_back(v); });
     }
-    out.clear();
-    lane.drain(out);
-    ASSERT_EQ(out.size(), 3u);
-    for (auto& m : out) m.action();
+    ASSERT_EQ(run_lane(lane), 3u);
+    lane.clear();
+    EXPECT_TRUE(lane.empty());
   }
-  EXPECT_TRUE(lane.empty());
   EXPECT_EQ(lane.overflow_spills(), 0u);
   ASSERT_EQ(got.size(), 96u);
   for (int v = 0; v < 96; ++v) EXPECT_EQ(got[v], v);
 }
 
+// Messages for different (src, dst) pairs share one lane and must come
+// back with their tags, ring first and overflow after, in push order.
 TEST(ShardLane, OverflowSpillKeepsFifoOrder) {
   ShardLane lane(4);
   std::vector<int> got;
   for (int v = 0; v < 10; ++v) {
-    lane.push(static_cast<SimTime>(v), 0, 1, static_cast<std::uint64_t>(v),
+    lane.push(static_cast<SimTime>(100 + v), static_cast<std::uint32_t>(v),
+              static_cast<std::uint32_t>(9 - v),
               [&got, v] { got.push_back(v); });
   }
-  EXPECT_GT(lane.overflow_spills(), 0u);
-  std::vector<ShardMessage> out;
-  lane.drain(out);
-  ASSERT_EQ(out.size(), 10u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].seq, i);
-    out[i].action();
-  }
+  EXPECT_EQ(lane.overflow_spills(), 6u);
+  int i = 0;
+  lane.for_each([&i](ShardMessage& m) {
+    EXPECT_EQ(m.time, static_cast<SimTime>(100 + i));
+    EXPECT_EQ(m.src, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(m.dst, static_cast<std::uint32_t>(9 - i));
+    m.action();
+    ++i;
+  });
+  EXPECT_EQ(i, 10);
   for (int v = 0; v < 10; ++v) EXPECT_EQ(got[v], v);
-  EXPECT_TRUE(lane.empty());
 }
 
-// Lanes are shared by every shard a thread runs: messages for different
-// (src, dst) pairs interleave in one ring and must come back tagged and in
-// push order — the merge sort relies on the tags, not the lane layout.
-TEST(ShardLane, InterleavedShardPairsStayTaggedAndOrdered) {
-  ShardLane lane(8);
-  struct Tag {
-    std::uint32_t src, dst;
-    std::uint64_t seq;
-  };
-  std::vector<Tag> pushed;
-  std::vector<std::uint64_t> next_seq(4, 0);
-  for (int i = 0; i < 21; ++i) {  // > capacity, so the tail spills too
-    const auto src = static_cast<std::uint32_t>(i % 3);
-    const auto dst = static_cast<std::uint32_t>(3 - i % 3);
-    const std::uint64_t seq = next_seq[src]++;
-    pushed.push_back(Tag{src, dst, seq});
-    lane.push(static_cast<SimTime>(100 + i), src, dst, seq, [] {});
+// clear() forgets unvisited messages too, and the next round starts on an
+// empty ring: it fits without spilling and visits only its own messages.
+TEST(ShardLane, ClearThenReuse) {
+  ShardLane lane(4);
+  std::vector<int> got;
+  for (int v = 0; v < 6; ++v) {  // overflows
+    lane.push(static_cast<SimTime>(v), 0, 1, [&got, v] { got.push_back(v); });
   }
-  EXPECT_GT(lane.overflow_spills(), 0u);
-  std::vector<ShardMessage> out;
-  lane.drain(out);
-  ASSERT_EQ(out.size(), pushed.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].time, static_cast<SimTime>(100 + i));
-    EXPECT_EQ(out[i].src, pushed[i].src);
-    EXPECT_EQ(out[i].dst, pushed[i].dst);
-    EXPECT_EQ(out[i].seq, pushed[i].seq);
-  }
+  EXPECT_EQ(lane.overflow_spills(), 2u);
+  lane.clear();
   EXPECT_TRUE(lane.empty());
+  EXPECT_EQ(run_lane(lane), 0u);
+  for (int v = 10; v < 14; ++v) {
+    lane.push(static_cast<SimTime>(v), 0, 1, [&got, v] { got.push_back(v); });
+  }
+  EXPECT_EQ(lane.overflow_spills(), 2u);
+  EXPECT_FALSE(lane.empty());
+  EXPECT_EQ(run_lane(lane), 4u);
+  EXPECT_EQ(got, (std::vector<int>{10, 11, 12, 13}));
 }
 
 // --- post() contract --------------------------------------------------------
@@ -276,6 +279,10 @@ TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_3_8) {
   const std::uint64_t h2 = mesh_workload_hash(8, 2, 1024, 400, nullptr, &w2);
   const std::uint64_t h3 = mesh_workload_hash(8, 3, 1024, 400, nullptr, &w3);
   const std::uint64_t h8 = mesh_workload_hash(8, 8, 1024, 400, nullptr, &w8);
+  // Captured before the merge stopped sorting each round's messages; it
+  // pins the engine against itself at every thread count, not only the
+  // thread counts against each other.
+  EXPECT_EQ(h1, 6437149492501349650ull);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h3);
   EXPECT_EQ(h1, h8);
@@ -390,7 +397,7 @@ TEST(ShardedSimulator, SparseDenseOracleScheduleIsPinned) {
 
 // Window-boundary lane stress: a 4-slot ring under a message rate far
 // beyond it wraps its indices every window and overflows constantly; the
-// spill path must preserve the canonical merge exactly. Spill *counts* are
+// spill path must preserve the merge order exactly. Spill *counts* are
 // a wall-clock-side metric that varies with how many shards share a lane
 // (i.e. with the thread count), so only the hashes must match.
 TEST(ShardedSimulator, MailboxWraparoundAtWindowBoundariesIsDeterministic) {
@@ -398,9 +405,105 @@ TEST(ShardedSimulator, MailboxWraparoundAtWindowBoundariesIsDeterministic) {
   std::uint64_t spills4 = 0;
   const std::uint64_t h1 = mesh_workload_hash(4, 1, 4, 800, &spills1);
   const std::uint64_t h4 = mesh_workload_hash(4, 4, 4, 800, &spills4);
+  EXPECT_EQ(h1, 8102669783069899077ull);  // captured with the sorting merge
   EXPECT_EQ(h1, h4);
   EXPECT_GT(spills1, 0u);
   EXPECT_GT(spills4, 0u);
+}
+
+// --- merge tie order, from first principles ---------------------------------
+
+// What the destination executed: a message (src, send index) or its own
+// local event (src = kLocal).
+struct Delivery {
+  SimTime time;
+  std::uint32_t src;
+  std::uint32_t index;
+  bool operator==(const Delivery&) const = default;
+};
+constexpr std::uint32_t kLocal = 0xFFFFFFFF;
+void PrintTo(const Delivery& d, std::ostream* os) {
+  *os << "{t=" << d.time;
+  if (d.src == kLocal) {
+    *os << " local}";
+  } else {
+    *os << " src=" << d.src << " #" << d.index << "}";
+  }
+}
+constexpr std::uint32_t kTieDst = 3;
+
+// Four sources on both sides of the destination, hence in different lanes
+// at every thread count above one, post to shard 3 in one round: times
+// shared within and across sources, several sent in the opposite order to
+// their times, and a local destination event, scheduled before the run,
+// at a time some messages share. The expected order is derived here from
+// what was posted — (time, local before messages, source, send index) —
+// not from the engine at another thread count. Returns whether the sends
+// ran off the calling thread, i.e. in a wide round.
+bool tie_order_run(std::size_t threads) {
+  constexpr std::size_t kShards = 8;
+  constexpr SimTime kSendAt = 500;
+  constexpr SimTime kX = 700;
+  ShardedConfig sc;
+  sc.shards = kShards;
+  sc.lookahead = 100;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  // Background ticks on every shard make the rounds around kSendAt wide.
+  for (std::size_t s = 0; s < kShards; ++s) {
+    add_ticks(engine.shard(s), 4, 1, 2000);
+  }
+  const std::vector<std::pair<std::uint32_t, std::vector<SimTime>>> sends = {
+      {0, {kX + 30, kX + 10, kX + 20, kX + 10}},
+      {1, {kX + 20, kX + 20, kX}},
+      {5, {kX + 10, kX, kX + 30}},
+      {7, {kX, kX + 30, kX + 10, kX + 10}},
+  };
+  std::vector<Delivery> got;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> off_caller{false};
+  engine.shard(kTieDst).schedule_at(kX + 10, [&got] {
+    got.push_back(Delivery{kX + 10, kLocal, 0});
+  });
+  for (const auto& [src, times] : sends) {
+    engine.shard(src).schedule_at(kSendAt, [&, src = src, times = times] {
+      if (std::this_thread::get_id() != caller) off_caller = true;
+      for (std::uint32_t i = 0; i < times.size(); ++i) {
+        const SimTime t = times[i];
+        engine.post(src, kTieDst, t, [&engine, &got, t, src = src, i] {
+          EXPECT_EQ(engine.shard(kTieDst).now(), t);
+          got.push_back(Delivery{t, src, i});
+        });
+      }
+    });
+  }
+  engine.run();
+
+  std::vector<Delivery> want = {Delivery{kX + 10, kLocal, 0}};
+  for (const auto& [src, times] : sends) {
+    for (std::uint32_t i = 0; i < times.size(); ++i) {
+      want.push_back(Delivery{times[i], src, i});
+    }
+  }
+  std::sort(want.begin(), want.end(),
+            [](const Delivery& a, const Delivery& b) {
+              if (a.time != b.time) return a.time < b.time;
+              const bool a_msg = a.src != kLocal, b_msg = b.src != kLocal;
+              if (a_msg != b_msg) return b_msg;  // local event first
+              if (a.src != b.src) return a.src < b.src;
+              return a.index < b.index;
+            });
+  EXPECT_EQ(got, want);
+  return off_caller;
+}
+
+TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    SCOPED_TRACE(threads);
+    // Above one thread a wide round must have merged the sends.
+    EXPECT_EQ(tie_order_run(threads), threads > 1);
+  }
 }
 
 TEST(ShardedSimulator, ThreadsClampedToShardCount) {

@@ -254,9 +254,9 @@ TEST(SimulatorAllocation, TracedPgasAndNetworkLoopsStayAllocationFree) {
 // Cross-posting actor for the multi-threaded engine: self-reschedules on
 // its own shard and sends every fourth fire to its ring neighbor. All
 // captures fit InlineAction's inline buffer, the mailbox ring is sized so
-// nothing spills, and the merge scratch is pre-reserved from lane
-// capacities at run() entry — so once warm, a window (claim, execute,
-// drain, tree-merge, insert, fold) must not allocate at all.
+// nothing spills, and the merge reads the lanes in place with no scratch
+// of its own — so once warm, a round (plan, execute, insert, fold) must
+// not allocate at all.
 struct ShardPumpActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
@@ -340,9 +340,9 @@ TEST(SimulatorAllocation, ShardedEngineWindowsAreAllocationFreeOnceWarm) {
 // The kv-style regime at one thread: one actor per shard, every fourth
 // fire a cross post, a dense pair oracle — a few events a round, so every
 // round is narrow and most shards stall. The round's pending list, packed
-// next times, horizons and merge scratch are all sized at construction or
-// run() entry, so once the engine has run, a second run of many more
-// rounds must not allocate at all.
+// next times and horizons are all sized at construction or run() entry,
+// and the merge reads lane 0 in place, so once the engine has run, a
+// second run of many more rounds must not allocate at all.
 TEST(SimulatorAllocation, OneThreadNarrowRoundsAreAllocationFreeOnceWarm) {
   constexpr std::size_t kShards = 8;
   ShardedConfig sc;
