@@ -76,11 +76,13 @@ int main(int argc, char** argv) {
                    fmt_u64(exh.outcomes.size()),
                    fmt_u64(oracle.allowed().size()),
                    fmt_u64(seq.outcomes.size()), fmt_u64(seq.events),
-                   fmt_u64(seq.nacks), fmt_u64(seq.failovers),
-                   fmt_u64(seq.migrations), det ? "ok" : "MISMATCH"});
+                   fmt_u64(seq.protocol.nacks),
+                   fmt_u64(seq.protocol.failovers),
+                   fmt_u64(seq.protocol.migrations),
+                   det ? "ok" : "MISMATCH"});
     total_events += seq.events;
-    total_failovers += seq.failovers;
-    total_migrations += seq.migrations;
+    total_failovers += seq.protocol.failovers;
+    total_migrations += seq.protocol.migrations;
   }
 
   bench::print_table(

@@ -196,8 +196,7 @@ MeshResult run_mesh(bool reactive, std::size_t sim_threads) {
     cfg.cooldown = 2;
     cfg.min_gain = 32;
     rp = std::make_unique<repart::Repartitioner>(
-        rt, cfg, mc.cells,
-        repart::MeshWorkload::contiguous_owners(mc.cells, kNodes));
+        rt, cfg, mc.cells, contiguous_owners(mc.cells, kNodes));
   }
   repart::MeshWorkload mesh(rt, rp.get(), mc);
   if (rp != nullptr) rp->install();

@@ -46,10 +46,7 @@ Outcome execute(const LitmusProgram& program,
   PgasConfig cfg;
   cfg.nodes = program.nodes;
   cfg.workers_per_node = 1;
-  // Keep the dead-owner retry window short: crash litmuses run the full
-  // retry + failover path thousands of times across the interleavings.
-  cfg.fault_retry_timeout = microseconds(2);
-  cfg.fault_retry_backoff = microseconds(1);
+  cfg.fault_retry = kLitmusRetry;
   PgasSystem pgas(cfg);
   HealthRegistry health(program.nodes, /*workers_per_node=*/1);
   pgas.set_health(&health);

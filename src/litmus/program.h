@@ -28,6 +28,12 @@ namespace ecoscale::litmus {
 /// what the "adapted to per-page owner order" litmus shapes need.
 inline constexpr std::size_t kVarsPerPage = 4;
 
+/// The dead-owner retry contract both executors run. The waits are short
+/// because crash litmuses take the full retry + failover path thousands
+/// of times.
+inline constexpr RetryPolicy kLitmusRetry{3, microseconds(2),
+                                          microseconds(1)};
+
 enum class OpKind : std::uint8_t {
   kLoad,     // observe var
   kStore,    // write value to var
@@ -95,7 +101,7 @@ inline Op repair(NodeId node) {
 /// Reference semantics of one memory op against a page's variables:
 /// mutates `vars` and returns the observed value (load: current value,
 /// atomic: old value, store: 0/ignored). This is the single definition of
-/// value behaviour shared by the oracle and the harness-level executor;
+/// value behaviour shared by the oracle and the randomized executor;
 /// it matches PgasSystem::atomic_rmw exactly.
 inline std::uint64_t apply_memory_op(const Op& op,
                                      std::uint64_t vars[kVarsPerPage]) {
@@ -159,16 +165,6 @@ struct LitmusProgram {
     std::size_t n = 0;
     for (const auto& t : threads) n += t.ops.size();
     return n;
-  }
-  bool has_fault_edges() const {
-    for (const auto& t : threads) {
-      for (const auto& op : t.ops) {
-        if (op.kind == OpKind::kCrash || op.kind == OpKind::kRepair) {
-          return true;
-        }
-      }
-    }
-    return false;
   }
 
   /// Structural validity: distinct nodes per thread, in-range pages/vars/

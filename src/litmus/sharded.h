@@ -1,36 +1,24 @@
 // Randomized concurrent litmus executor on the sharded engine.
 //
 // The exhaustive executor (executor.h) serializes every interleaving; this
-// one runs the litmus program as genuinely concurrent traffic on a
-// ShardedSimulator — one shard per Compute Node, the UNIMEM partition
-// boundary — under a harness-level model of the UNIMEM ownership
-// protocol:
-//
-//   * every page has one home shard holding its variables and its
-//     serialization log; accesses are messages routed to the requester's
-//     *view* of the owner, forwarded on staleness;
-//   * migration packages variables + log and re-homes them, broadcasting
-//     directory updates (views converge lazily — exactly the in-flight
-//     window the migration litmuses probe);
-//   * a crashed shard nacks accesses; requesters retry with linear
-//     backoff and, after fault_max_retries-style exhaustion, fail the
-//     page over to their own node (the dead shard's memory stays
-//     readable for recovery, as in PgasSystem's backing store).
-//
-// Schedules are explored by seed-randomized *event timing perturbation*:
-// every issue, retry and broadcast delay carries a SchedulePerturb jitter
-// (a pure hash of (seed, thread, draw#)), so the schedule is a
-// deterministic function of the seed alone. Together with the engine's
-// canonical merge this makes a run byte-identical across `--sim-threads`
-// values: same outcome, same per-page logs, same fingerprint.
+// one runs the program as concurrent traffic on a ShardedSimulator, one
+// shard per Compute Node. Ownership is the ShardedDirectory
+// (unimem/directory.h) that serving and repartitioning also run: routing
+// by per-node views, forwarding, in-flight migration with owner-update
+// broadcasts, and the dead-owner nack → kLitmusRetry → failover path. This
+// file adds only the program logic, the page payload (variables and
+// serialization log) and the schedule perturbation: every requester-side
+// departure carries a SchedulePerturb jitter, a pure hash of (seed,
+// thread, draw#). With the engine's canonical merge, a run is
+// byte-identical across `--sim-threads`: same outcomes, logs, fingerprint.
 #pragma once
 
 #include <cstdint>
 #include <set>
 
-#include "common/units.h"
 #include "litmus/oracle.h"
 #include "litmus/program.h"
+#include "unimem/directory.h"
 
 namespace ecoscale::litmus {
 
@@ -40,47 +28,20 @@ struct RandomizedConfig {
   std::uint64_t seed = 1;
   /// Randomized schedules (independent perturbation seeds) per program.
   std::size_t rounds = 64;
-  /// Fixed cross-shard hop latency; doubles as the engine lookahead.
-  SimDuration hop = nanoseconds(200);
-  /// Maximum perturbation added to each issue/retry/broadcast delay.
-  SimDuration max_jitter = nanoseconds(500);
-  /// Delay between a thread's op completing and its next op issuing.
-  SimDuration local_delay = nanoseconds(20);
-  /// Dead-owner handling, mirroring PgasConfig's retry contract.
-  std::size_t max_retries = 3;
-  SimDuration retry_timeout = microseconds(2);
-  SimDuration retry_backoff = microseconds(1);
 };
 
-/// One perturbation round. `fingerprint` hashes the outcome, every page's
-/// final owner and serialization log, and the protocol counters — the
-/// value the --sim-threads determinism contract compares.
-struct RandomizedRun {
-  Outcome outcome;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t events = 0;
-  std::uint64_t nacks = 0;       // accesses bounced off a dead shard
-  std::uint64_t failovers = 0;   // pages re-homed via the recovery path
-  std::uint64_t migrations = 0;  // explicit ownership transfers
-  std::uint64_t forwards = 0;    // stale-view forwarding hops
-};
-
-/// Aggregate over `rounds` seeds.
+/// Aggregate over `rounds` seeds. Each round's fingerprint hashes its
+/// outcome, every page's final owner and serialization log, and the
+/// directory's counters; `fingerprint` chains them — the value the
+/// --sim-threads determinism contract compares.
 struct RandomizedResult {
   std::set<Outcome> outcomes;
-  std::uint64_t fingerprint = 0;  // chained over the per-round fingerprints
+  std::uint64_t fingerprint = 0;
   std::uint64_t events = 0;
-  std::uint64_t nacks = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t forwards = 0;
+  ShardedDirectory::Counters protocol;
 };
 
-/// Run one round with perturbation seed derived from (config.seed, round).
-RandomizedRun run_randomized_once(const LitmusProgram& program,
-                                  const RandomizedConfig& config,
-                                  std::uint64_t round);
-
+/// Round r perturbs with a seed derived from (config.seed, r).
 RandomizedResult run_randomized(const LitmusProgram& program,
                                 const RandomizedConfig& config);
 

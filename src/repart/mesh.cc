@@ -27,18 +27,12 @@ constexpr std::uint16_t kSettleTid = 0xFFE1;
 
 }  // namespace
 
-std::vector<std::uint32_t> MeshWorkload::contiguous_owners(std::size_t cells,
-                                                           std::size_t nodes) {
-  std::vector<std::uint32_t> owner(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    owner[c] = static_cast<std::uint32_t>(c * nodes / cells);
-  }
-  return owner;
-}
-
 MeshWorkload::MeshWorkload(ShardedRuntime& rt, Repartitioner* repart,
                            MeshConfig cfg)
-    : rt_(rt), repart_(repart), cfg_(cfg) {
+    : rt_(rt),
+      repart_(repart),
+      cfg_(cfg),
+      dir_(repart != nullptr ? &repart->directory() : nullptr) {
   const std::size_t cells = cfg_.cells;
   const std::size_t n = rt_.node_count();
   ECO_CHECK(cells >= n && n >= 1);
@@ -46,8 +40,10 @@ MeshWorkload::MeshWorkload(ShardedRuntime& rt, Repartitioner* repart,
     ECO_CHECK_MSG(repart_->item_count() == cells,
                   "repartitioner items must be the mesh cells");
     repart_->set_client(this);
+  } else {
+    static_dir_.emplace(n, contiguous_owners(cells, n));
+    dir_ = &*static_dir_;
   }
-  static_owner_ = contiguous_owners(cells, n);
 
   // Ring edges plus seeded random chords of bounded ring span. Undirected:
   // both endpoints read each other's halo.
@@ -116,7 +112,7 @@ void MeshWorkload::step(std::size_t n, SimTime now) {
   std::uint64_t remote = 0;
   for (std::uint64_t k = 0; k < active; ++k) {
     const auto cell = static_cast<std::uint32_t>((lo + k) % cells);
-    if (cell_owner(cell) != n) continue;
+    if (!dir_->holds(n, cell)) continue;
     ++owned;
     ++st.updates;
     if (repart_ != nullptr) {
@@ -130,7 +126,7 @@ void MeshWorkload::step(std::size_t n, SimTime now) {
         repart_->tracker().record_access(
             n, nb, static_cast<std::uint32_t>(n), cfg_.halo_bytes);
       }
-      const std::uint32_t m = cell_owner(nb);
+      const std::uint32_t m = dir_->view(n, nb);
       if (m != n) {
         ++remote;
         ++st.remote_reads;

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/units.h"
@@ -60,17 +61,13 @@ struct MeshConfig {
 };
 
 /// The mesh as a RepartClient: cells are the items. Without a
-/// repartitioner it runs on a fixed contiguous partition.
+/// repartitioner it runs on a fixed contiguous partition; a reactive run
+/// constructs the Repartitioner with contiguous_owners(cells, nodes).
 class MeshWorkload : public RepartClient {
  public:
   /// `repart` may be null (static partitioning). When set, its item count
   /// must equal cfg.cells and the workload records into its tracker.
   MeshWorkload(ShardedRuntime& rt, Repartitioner* repart, MeshConfig cfg);
-
-  /// The canonical initial placement: contiguous ring blocks, one per
-  /// node — also what the Repartitioner should be constructed with.
-  static std::vector<std::uint32_t> contiguous_owners(std::size_t cells,
-                                                      std::size_t nodes);
 
   /// Schedule step 0 on every node. Call before rt.run().
   void start();
@@ -101,9 +98,6 @@ class MeshWorkload : public RepartClient {
  private:
   std::uint64_t front_center(SimTime t) const;
   void step(std::size_t node, SimTime now);
-  std::uint32_t cell_owner(std::uint32_t cell) const {
-    return repart_ != nullptr ? repart_->owner(cell) : static_owner_[cell];
-  }
 
   struct alignas(64) NodeState {
     std::uint64_t updates = 0;
@@ -123,7 +117,10 @@ class MeshWorkload : public RepartClient {
   ShardedRuntime& rt_;
   Repartitioner* repart_;
   MeshConfig cfg_;
-  std::vector<std::uint32_t> static_owner_;
+  /// Cell ownership: the repartitioner's directory, else the contiguous
+  /// partition that nobody flips (built only without a repartitioner).
+  std::optional<ShardedDirectory> static_dir_;
+  const ShardedDirectory* dir_;
   // CSR adjacency (ring + chords), neighbor lists sorted ascending.
   std::vector<std::uint32_t> nbr_offset_;
   std::vector<std::uint32_t> nbr_;

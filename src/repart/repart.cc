@@ -52,12 +52,11 @@ Repartitioner::Repartitioner(ShardedRuntime& rt, RepartConfig cfg,
       cfg_(cfg),
       levels_(TreeLevels::from_network(rt.internode(), rt.node_count())),
       tracker_(rt.node_count(), items),
-      owner_(std::move(initial_owner)),
+      dir_(rt.node_count(), std::move(initial_owner)),
       movable_at_(items, 0),
       prev_pref_(items, kNoPref),
       planned_(items, false) {
-  ECO_CHECK_MSG(owner_.size() == items, "one initial owner per item");
-  for (const std::uint32_t o : owner_) ECO_CHECK(o < rt_.node_count());
+  ECO_CHECK_MSG(dir_.items() == items, "one initial owner per item");
   ECO_CHECK(cfg_.alpha >= 0.0 && cfg_.alpha <= 1.0);
 }
 
@@ -71,7 +70,7 @@ void Repartitioner::on_epoch(std::size_t epoch, SimTime at) {
   ++stats_.epochs;
   tracker_.collect(window_);
   const std::size_t n = rt_.node_count();
-  const std::size_t items = owner_.size();
+  const std::size_t items = dir_.items();
 
   // Balance mass per node: windowed work of its items, plus (optionally)
   // the scheduler backlog. Capacity: what the heartbeat monitor believes
@@ -80,7 +79,7 @@ void Repartitioner::on_epoch(std::size_t epoch, SimTime at) {
   node_load_.assign(n, 0.0);
   node_cap_.assign(n, 0.0);
   for (std::size_t i = 0; i < items; ++i) {
-    node_load_[owner_[i]] += static_cast<double>(window_.work[i]);
+    node_load_[dir_.holder(i)] += static_cast<double>(window_.work[i]);
   }
   for (std::size_t d = 0; d < n; ++d) {
     RuntimeSystem& rs = rt_.runtime(d);
@@ -150,7 +149,7 @@ void Repartitioner::plan_locality(std::size_t epoch, std::vector<Move>& plan) {
     std::uint32_t to;
   };
   std::vector<Cand> cands;
-  for (std::uint32_t i = 0; i < owner_.size(); ++i) {
+  for (std::uint32_t i = 0; i < dir_.items(); ++i) {
     const std::uint64_t* acc = &window_.access[static_cast<std::size_t>(i) * n];
     // Preferred node: argmax of windowed access weight, ties to the
     // lowest id; kNoPref when the item saw no traffic (no preference is
@@ -163,7 +162,7 @@ void Repartitioner::plan_locality(std::size_t epoch, std::vector<Move>& plan) {
         pref = o;
       }
     }
-    const std::uint32_t own = owner_[i];
+    const std::uint32_t own = dir_.holder(i);
     if (pref != kNoPref && pref == prev_pref_[i] && pref != own &&
         best >= acc[own] + cfg_.min_gain && epoch >= movable_at_[i] &&
         node_cap_[pref] > 0.0) {
@@ -197,11 +196,11 @@ void Repartitioner::plan_balance(std::size_t epoch, std::vector<Move>& plan) {
   if (plan.size() >= cfg_.max_moves) return;
   // Movable items per donor node, heaviest first.
   std::vector<std::vector<std::uint32_t>> pool(n);
-  for (std::uint32_t i = 0; i < owner_.size(); ++i) {
+  for (std::uint32_t i = 0; i < dir_.items(); ++i) {
     if (planned_[i] || window_.work[i] == 0 || epoch < movable_at_[i]) {
       continue;
     }
-    pool[owner_[i]].push_back(i);
+    pool[dir_.holder(i)].push_back(i);
   }
   for (auto& p : pool) {
     std::sort(p.begin(), p.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -279,7 +278,8 @@ void Repartitioner::plan_balance(std::size_t epoch, std::vector<Move>& plan) {
 
 void Repartitioner::execute(const std::vector<Move>& plan, SimTime at) {
   for (const Move& m : plan) {
-    owner_[m.item] = m.to;
+    const std::uint32_t from = dir_.transfer_at_pause(m.item, m.to);
+    ECO_CHECK(from == m.from);
     movable_at_[m.item] = m.epoch + cfg_.cooldown;
     const std::uint64_t bytes = client_ ? client_->item_bytes(m.item) : 0;
     const auto hops =

@@ -32,6 +32,7 @@
 #include "common/units.h"
 #include "repart/diffusion.h"
 #include "repart/load.h"
+#include "unimem/directory.h"
 
 namespace ecoscale {
 class ShardedRuntime;
@@ -94,12 +95,11 @@ class Repartitioner {
   void install();
 
   const RepartConfig& config() const { return cfg_; }
-  std::size_t item_count() const { return owner_.size(); }
-  std::uint32_t owner(std::uint32_t item) const {
-    ECO_CHECK(item < owner_.size());
-    return owner_[item];
-  }
-  const std::vector<std::uint32_t>& owners() const { return owner_; }
+  std::size_t item_count() const { return dir_.items(); }
+  std::uint32_t owner(std::uint32_t item) const { return dir_.holder(item); }
+  /// The items' ownership directory. Only epoch moves flip it, at the
+  /// pause, so every node's view agrees between pauses.
+  const ShardedDirectory& directory() const { return dir_; }
   LoadTracker& tracker() { return tracker_; }
 
   enum class MoveKind : std::uint8_t { kLocality, kBalance };
@@ -130,11 +130,6 @@ class Repartitioner {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Last epoch's folded per-node load and diffusion targets (test and
-  /// bench introspection).
-  const std::vector<double>& last_load() const { return node_load_; }
-  const std::vector<double>& last_target() const { return node_target_; }
-
  private:
   void on_epoch(std::size_t epoch, SimTime at);
   void plan_locality(std::size_t epoch, std::vector<Move>& plan);
@@ -146,7 +141,7 @@ class Repartitioner {
   TreeLevels levels_;
   LoadTracker tracker_;
   RepartClient* client_ = nullptr;
-  std::vector<std::uint32_t> owner_;
+  ShardedDirectory dir_;
   /// First epoch the item may move again (cooldown hysteresis).
   std::vector<std::uint64_t> movable_at_;
   /// Last epoch's preferred node per item (two-epoch confirmation) —

@@ -47,7 +47,6 @@ RuntimeSystem::RuntimeSystem(Machine& machine, Simulator& sim,
     : machine_(machine),
       sim_(sim),
       config_(config),
-      rng_(config.seed),
       workers_(machine.worker_count()) {
   if (config_.enable_daemon) {
     daemons_.reserve(machine_.worker_count());
@@ -55,16 +54,6 @@ RuntimeSystem::RuntimeSystem(Machine& machine, Simulator& sim,
     for (std::size_t w = 0; w < machine_.worker_count(); ++w) {
       daemons_.push_back(std::make_unique<ReconfigDaemon>(
           machine_.worker(w).fabric(), config_.daemon));
-    }
-  }
-  if (config_.failures_per_second > 0.0) {
-    ECO_CHECK_MSG(!config_.faults.enabled,
-                  "legacy failures_per_second and live fault injection are "
-                  "mutually exclusive");
-    next_failure_.resize(machine_.worker_count());
-    for (auto& f : next_failure_) {
-      f = static_cast<SimTime>(
-          rng_.exponential(1e12 / config_.failures_per_second));
     }
   }
   if (config_.faults.enabled) {
@@ -404,41 +393,6 @@ void RuntimeSystem::dispatch(std::size_t worker) {
     }
   }
   result.finished = finish;
-
-  // Failure injection: a worker crash during execution loses the task's
-  // progress (the resources it consumed stay consumed — real lost work)
-  // and re-queues the task after repair.
-  if (config_.failures_per_second > 0.0) {
-    // Advance the failure clock past idle periods.
-    while (next_failure_[worker] <= now) {
-      next_failure_[worker] += static_cast<SimTime>(
-          rng_.exponential(1e12 / config_.failures_per_second));
-    }
-    const SimTime fail_at = next_failure_[worker];
-    if (fail_at < finish) {
-      next_failure_[worker] += static_cast<SimTime>(
-          rng_.exponential(1e12 / config_.failures_per_second));
-      ++failures_;
-      ++reexecutions_;
-      // The crashed attempt ran [now, fail_at) of a [now, finish) job: its
-      // resources are consumed in proportion — real lost work, no longer
-      // silently dropped.
-      wasted_energy_ += result.energy *
-                        (static_cast<double>(fail_at - now) /
-                         static_cast<double>(finish - now));
-      ECO_TRACE_INSTANT(obs::Cat::kRuntime, task_trace_names().fail,
-                        worker_lane(worker, per_node), fail_at, task.id);
-      sim_.schedule_at(fail_at + config_.repair_time,
-                       [this, worker, task, forwarded] {
-                         workers_[worker].busy = false;
-                         // Re-execute from scratch at the repaired worker
-                         // (final placement: no further routing).
-                         arrive(worker, QueuedTask{task, forwarded},
-                                /*spill_hops=*/1000);
-                       });
-      return;  // no result; the task is still pending
-    }
-  }
 
   // Live fault path: remember the attempt so a crash can price and
   // re-queue it, and tag the completion with an epoch — a crash bumps the

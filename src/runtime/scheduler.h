@@ -25,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "model/predictor.h"
 #include "runtime/daemon.h"
@@ -79,18 +78,10 @@ struct RuntimeConfig {
   /// §4.2): ticks opportunistically at dispatch points.
   bool enable_daemon = false;
   DaemonConfig daemon;
-  /// Worker failure injection (abstract's resilience claim): Poisson
-  /// crashes per worker; a crash loses the running task's progress and
-  /// takes the worker down for repair_time, after which the task
-  /// re-executes from scratch. 0 disables. This legacy analytic-style
-  /// path is mutually exclusive with `faults.enabled` below.
-  double failures_per_second = 0.0;
-  SimDuration repair_time = milliseconds(2);
   /// Live fault injection through the simulator (FaultInjector): worker
   /// crashes, node losses, link degradation and fabric SEUs, detected by
   /// a heartbeat monitor and recovered via re-execution on survivors.
   FaultConfig faults;
-  std::uint64_t seed = 42;
   /// --- Online repartitioning (src/repart/, DESIGN.md §7.11) -------------
   /// Epoch period of the repartitioner a ShardedRuntime drives between
   /// engine pauses; 0 = off (no epoch pauses, the legacy run loop). The
@@ -276,13 +267,11 @@ class RuntimeSystem {
   Machine& machine_;
   Simulator& sim_;
   RuntimeConfig config_;
-  Rng rng_;
   std::map<KernelId, KernelIR> kernels_;
   std::map<KernelId, std::vector<AcceleratorModule>> variants_;
   std::vector<WorkerState> workers_;
   std::vector<std::unique_ptr<ReconfigDaemon>> daemons_;  // if enabled
   std::vector<SimTime> next_daemon_tick_;
-  std::vector<SimTime> next_failure_;  // failure injection, if enabled
   std::uint64_t failures_ = 0;
   std::uint64_t reexecutions_ = 0;
   std::unique_ptr<FaultInjector> injector_;  // if config.faults.enabled

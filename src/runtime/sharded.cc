@@ -71,7 +71,6 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
     mc.workers_per_node = config_.workers_per_node;
     slot.machine = std::make_unique<Machine>(mc);
     RuntimeConfig rc = config_.runtime;
-    rc.seed = config_.runtime.seed + node;  // decorrelate per-node streams
     for (const ShardedRuntimeConfig::NodeOutage& outage :
          config_.node_outages) {
       if (outage.node != node) continue;

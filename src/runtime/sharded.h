@@ -69,7 +69,7 @@ struct ShardedRuntimeConfig {
     SimDuration repair_after = 0;
   };
   std::vector<NodeOutage> node_outages;
-  /// Per-node scheduler configuration; the seed is decorrelated per node.
+  /// Per-node scheduler configuration.
   RuntimeConfig runtime;
 };
 

@@ -88,8 +88,10 @@ KernelIR make_kv_kernel() {
 }
 
 KvStore::KvStore(ShardedRuntime& rt, KvConfig config)
-    : rt_(rt), config_(config), kernel_(make_kv_kernel()) {
-  nodes_ = rt_.node_count();
+    : rt_(rt),
+      config_(config),
+      kernel_(make_kv_kernel()),
+      nodes_(rt.node_count()) {
   ECO_CHECK_MSG(config_.key_space > 0 && config_.key_space <= kKeyMask,
                 "key_space must fit the 44-bit payload key field");
   ECO_CHECK_MSG(nodes_ <= kOriginMask, "too many nodes for payload origin");
@@ -108,12 +110,8 @@ KvStore::KvStore(ShardedRuntime& rt, KvConfig config)
     // contiguous (migrate_item moves them as one DMA).
     ECO_CHECK_MSG(config_.repart_blocks <= config_.key_space,
                   "more blocks than keys");
-    static_block_owner_.resize(config_.repart_blocks);
-    for (std::uint32_t b = 0; b < config_.repart_blocks; ++b) {
-      static_block_owner_[b] =
-          static_cast<std::uint32_t>(static_cast<std::uint64_t>(b) * nodes_ /
-                                     config_.repart_blocks);
-    }
+    static_blocks_.emplace(nodes_, initial_block_owners());
+    blocks_ = &*static_blocks_;
     std::vector<std::uint64_t> counts(per_node, 0);
     for (std::uint64_t key = 0; key < config_.key_space; ++key) {
       ++counts[block_of(key) % per_node];
@@ -196,10 +194,11 @@ void KvStore::issue(std::size_t origin, KvOp op, std::uint64_t key,
   ECO_CHECK(origin < nodes_);
   ECO_CHECK(key < config_.key_space);
   ECO_CHECK_MSG(request != 0, "request ids must be nonzero");
-  const std::size_t owner = owner_of(key);
+  std::size_t owner;
   WorkerId home_worker;
   if (config_.repart_blocks > 0) {
     const std::uint32_t block = block_of(key);
+    owner = blocks_->view(origin, block);
     home_worker = static_cast<WorkerId>(
         block % rt_.machine(0).workers_per_node());
     // Issue-side load recording at the *origin* shard: the offered load of
@@ -218,6 +217,7 @@ void KvStore::issue(std::size_t origin, KvOp op, std::uint64_t key,
           static_cast<std::uint64_t>(rt_.internode().hop_count(origin, owner));
     }
   } else {
+    owner = owner_node_of_key_[key];
     home_worker = GlobalAddress::from_raw(slot_addr_of_key_[key]).worker();
   }
 
@@ -247,23 +247,22 @@ void KvStore::issue(std::size_t origin, KvOp op, std::uint64_t key,
 void KvStore::on_complete(std::size_t owner, const Task& task,
                           const TaskResult& result) {
   const Decoded req = unpack_request(task.payload[0]);
-  if (config_.repart_blocks > 0) {
-    const std::size_t current = block_owner(block_of(req.key));
-    if (current != owner) {
-      // Stale routing: the block migrated while this request was queued
-      // or in flight. Re-home it to the current owner — the request pays
-      // the detour (the service work here was wasted), which is the real
-      // cost model of chasing a moved partition.
-      ++forwards_[owner];
-      byte_hops_[owner] +=
-          config_.value_bytes * static_cast<std::uint64_t>(
-                                    rt_.internode().hop_count(owner, current));
-      ECO_TRACE_INSTANT(obs::Cat::kServe, serve_trace_names().forward,
-                        (obs::Lane{static_cast<std::uint16_t>(owner), 0}),
-                        result.finished, task.id);
-      rt_.post_task(owner, current, task);
-      return;
-    }
+  if (config_.repart_blocks > 0 &&
+      !blocks_->holds(owner, block_of(req.key))) {
+    const std::size_t current = blocks_->view(owner, block_of(req.key));
+    // Stale routing: the block migrated while this request was queued
+    // or in flight. Re-home it to the current owner — the request pays
+    // the detour (the service work here was wasted), which is the real
+    // cost model of chasing a moved partition.
+    ++forwards_[owner];
+    byte_hops_[owner] +=
+        config_.value_bytes * static_cast<std::uint64_t>(
+                                  rt_.internode().hop_count(owner, current));
+    ECO_TRACE_INSTANT(obs::Cat::kServe, serve_trace_names().forward,
+                      (obs::Lane{static_cast<std::uint16_t>(owner), 0}),
+                      result.finished, task.id);
+    rt_.post_task(owner, current, task);
+    return;
   }
   PgasSystem& pgas = rt_.machine(owner).pgas();
   const GlobalAddress slot = GlobalAddress::from_raw(
@@ -376,6 +375,8 @@ void KvStore::attach_repartitioner(repart::Repartitioner* rp) {
                 "attach_repartitioner needs block mode (repart_blocks > 0)");
   ECO_CHECK(rp != nullptr && rp->item_count() == config_.repart_blocks);
   repart_ = rp;
+  blocks_ = &rp->directory();
+  static_blocks_.reset();
   rp->set_client(this);
 }
 

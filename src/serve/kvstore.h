@@ -21,12 +21,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/units.h"
 #include "hls/ir.h"
 #include "repart/repart.h"
 #include "runtime/sharded.h"
+#include "unimem/directory.h"
 
 namespace ecoscale::serve {
 
@@ -96,37 +98,31 @@ class KvStore : public repart::RepartClient {
   void issue(std::size_t origin, KvOp op, std::uint64_t key,
              std::uint64_t value, TaskId request);
 
-  /// Current owning node. In block mode this follows the repartitioner's
-  /// live owner table (written only at epoch pauses, so reads from shard
-  /// events are race-free and stable within an engine segment).
+  /// Current owning node (block mode: the directory's holder, so call it
+  /// at a pause or after the run).
   std::size_t owner_of(std::uint64_t key) const {
     if (config_.repart_blocks == 0) return owner_node_of_key_[key];
-    return block_owner(block_of(key));
+    return blocks_->holder(block_of(key));
   }
   const KvConfig& config() const { return config_; }
   const KernelIR& kernel() const { return kernel_; }
 
   // --- Block mode (config().repart_blocks > 0) ---------------------------
-  std::size_t block_count() const { return config_.repart_blocks; }
   std::uint32_t block_of(std::uint64_t key) const {
     return static_cast<std::uint32_t>(key * config_.repart_blocks /
                                       config_.key_space);
   }
-  std::size_t block_owner(std::uint32_t block) const {
-    return repart_ != nullptr ? repart_->owner(block)
-                              : static_block_owner_[block];
-  }
   /// The canonical initial placement (contiguous key ranges) — construct
   /// the Repartitioner with this.
   std::vector<std::uint32_t> initial_block_owners() const {
-    return static_block_owner_;
+    return contiguous_owners(config_.repart_blocks, nodes_);
   }
   /// Wire the store to its repartitioner: the store becomes the
   /// RepartClient (block migration), issues record into the tracker
   /// *issue-side at the origin* — so a crashed owner's blocks keep
   /// accruing offered load while its believed-alive capacity collapses,
-  /// which is what lets diffusion drain a dead node — and owner lookups
-  /// follow the live table.
+  /// which is what lets diffusion drain a dead node — and owners are read
+  /// from the directory the repartitioner flips.
   void attach_repartitioner(repart::Repartitioner* rp);
 
   // RepartClient: bytes that travel when a block migrates, and the
@@ -173,10 +169,12 @@ class KvStore : public repart::RepartClient {
   std::vector<std::uint32_t> owner_node_of_key_;
   std::vector<std::uint64_t> slot_addr_of_key_;  // raw GlobalAddress
   /// Block mode: per-node slot tables ([node][key], raw GlobalAddress —
-  /// every node can host any block) and the static placement used when no
-  /// repartitioner is attached.
+  /// every node can host any block), and the block ownership directory:
+  /// the attached repartitioner's, else the initial placement that nobody
+  /// flips (dropped when a repartitioner attaches).
   std::vector<std::vector<std::uint64_t>> block_slot_addr_;
-  std::vector<std::uint32_t> static_block_owner_;
+  std::optional<ShardedDirectory> static_blocks_;
+  const ShardedDirectory* blocks_ = nullptr;
   repart::Repartitioner* repart_ = nullptr;
   /// Shard-owned: index N is written only by events on shard N.
   std::vector<std::vector<KvApplyRecord>> apply_log_;

@@ -185,10 +185,9 @@ SimTime PgasSystem::fail_over_dead_owner(WorkerCoord who, PageId page,
   // Bounded retries with linear backoff: each attempt waits out a timeout
   // against the unresponsive owner. A repair racing the retries wins —
   // the access then proceeds against the original owner, no failover.
-  for (std::size_t attempt = 0; attempt < config_.fault_max_retries;
+  for (std::size_t attempt = 0; attempt < config_.fault_retry.max_retries;
        ++attempt) {
-    const SimTime deadline = now + config_.fault_retry_timeout +
-                             attempt * config_.fault_retry_backoff;
+    const SimTime deadline = now + config_.fault_retry.wait(attempt);
     ECO_TRACE_SPAN(obs::Cat::kRetry, counters().retry,
                    (obs::Lane{who.node, who.worker}), now, deadline,
                    static_cast<std::uint32_t>(attempt + 1));

@@ -35,6 +35,7 @@
 #include "memory/coherence.h"
 #include "memory/dram.h"
 #include "sim/timeline.h"
+#include "unimem/retry.h"
 
 namespace ecoscale {
 
@@ -71,12 +72,9 @@ struct PgasConfig {
   /// Closure size for task migration (descriptor + captured args).
   Bytes task_closure_bytes = 256;
   /// Fault handling of accesses whose owning node is down (needs a
-  /// HealthRegistry via set_health): each attempt times out, attempts
-  /// back off linearly, and after the last one the page fails over to a
-  /// surviving node.
-  std::size_t fault_max_retries = 3;
-  SimDuration fault_retry_timeout = microseconds(50);
-  SimDuration fault_retry_backoff = microseconds(25);
+  /// HealthRegistry via set_health): the shared retry contract
+  /// (unimem/retry.h), then failover to a surviving node.
+  RetryPolicy fault_retry;
   /// Progressive address translation (Katevenis [12]): per-level lookup
   /// latencies paid by each access as it climbs the hierarchy. Charged on
   /// the request path (local: level 0; intra-node: +level 1; cross-node:

@@ -242,7 +242,7 @@ TEST(LitmusSharded, MigrationReHomesThePage) {
   Oracle oracle(p);
   const RandomizedResult res = check_randomized(p, oracle, quick_config(1));
   // One explicit migrate per round, no losses.
-  EXPECT_EQ(res.migrations, 24u);
+  EXPECT_EQ(res.protocol.migrations, 24u);
 }
 
 TEST(LitmusSharded, CrashDrivesNacksAndFailover) {
@@ -252,8 +252,8 @@ TEST(LitmusSharded, CrashDrivesNacksAndFailover) {
   // With the crash racing the loads across 24 seeds, some schedules must
   // hit the dead owner and at least one must exhaust retries into
   // failover (deterministic for the fixed seed).
-  EXPECT_GT(res.nacks, 0u);
-  EXPECT_GT(res.failovers, 0u);
+  EXPECT_GT(res.protocol.nacks, 0u);
+  EXPECT_GT(res.protocol.failovers, 0u);
 }
 
 TEST(LitmusSharded, ByteIdenticalAcrossSimThreads) {
@@ -263,8 +263,8 @@ TEST(LitmusSharded, ByteIdenticalAcrossSimThreads) {
     EXPECT_EQ(seq.fingerprint, par.fingerprint) << p.name;
     EXPECT_EQ(seq.outcomes, par.outcomes) << p.name;
     EXPECT_EQ(seq.events, par.events) << p.name;
-    EXPECT_EQ(seq.nacks, par.nacks) << p.name;
-    EXPECT_EQ(seq.failovers, par.failovers) << p.name;
+    EXPECT_EQ(seq.protocol.nacks, par.protocol.nacks) << p.name;
+    EXPECT_EQ(seq.protocol.failovers, par.protocol.failovers) << p.name;
   }
 }
 

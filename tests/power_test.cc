@@ -137,8 +137,9 @@ TEST(RuntimeFailures, AllTasksCompleteDespiteCrashes) {
   Simulator sim;
   RuntimeConfig rc;
   rc.placement = PlacementPolicy::kAlwaysSoftware;
-  rc.failures_per_second = 3000.0;  // scaled for ms-long runs
-  rc.repair_time = microseconds(500);
+  rc.faults.enabled = true;
+  rc.faults.worker_crash_per_second = 3000.0;  // scaled for ms-long runs
+  rc.faults.repair_time = microseconds(500);
   RuntimeSystem runtime(machine, sim, rc);
   const auto kernel = make_cart_split_kernel();
   runtime.register_kernel(kernel, emit_variants(kernel, 1));

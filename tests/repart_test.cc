@@ -431,8 +431,7 @@ TEST(MigrationUnderLoad, PerKeyApplyHistoryStaysSerialAcrossMigrations) {
 // --- mesh workload sanity -------------------------------------------------
 
 TEST(MeshWorkload, ContiguousOwnersPartitionTheRing) {
-  const std::vector<std::uint32_t> owners =
-      repart::MeshWorkload::contiguous_owners(16, 4);
+  const std::vector<std::uint32_t> owners = contiguous_owners(16, 4);
   ASSERT_EQ(owners.size(), 16u);
   for (std::size_t c = 1; c < owners.size(); ++c) {
     EXPECT_GE(owners[c], owners[c - 1]);  // monotone blocks

@@ -1,7 +1,6 @@
-// End-to-end fault injection & recovery: the live FaultInjector path
-// (worker crashes, node loss, UNIMEM page failover, UNILOGIC dead-fabric
-// fallback) plus the legacy failures_per_second path (wasted-energy
-// accounting).
+// End-to-end fault injection & recovery through the live FaultInjector:
+// worker crashes (and their wasted-energy accounting), node loss, UNIMEM
+// page failover, UNILOGIC dead-fabric fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +19,7 @@ namespace {
 // --- live runtime rig -------------------------------------------------------
 
 struct LiveRig {
-  explicit LiveRig(const FaultConfig& faults,
-                   double legacy_failures_per_second = 0.0) {
+  explicit LiveRig(const FaultConfig& faults) {
     MachineConfig mc;
     mc.nodes = 2;
     mc.workers_per_node = 4;
@@ -31,7 +29,6 @@ struct LiveRig {
     rc.placement = PlacementPolicy::kModelBased;
     rc.distribution = DistributionPolicy::kLazyLocal;
     rc.faults = faults;
-    rc.failures_per_second = legacy_failures_per_second;
     runtime = std::make_unique<RuntimeSystem>(*machine, *sim, rc);
     kernel = make_montecarlo_kernel();
     runtime->register_kernel(kernel, emit_variants(kernel, 2));
@@ -312,18 +309,18 @@ TEST(PgasFault, DeadOwnerRetriesThenRehomesPage) {
   const auto first = pgas.load(reader, addr, 64, 0);
   const auto& cfg = machine.config().pgas;
   // Bounded retries with linear backoff, then ownership failover.
-  EXPECT_EQ(pgas.remote_retries(), cfg.fault_max_retries);
+  EXPECT_EQ(pgas.remote_retries(), cfg.fault_retry.max_retries);
   EXPECT_EQ(pgas.page_failovers(), 1u);
   SimDuration retry_floor = 0;
-  for (std::size_t a = 0; a < cfg.fault_max_retries; ++a) {
-    retry_floor += cfg.fault_retry_timeout + a * cfg.fault_retry_backoff;
+  for (std::size_t a = 0; a < cfg.fault_retry.max_retries; ++a) {
+    retry_floor += cfg.fault_retry.wait(a);
   }
   EXPECT_GE(first.finish, retry_floor);
   // The page now lives on the survivor: later accesses are plain local
   // loads, no further retries.
   const auto second = pgas.load(reader, addr, 64, first.finish);
   EXPECT_FALSE(second.remote);
-  EXPECT_EQ(pgas.remote_retries(), cfg.fault_max_retries);
+  EXPECT_EQ(pgas.remote_retries(), cfg.fault_retry.max_retries);
   EXPECT_EQ(pgas.page_failovers(), 1u);
 }
 
@@ -354,11 +351,10 @@ TEST(PoolFault, DeadFabricTimesOutBlacklistsAndFallsBackLocal) {
   EXPECT_EQ(machine.health().blacklists(), 2u);
 }
 
-// --- legacy failures_per_second path ----------------------------------------
+// --- wasted-energy accounting -----------------------------------------------
 
-TEST(LegacyFailures, CrashedAttemptsChargeWastedEnergy) {
-  FaultConfig off;
-  LiveRig rig(off, /*legacy_failures_per_second=*/3000.0);
+TEST(WastedEnergy, CrashedAttemptsChargeWastedEnergy) {
+  LiveRig rig(crash_faults(3000.0));
   rig.run(48);
   const auto stats = rig.runtime->stats();
   EXPECT_EQ(rig.runtime->results().size(), 48u);
@@ -366,9 +362,9 @@ TEST(LegacyFailures, CrashedAttemptsChargeWastedEnergy) {
   EXPECT_GT(stats.wasted_energy, 0.0);
 }
 
-TEST(LegacyFailures, CleanRunWastesNothing) {
+TEST(WastedEnergy, CleanRunWastesNothing) {
   FaultConfig off;
-  LiveRig rig(off, /*legacy_failures_per_second=*/0.0);
+  LiveRig rig(off);
   rig.run(16);
   EXPECT_EQ(rig.runtime->results().size(), 16u);
   EXPECT_EQ(rig.runtime->stats().worker_failures, 0u);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/health.h"
 #include "interconnect/packet.h"
+#include "sim/parallel.h"
 #include "sim/timeline.h"
+#include "unimem/directory.h"
 #include "unimem/pgas.h"
 #include "unimem/sync.h"
 
@@ -285,8 +289,8 @@ TEST(PgasFailover, RequesterNodeDownFallsBackToReplica) {
   PgasConfig cfg;
   cfg.nodes = 3;
   cfg.workers_per_node = 1;
-  cfg.fault_retry_timeout = microseconds(2);
-  cfg.fault_retry_backoff = microseconds(1);
+  cfg.fault_retry.timeout = microseconds(2);
+  cfg.fault_retry.backoff = microseconds(1);
   PgasSystem pgas(cfg);
   HealthRegistry health(3, 1);
   pgas.set_health(&health);
@@ -294,11 +298,11 @@ TEST(PgasFailover, RequesterNodeDownFallsBackToReplica) {
   health.mark_down(2);  // page owner
   health.mark_down(1);  // the requester's own node
   const auto r = pgas.load({1, 0}, addr, 64, 0);
-  EXPECT_EQ(pgas.remote_retries(), cfg.fault_max_retries);
+  EXPECT_EQ(pgas.remote_retries(), cfg.fault_retry.max_retries);
   EXPECT_EQ(pgas.page_failovers(), 1u);
   SimDuration retry_floor = 0;
-  for (std::size_t a = 0; a < cfg.fault_max_retries; ++a) {
-    retry_floor += cfg.fault_retry_timeout + a * cfg.fault_retry_backoff;
+  for (std::size_t a = 0; a < cfg.fault_retry.max_retries; ++a) {
+    retry_floor += cfg.fault_retry.wait(a);
   }
   EXPECT_GE(r.finish, retry_floor);
   EXPECT_TRUE(r.remote);  // node 0 now owns it; the requester is node 1
@@ -308,7 +312,7 @@ TEST(PgasFailover, RequesterNodeDownFallsBackToReplica) {
   // no further retries or failovers.
   const auto after = pgas.load({0, 0}, addr, 8, r.finish);
   EXPECT_FALSE(after.remote);
-  EXPECT_EQ(pgas.remote_retries(), cfg.fault_max_retries);
+  EXPECT_EQ(pgas.remote_retries(), cfg.fault_retry.max_retries);
   EXPECT_EQ(pgas.page_failovers(), 1u);
 }
 
@@ -321,8 +325,8 @@ TEST(PgasFailover, RepairRacingFinalRetryAvoidsFailover) {
   PgasConfig cfg;
   cfg.nodes = 2;
   cfg.workers_per_node = 1;
-  cfg.fault_retry_timeout = microseconds(2);
-  cfg.fault_retry_backoff = microseconds(1);
+  cfg.fault_retry.timeout = microseconds(2);
+  cfg.fault_retry.backoff = microseconds(1);
   PgasSystem pgas(cfg);
   HealthRegistry health(2, 1);
   pgas.set_health(&health);
@@ -332,18 +336,225 @@ TEST(PgasFailover, RepairRacingFinalRetryAvoidsFailover) {
   PgasObserver obs;
   obs.on_retry = [&](WorkerCoord, PageId, std::size_t attempt, SimTime) {
     retries_seen = attempt;
-    if (attempt == cfg.fault_max_retries) health.mark_up(1);
+    if (attempt == cfg.fault_retry.max_retries) health.mark_up(1);
   };
   pgas.set_observer(&obs);
   const auto r = pgas.load({0, 0}, addr, 64, 0);
   pgas.set_observer(nullptr);
   // Every retry attempt was burned, but no failover happened.
-  EXPECT_EQ(retries_seen, cfg.fault_max_retries);
-  EXPECT_EQ(pgas.remote_retries(), cfg.fault_max_retries);
+  EXPECT_EQ(retries_seen, cfg.fault_retry.max_retries);
+  EXPECT_EQ(pgas.remote_retries(), cfg.fault_retry.max_retries);
   EXPECT_EQ(pgas.page_failovers(), 0u);
   EXPECT_TRUE(r.remote);  // served by the original, repaired owner
   EXPECT_TRUE(pgas.directory().cacheable_at(page_of(addr), 1));
   EXPECT_FALSE(pgas.directory().cacheable_at(page_of(addr), 0));
+}
+
+// --- cross-node ownership directory ------------------------------------------
+
+constexpr SimDuration kDirHop = nanoseconds(200);
+
+ShardedConfig dir_engine(std::size_t nodes) {
+  ShardedConfig sc;
+  sc.shards = nodes;
+  sc.lookahead = kDirHop;
+  sc.threads = 2;  // the threaded engine: one node's events per shard
+  return sc;
+}
+
+/// Counts the protocol's callbacks per node; each slot is written only on
+/// its node's shard.
+struct CountingClient : DirectoryClient {
+  explicit CountingClient(ShardedSimulator& engine)
+      : sim(engine),
+        served(engine.shard_count(), 0),
+        served_at(engine.shard_count(), 0),
+        installs(engine.shard_count(), 0),
+        migrated_at(engine.shard_count(), 0) {}
+  void serve(std::size_t node, const DirRequest&) override {
+    ++served[node];
+    served_at[node] = sim.shard(node).now();
+  }
+  void installed(std::size_t node, const DirRequest&, bool) override {
+    ++installs[node];
+  }
+  void migrated(const DirRequest& req) override { ++migrated_at[req.from]; }
+  ShardedSimulator& sim;
+  std::vector<int> served;
+  std::vector<SimTime> served_at;
+  std::vector<int> installs;
+  std::vector<int> migrated_at;
+};
+
+TEST(ShardedDirectory, PauseFlipUpdatesEveryView) {
+  // Both forms: the pause-only directory (one shared row) and the
+  // protocol directory (one row per node).
+  ShardedSimulator sim(dir_engine(4));
+  CountingClient client(sim);
+  ShardedDirectory shared(4, {0, 1, 2, 3});
+  ShardedDirectory per_node(sim, kDirHop, RetryPolicy{}, client,
+                            {0, 1, 2, 3});
+  for (ShardedDirectory* dir : {&shared, &per_node}) {
+    EXPECT_EQ(dir->transfer_at_pause(1, 3), 1u);
+    for (std::size_t n = 0; n < 4; ++n) EXPECT_EQ(dir->view(n, 1), 3u);
+    EXPECT_EQ(dir->holder(1), 3u);
+    EXPECT_TRUE(dir->holds(3, 1));
+    EXPECT_FALSE(dir->holds(1, 1));
+    // Other items keep their owners.
+    EXPECT_EQ(dir->holder(0), 0u);
+    EXPECT_EQ(dir->holder(3), 3u);
+    EXPECT_EQ(dir->view(2, 0), 0u);
+  }
+}
+
+TEST(ShardedDirectory, PauseOnlyDirectoryRefusesTheProtocol) {
+  ShardedDirectory dir(2, {0});
+  DirRequest req;
+  EXPECT_THROW(dir.request(req), CheckError);
+  EXPECT_THROW(dir.update(1, 0, 1), CheckError);
+  EXPECT_EQ(dir.holder(0), 0u);
+}
+
+TEST(ShardedDirectory, InFlightTransferKeepsExactlyOneHolder) {
+  // Node 2 migrates item 0 from node 0 to node 1. Every shard samples
+  // whether it holds the item every 50 ns (its own row only); no sample
+  // instant may see two holders, and the run ends with one.
+  constexpr std::size_t kNodes = 3;
+  constexpr std::size_t kProbes = 40;
+  ShardedSimulator sim(dir_engine(kNodes));
+  CountingClient client(sim);
+  ShardedDirectory dir(sim, kDirHop, RetryPolicy{}, client, {0});
+  std::vector<std::vector<char>> held(kNodes, std::vector<char>(kProbes, 0));
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    for (std::size_t k = 0; k < kProbes; ++k) {
+      sim.shard(n).schedule_at(nanoseconds(50) * k + 1, [&, n, k] {
+        held[n][k] = dir.holds(n, 0) ? 1 : 0;
+      });
+    }
+  }
+  DirRequest req;
+  req.item = 0;
+  req.from = 2;
+  req.migrate = true;
+  req.to = 1;
+  sim.shard(2).schedule_at(1, [&] { dir.request(req); });
+  sim.run();
+  for (std::size_t k = 0; k < kProbes; ++k) {
+    int holders = 0;
+    for (std::size_t n = 0; n < kNodes; ++n) holders += held[n][k];
+    EXPECT_LE(holders, 1) << "probe " << k;
+  }
+  EXPECT_EQ(dir.holder(0), 1u);
+  for (std::size_t n = 0; n < kNodes; ++n) EXPECT_EQ(dir.view(n, 0), 1u);
+  EXPECT_EQ(client.installs[1], 1);
+  EXPECT_EQ(client.migrated_at[2], 1);
+  EXPECT_EQ(dir.counters().migrations, 1u);
+}
+
+TEST(ShardedDirectory, PauseTransferOfAnItemInFlightIsRefused) {
+  // Pause between the release at node 0 and the install at node 1: no
+  // node holds the item, so a pause flip must fail loudly instead of
+  // creating a second holder when the install lands.
+  ShardedSimulator sim(dir_engine(2));
+  CountingClient client(sim);
+  ShardedDirectory dir(sim, kDirHop, RetryPolicy{}, client, {0});
+  DirRequest req;
+  req.item = 0;
+  req.from = 0;
+  req.migrate = true;
+  req.to = 1;
+  sim.shard(0).schedule_at(1, [&] { dir.request(req); });
+  EXPECT_FALSE(sim.run_until(kDirHop));
+  EXPECT_FALSE(dir.holds(0, 0));
+  EXPECT_FALSE(dir.holds(1, 0));
+  EXPECT_THROW(dir.holder(0), CheckError);
+  EXPECT_THROW(dir.transfer_at_pause(0, 0), CheckError);
+  sim.run();
+  EXPECT_EQ(dir.holder(0), 1u);
+}
+
+TEST(ShardedDirectory, StaleBroadcastNeitherDisplacesAHolderNorSelfPoints) {
+  ShardedSimulator sim(dir_engine(3));
+  CountingClient client(sim);
+  ShardedDirectory dir(sim, kDirHop, RetryPolicy{}, client, {0});
+  // A late "node 2 holds it" reaches the holder: the holder keeps it.
+  dir.update(0, 0, 2);
+  EXPECT_TRUE(dir.holds(0, 0));
+  // "Node 1 holds it" reaching node 1, which does not: no second holder.
+  dir.update(1, 0, 1);
+  EXPECT_EQ(dir.view(1, 0), 0u);
+  EXPECT_EQ(dir.holder(0), 0u);
+  // A non-holder does take a fresh owner hint.
+  dir.update(1, 0, 2);
+  EXPECT_EQ(dir.view(1, 0), 2u);
+  EXPECT_EQ(dir.holder(0), 0u);
+}
+
+TEST(ShardedDirectory, HopBoundFiresOnAForwardingCycle) {
+  // Stale hints leave nodes 1 and 2 pointing at each other while node 0
+  // holds the item: a request from node 1 would circle forever, so the
+  // hop bound must stop the run.
+  ShardedSimulator sim(dir_engine(3));
+  CountingClient client(sim);
+  ShardedDirectory dir(sim, kDirHop, RetryPolicy{}, client, {0});
+  dir.update(1, 0, 2);
+  dir.update(2, 0, 1);
+  DirRequest req;
+  req.item = 0;
+  req.from = 1;
+  sim.shard(1).schedule_at(1, [&] { dir.request(req); });
+  try {
+    sim.run();
+    FAIL() << "a forwarding cycle must trip the hop bound";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not converge"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(client.served[0], 0);
+}
+
+TEST(RetryPolicy, SameDeadOwnerCostsTheSameAttemptsInBothDirectories) {
+  // One contract, two implementations: PgasSystem (in-machine) and the
+  // sharded directory each spend max_retries timed-out attempts on a dead
+  // owner, then fail the page over to the requester exactly once.
+  RetryPolicy policy;
+  policy.max_retries = 4;
+  policy.timeout = microseconds(2);
+  policy.backoff = microseconds(1);
+
+  PgasConfig cfg;
+  cfg.nodes = 2;
+  cfg.workers_per_node = 1;
+  cfg.fault_retry = policy;
+  PgasSystem pgas(cfg);
+  HealthRegistry health(2, 1);
+  pgas.set_health(&health);
+  const auto addr = pgas.alloc(1, 0, kPageSize);
+  health.mark_down(1);
+  pgas.load({0, 0}, addr, 64, 0);
+
+  ShardedSimulator sim(dir_engine(2));
+  CountingClient client(sim);
+  ShardedDirectory dir(sim, kDirHop, policy, client, {1});
+  dir.set_alive(1, false);
+  DirRequest req;
+  req.item = 0;
+  req.from = 0;
+  sim.shard(0).schedule_at(0, [&] { dir.request(req); });
+  sim.run();
+
+  const ShardedDirectory::Counters c = dir.counters();
+  EXPECT_EQ(pgas.remote_retries(), policy.max_retries);
+  EXPECT_EQ(c.retries, pgas.remote_retries());
+  EXPECT_EQ(c.nacks, policy.max_retries + 1);  // the first try, then each
+  EXPECT_EQ(pgas.page_failovers(), 1u);
+  EXPECT_EQ(c.failovers, pgas.page_failovers());
+  EXPECT_EQ(dir.holder(0), 0u);
+  EXPECT_EQ(client.served[0], 1);
+  SimDuration waits = 0;
+  for (std::size_t k = 0; k < policy.max_retries; ++k) waits += policy.wait(k);
+  EXPECT_GE(client.served_at[0], waits);
 }
 
 }  // namespace
