@@ -3,12 +3,12 @@
 // what the implicit-routing + pooled-state refactor is supposed to buy:
 //
 //  * construction wall time (a 100k-worker machine must build in < 1 s),
-//  * routing + cross-shard mailbox state per endpoint (< 64 B/endpoint —
+//  * routing + cross-shard outbox state per endpoint (< 64 B/endpoint —
 //    the dense table alone was 8 B per endpoint *pair*),
 //  * route-computation ns/op (the LCA walk, sampled over random pairs),
 //    compared head-to-head against the legacy dense table at 64 workers,
-//  * cross-shard message throughput through the consolidated per-thread
-//    lanes, with the 1-vs-N-thread hash equality gate.
+//  * cross-shard message throughput through the engine's one outbox, with
+//    a pinned hash.
 //
 // Deterministic columns (state bytes, hashes, counts) are committed in
 // bench/baselines/bench_scale.json and compared exactly by CI; wall-time
@@ -65,8 +65,8 @@ struct ScaleRow {
   double construct_ms = 0.0;
   double rss_mb = 0.0;             // RSS growth while constructing
   std::uint64_t route_bytes = 0;   // Network routing state
-  std::uint64_t lane_bytes = 0;    // sharded-engine lane rings
-  double state_b_per_ep = 0.0;     // (route + lanes) / workers
+  std::uint64_t outbox_bytes = 0;  // sharded-engine outbox
+  double state_b_per_ep = 0.0;     // (route + outbox) / workers
   double route_ns = 0.0;           // route_latency ns/op, sampled pairs
   std::uint64_t lazy_workers = 0;  // constructed after touching one pool
 };
@@ -102,12 +102,11 @@ ScaleRow measure_scale_point(const ScalePoint& p) {
   const std::uint64_t rss_before = rss_bytes();
   const auto start = Clock::now();
   Machine machine(mc);
-  // The engine shard layout a parallel run of this machine would use: one
-  // shard per Compute Node, one message lane per worker thread.
+  // The engine shard layout a sharded run of this machine would use: one
+  // shard per Compute Node.
   ShardedConfig sc;
   sc.shards = p.nodes;
   sc.lookahead = std::max<SimDuration>(machine.pgas().shard_lookahead(), 1);
-  sc.threads = bench::sim_threads();
   ShardedSimulator engine(sc);
   row.construct_ms = ms_since(start);
   const std::uint64_t rss_after = rss_bytes();
@@ -119,9 +118,9 @@ ScaleRow measure_scale_point(const ScalePoint& p) {
   ECO_CHECK_MSG(net.implicit_routing(),
                 "machine trees must route implicitly");
   row.route_bytes = net.route_state_bytes();
-  row.lane_bytes = engine.mailbox_state_bytes();
+  row.outbox_bytes = engine.mailbox_state_bytes();
   row.state_b_per_ep =
-      static_cast<double>(row.route_bytes + row.lane_bytes) /
+      static_cast<double>(row.route_bytes + row.outbox_bytes) /
       static_cast<double>(row.workers);
 
   // Routing cost, sampled over random pairs (fewer samples at 100k where
@@ -140,9 +139,9 @@ ScaleRow measure_scale_point(const ScalePoint& p) {
   return row;
 }
 
-// --- cross-shard message throughput over the consolidated lanes -------------
+// --- cross-shard message throughput -----------------------------------------
 
-struct LaneActor {
+struct PostActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
   std::size_t shards = 0;
@@ -167,7 +166,11 @@ struct LaneActor {
   }
 };
 
-struct LaneRun {
+/// post_throughput(32, 600)'s hash, pinned when the workload was written
+/// (and equal at every thread count the engine used to offer).
+constexpr std::uint64_t kPostHash = 1933027399000859106ull;
+
+struct PostRun {
   std::uint64_t messages = 0;
   std::uint64_t spills = 0;
   double msgs_per_sec = 0.0;
@@ -175,20 +178,18 @@ struct LaneRun {
   double wall_s = 0.0;
 };
 
-LaneRun lane_throughput(std::size_t shards, std::size_t threads,
-                        std::uint64_t fires) {
+PostRun post_throughput(std::size_t shards, std::uint64_t fires) {
   ShardedConfig sc;
   sc.shards = shards;
   sc.lookahead = 200;
-  sc.threads = threads;
   sc.mailbox_capacity = 1024;
   ShardedSimulator engine(sc);
   std::vector<std::uint64_t> hashes(shards, 1469598103934665603ull);
-  std::vector<std::unique_ptr<LaneActor>> actors;
+  std::vector<std::unique_ptr<PostActor>> actors;
   for (std::size_t s = 0; s < shards; ++s) {
     for (int a = 0; a < 4; ++a) {
-      actors.push_back(std::make_unique<LaneActor>());
-      LaneActor& actor = *actors.back();
+      actors.push_back(std::make_unique<PostActor>());
+      PostActor& actor = *actors.back();
       actor.eng = &engine;
       actor.shard = s;
       actor.shards = shards;
@@ -201,7 +202,7 @@ LaneRun lane_throughput(std::size_t shards, std::size_t threads,
   }
   const auto start = Clock::now();
   engine.run();
-  LaneRun run;
+  PostRun run;
   run.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   run.messages = engine.messages();
   run.spills = engine.mailbox_spills();
@@ -225,7 +226,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "bench_scale",
       "hierarchical machines scale to 100k workers: implicit routes, "
-      "per-thread lanes, pooled node state");
+      "one cross-shard outbox, pooled node state");
 
   // --- construction + state sweep -----------------------------------------
   const std::vector<ScalePoint> points = {
@@ -235,23 +236,23 @@ int main(int argc, char** argv) {
       {6250, 16, 25},   // 100k, three-level tree
   };
   Table scale({"workers", "nodes", "construct ms", "rss MB", "route bytes",
-               "lane bytes", "state B/ep", "route ns/op", "lazy workers"});
+               "outbox bytes", "state B/ep", "route ns/op", "lazy workers"});
   std::vector<ScaleRow> rows;
   for (const ScalePoint& p : points) {
     rows.push_back(measure_scale_point(p));
     const ScaleRow& r = rows.back();
     scale.add_row({fmt_u64(r.workers), fmt_u64(r.nodes),
                    fmt_fixed(r.construct_ms, 2), fmt_fixed(r.rss_mb, 1),
-                   fmt_u64(r.route_bytes), fmt_u64(r.lane_bytes),
+                   fmt_u64(r.route_bytes), fmt_u64(r.outbox_bytes),
                    fmt_fixed(r.state_b_per_ep, 2), fmt_fixed(r.route_ns, 1),
                    fmt_u64(r.lazy_workers)});
   }
   bench::print_table(
       scale,
       "machine construction and routing state, 64 -> 100k workers (route\n"
-      "state is the per-vertex tree arrays; lane bytes the per-thread\n"
-      "cross-shard rings; lazy workers = constructed after touching one\n"
-      "node's pool):");
+      "state is the per-vertex tree arrays; outbox bytes the engine's\n"
+      "reserved cross-shard outbox; lazy workers = constructed after\n"
+      "touching one node's pool):");
   const ScaleRow& big = rows.back();
   if (big.construct_ms >= 1000.0) {
     std::cerr << "FATAL: 100k-worker machine took " << big.construct_ms
@@ -259,7 +260,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (big.state_b_per_ep >= 64.0) {
-    std::cerr << "FATAL: route+mailbox state is " << big.state_b_per_ep
+    std::cerr << "FATAL: route+outbox state is " << big.state_b_per_ep
               << " B/endpoint at 100k workers (budget: 64)\n";
     return 1;
   }
@@ -287,29 +288,21 @@ int main(int argc, char** argv) {
                      "pre-materialized dense table (the walk must stay\n"
                      "within 2x of the lookup):");
 
-  // --- cross-shard throughput over consolidated lanes ---------------------
+  // --- cross-shard throughput --------------------------------------------
   constexpr std::size_t kShards = 32;
   constexpr std::uint64_t kFires = 600;
-  lane_throughput(kShards, 1, kFires / 8);  // warm-up
-  const LaneRun seq = lane_throughput(kShards, 1, kFires);
-  const LaneRun par = lane_throughput(kShards, bench::sim_threads(), kFires);
-  Table lanes({"sim threads", "messages", "spills", "msgs/sec", "hash"});
-  lanes.add_row({"1", fmt_u64(seq.messages), fmt_u64(seq.spills),
-                 fmt_sci(seq.msgs_per_sec, 3), fmt_u64(seq.hash)});
-  lanes.add_row({fmt_u64(bench::sim_threads()), fmt_u64(par.messages),
-                 fmt_u64(par.spills), fmt_sci(par.msgs_per_sec, 3),
-                 fmt_u64(par.hash)});
+  post_throughput(kShards, kFires / 8);  // warm-up
+  const PostRun posts = post_throughput(kShards, kFires);
+  Table post_table({"mesh", "messages", "spills", "msgs/sec", "hash"});
+  post_table.add_row({"32x4", fmt_u64(posts.messages), fmt_u64(posts.spills),
+                      fmt_sci(posts.msgs_per_sec, 3), fmt_u64(posts.hash)});
   bench::print_table(
-      lanes,
-      "cross-shard messages through the per-thread lanes, 32 shards x 4\n"
-      "actors (hashes must match across thread counts; spill counts are\n"
-      "wall-clock-side and may differ):");
-  if (seq.hash != par.hash) {
-    std::cerr << "FATAL: lane hash mismatch across thread counts\n";
-    return 1;
-  }
-  if (seq.messages != par.messages) {
-    std::cerr << "FATAL: lane message count depends on thread count\n";
+      post_table,
+      "cross-shard messages through the engine's outbox, 32 shards x 4\n"
+      "actors (the hash is pinned):");
+  if (posts.hash != kPostHash) {
+    std::cerr << "FATAL: cross-shard hash " << posts.hash
+              << " differs from the pinned " << kPostHash << "\n";
     return 1;
   }
 
@@ -321,8 +314,7 @@ int main(int argc, char** argv) {
             << ", \"route_ns_100k\": " << big.route_ns
             << ", \"route_ns_dense_64\": " << dense_ns
             << ", \"route_ns_implicit_64\": " << implicit_ns
-            << ", \"lane_msgs_per_sec\": " << par.msgs_per_sec
-            << ", \"lane_hash_match\": " << (seq.hash == par.hash ? 1 : 0)
+            << ", \"cross_shard_msgs_per_sec\": " << posts.msgs_per_sec
             << "}\n";
   return 0;
 }

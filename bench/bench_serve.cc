@@ -4,9 +4,6 @@
 //
 //  * throughput vs offered load: goodput and p50/p99/p999 across a sweep
 //    of offered loads — the saturation knee where queueing takes over,
-//  * determinism: the knee point re-run at --sim-threads 1 vs N must
-//    produce byte-identical fingerprints (latency histograms + apply
-//    logs + shed counts, reduction-tree folded),
 //  * admission control at 10x overload: bounded p999 and counted sheds
 //    with a queue-depth limit vs unbounded queueing without,
 //  * key skew: the same offered load from uniform to strongly Zipfian,
@@ -50,7 +47,6 @@ struct KvRunConfig {
   std::size_t admission_limit = 64;
   std::size_t batch_size = 1;
   SimDuration dispatch_overhead = 0;
-  std::size_t sim_threads = 1;
   std::size_t requests_per_node = kRequestsPerNode;
 };
 
@@ -70,7 +66,6 @@ KvRunResult run_kv(const KvRunConfig& cfg) {
   ShardedRuntimeConfig rc;
   rc.nodes = kNodes;
   rc.workers_per_node = kWorkersPerNode;
-  rc.threads = cfg.sim_threads;
   rc.runtime.placement = PlacementPolicy::kAlwaysSoftware;
   rc.runtime.distribution = DistributionPolicy::kHomeOnly;
   rc.runtime.admission_limit = cfg.admission_limit;
@@ -144,9 +139,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "bench_serve",
       "PGAS key-value serving + graph analytics: tail latency, admission "
-      "control, deterministic under --sim-threads N");
+      "control, pinned fingerprints");
 
-  const std::size_t sim_threads = bench::sim_threads();
   const double zipf =
       bench::options().zipf >= 0.0 ? bench::options().zipf : 0.99;
 
@@ -164,7 +158,6 @@ int main(int argc, char** argv) {
     KvRunConfig cfg;
     cfg.offered_load = load;
     cfg.zipf = zipf;
-    cfg.sim_threads = sim_threads;
     sweep.push_back(run_kv(cfg));
     const KvRunResult& r = sweep.back();
     knee_table.add_row(
@@ -190,37 +183,12 @@ int main(int argc, char** argv) {
   }
   const double knee_load = loads[knee];
 
-  // --- determinism gate: --sim-threads 1 vs N -----------------------------
-  KvRunConfig det_cfg;
-  det_cfg.offered_load = knee_load;
-  det_cfg.zipf = zipf;
-  det_cfg.sim_threads = 1;
-  const KvRunResult det_seq = run_kv(det_cfg);
-  det_cfg.sim_threads = sim_threads;
-  const KvRunResult det_par = run_kv(det_cfg);
-  Table det_table({"sim threads", "completed", "shed", "hash"});
-  det_table.add_row({"1", fmt_u64(det_seq.report.completed),
-                     fmt_u64(det_seq.shed),
-                     fmt_u64(det_seq.report.fingerprint)});
-  det_table.add_row({fmt_u64(sim_threads), fmt_u64(det_par.report.completed),
-                     fmt_u64(det_par.shed),
-                     fmt_u64(det_par.report.fingerprint)});
-  bench::print_table(det_table,
-                     "knee-point run at 1 vs N simulation threads (latency\n"
-                     "histograms + apply logs + shed counts must fold to\n"
-                     "the same fingerprint):");
-  if (det_seq.report.fingerprint != det_par.report.fingerprint) {
-    std::cerr << "FATAL: serve fingerprint differs across sim threads\n";
-    return 1;
-  }
-
   // --- admission control at 10x overload ----------------------------------
   const double overload = 10.0 * sweep[knee].goodput;
   KvRunConfig over_on;
   over_on.offered_load = overload;
   over_on.zipf = zipf;
   over_on.admission_limit = 48;
-  over_on.sim_threads = sim_threads;
   KvRunConfig over_off = over_on;
   over_off.admission_limit = 0;
   const KvRunResult on = run_kv(over_on);
@@ -261,7 +229,6 @@ int main(int argc, char** argv) {
     KvRunConfig cfg;
     cfg.offered_load = knee_load;
     cfg.zipf = s;
-    cfg.sim_threads = sim_threads;
     const KvRunResult r = run_kv(cfg);
     if (s == 0.0) skew_p99_uniform = r.tail.p99_ns;
     if (s == 1.2) skew_p99_hot = r.tail.p99_ns;
@@ -283,7 +250,6 @@ int main(int argc, char** argv) {
     cfg.zipf = zipf;
     cfg.batch_size = batch;
     cfg.dispatch_overhead = nanoseconds(500);
-    cfg.sim_threads = sim_threads;
     const KvRunResult r = run_kv(cfg);
     batch_table.add_row({fmt_u64(batch), fmt_sci(r.goodput, 3),
                          fmt_fixed(r.tail.p50_ns, 1),
@@ -372,9 +338,6 @@ int main(int argc, char** argv) {
             << ", \"overload_p999_off_ns\": " << off.tail.p999_ns
             << ", \"skew_p99_uniform_ns\": " << skew_p99_uniform
             << ", \"skew_p99_hot_ns\": " << skew_p99_hot
-            << ", \"det_match\": "
-            << (det_seq.report.fingerprint == det_par.report.fingerprint ? 1
-                                                                         : 0)
             << ", \"bfs_remote_fraction\": " << bfs.stats.remote_fraction()
             << ", \"graph_ok\": " << (graph_ok ? 1 : 0) << "}\n";
   return 0;

@@ -117,7 +117,7 @@ ScheduleStepResult backlog_throughput(std::uint64_t total_events) {
   return r;
 }
 
-// --- sharded parallel engine --------------------------------------------
+// --- sharded engine --------------------------------------------------------
 
 /// Per-shard FNV-1a accumulator (same recipe as the determinism tests).
 /// Each shard's actions only ever touch their own shard's slot, and posted
@@ -137,29 +137,24 @@ struct ShardedMeshResult {
   std::uint64_t windows = 0;
   std::uint64_t messages = 0;
   std::uint64_t hash = 0;     // combined per-shard hashes + engine counters
-  std::size_t threads = 0;    // threads the window loop actually used
   double wall_s = 0.0;
   std::uint64_t shard_windows = 0;  // per-shard executions across rounds
   std::uint64_t stalled = 0;        // skipped shard-windows (barrier stall)
-  std::uint64_t wide_rounds = 0;    // rounds run wide (0 at one thread)
-  // Host ns per round outside shard windows: plan, merge and fold (plus
-  // gates when wide). Window time is summed over threads, so this is only
-  // a per-round cost at one thread.
+  // Host ns per round outside shard windows: plan, merge and fold.
   double host_ns_per_round = 0.0;
 };
 
 /// Cross-posting actor mesh on the ShardedSimulator: per-shard
 /// self-rescheduling actors where one fire in four also posts an event to
 /// another shard at now + lookahead + jitter. Exercises window turnover,
-/// the lane-order mailbox merge and the post() latency contract — the
+/// the push-order merge and the post() latency contract — the
 /// engine-level analogue of the multi-node runtime workloads.
-ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
+ShardedMeshResult sharded_mesh(std::size_t shards,
                                std::size_t actors_per_shard,
                                std::uint64_t fires_per_actor) {
   ShardedConfig sc;
   sc.shards = shards;
   sc.lookahead = 200;
-  sc.threads = threads;
   sc.mailbox_capacity = 256;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(shards);
@@ -213,10 +208,8 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   r.events = engine.events_processed();
   r.windows = engine.windows();
   r.messages = engine.messages();
-  r.threads = engine.threads_used();
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
-  r.wide_rounds = engine.wide_rounds();
   r.host_ns_per_round =
       (r.wall_s * 1e9 - static_cast<double>(engine.shard_wall_time_ns())) /
       static_cast<double>(std::max<std::uint64_t>(r.windows, 1));
@@ -236,10 +229,8 @@ struct ImbalancedMeshResult {
   std::uint64_t rounds = 0;          // engine synchronization rounds
   std::uint64_t shard_windows = 0;   // per-shard window executions
   std::uint64_t stalled = 0;         // shard-windows skipped (no work)
-  std::uint64_t wide_rounds = 0;     // deterministic at any threads > 1
   std::uint64_t messages = 0;
   std::uint64_t hash = 0;
-  std::size_t threads = 0;
   double wall_s = 0.0;
   double stall_frac() const {
     const std::uint64_t total = shard_windows + stalled;
@@ -258,15 +249,13 @@ constexpr SimDuration kImbLookahead = 200;
 /// global window `[floor, floor + lookahead)` would march every shard
 /// forward 200 ns at a time — 100 all-stall barrier rounds per quiet gap,
 /// kImbEpochs * kImbPeriod / kImbLookahead rounds in all — while per-shard
-/// horizons let the hot shard cross each gap in a single fat window and the
-/// cold burst rounds spread over the worker threads' fixed shard ranges.
-ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
+/// horizons let the hot shard cross each gap in a single fat window.
+ImbalancedMeshResult imbalanced_mesh() {
   constexpr std::size_t kShards = 64;
   constexpr std::uint64_t kBurst = 16;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = kImbLookahead;
-  sc.threads = threads;
   sc.mailbox_capacity = 1024;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(kShards);
@@ -343,9 +332,7 @@ ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   r.rounds = engine.windows();
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
-  r.wide_rounds = engine.wide_rounds();
   r.messages = engine.messages();
-  r.threads = engine.threads_used();
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
   combined.mix(r.events);
@@ -357,32 +344,11 @@ ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   return r;
 }
 
-constexpr int kSpeedupReps = 5;
-
-/// Times `run(1)` and `run(threads)` alternately kSpeedupReps times and
-/// keeps each side's fastest rep, so host drift hits both sides alike and a
-/// one-off stall on either side cannot set the ratio (single ~10-40 ms runs
-/// swung the speedups several-fold). Returns false as soon as any rep's
-/// hash differs from the first 1-thread rep's.
-template <typename Result, typename Run>
-bool fastest_alternating(Run run, std::size_t threads, Result& seq,
-                         Result& par) {
-  for (int rep = 0; rep < kSpeedupReps; ++rep) {
-    const Result s = run(1);
-    const Result p = run(threads);
-    if (rep == 0) {
-      seq = s;
-      par = p;
-    }
-    if (s.hash != seq.hash || p.hash != seq.hash) {
-      par = p.hash != seq.hash ? p : s;
-      return false;
-    }
-    if (s.wall_s < seq.wall_s) seq = s;
-    if (p.wall_s < par.wall_s) par = p;
-  }
-  return true;
-}
+/// The meshes' combined hashes, pinned when each scenario was written
+/// (and equal at every thread count the engine used to offer). A change
+/// means the engine's event order changed.
+constexpr std::uint64_t kMeshHash = 17309734613842959067ull;
+constexpr std::uint64_t kImbHash = 802887353787896146ull;
 
 /// reserve() throughput for a timeline type under a given load pattern.
 template <typename TimelineT>
@@ -508,95 +474,65 @@ int main(int argc, char** argv) {
       "the calendar's live-interval set bounded; release() additionally\n"
       "prunes the retired past:");
 
-  // --- sharded parallel engine scaling ------------------------------------
-  // 8 shards of cross-posting actors, run sequentially and at the
-  // requested --sim-threads (fastest of kSpeedupReps alternating reps per
-  // side); identical combined hashes in every rep demonstrate the
-  // deterministic merge, the events/sec column the window-loop scaling.
+  // --- sharded engine -----------------------------------------------------
+  // 8 shards of cross-posting actors; the hash must equal the pinned one
+  // (the merge order is canonical).
   constexpr std::size_t kShards = 8;
   constexpr std::size_t kActorsPerShard = 16;
   constexpr std::uint64_t kFires = 1500;
-  sharded_mesh(kShards, 1, kActorsPerShard, kFires / 8);  // warm-up
-  ShardedMeshResult seq;
-  ShardedMeshResult par;
-  const bool hashes_match = fastest_alternating(
-      [&](std::size_t threads) {
-        return sharded_mesh(kShards, threads, kActorsPerShard, kFires);
-      },
-      bench::sim_threads(), seq, par);
-  const double seq_eps = static_cast<double>(seq.events) / seq.wall_s;
-  const double par_eps = static_cast<double>(par.events) / par.wall_s;
-  Table sharded({"sim threads", "events", "windows", "wide rounds",
-                 "messages", "events/sec", "speedup", "host ns/round",
-                 "hash"});
-  sharded.add_row({"1", fmt_u64(seq.events), fmt_u64(seq.windows),
-                   fmt_u64(seq.wide_rounds), fmt_u64(seq.messages),
-                   fmt_sci(seq_eps, 3), "1.00x",
+  sharded_mesh(kShards, kActorsPerShard, kFires / 8);  // warm-up
+  const ShardedMeshResult mesh =
+      sharded_mesh(kShards, kActorsPerShard, kFires);
+  const double mesh_eps = static_cast<double>(mesh.events) / mesh.wall_s;
+  Table sharded({"mesh", "events", "windows", "messages", "events/sec",
+                 "host ns/round", "hash"});
+  sharded.add_row({"8x16", fmt_u64(mesh.events), fmt_u64(mesh.windows),
+                   fmt_u64(mesh.messages), fmt_sci(mesh_eps, 3),
                    fmt_u64(static_cast<std::uint64_t>(
-                       std::max(seq.host_ns_per_round, 0.0))),
-                   fmt_u64(seq.hash)});
-  sharded.add_row({fmt_u64(par.threads), fmt_u64(par.events),
-                   fmt_u64(par.windows), fmt_u64(par.wide_rounds),
-                   fmt_u64(par.messages), fmt_sci(par_eps, 3),
-                   fmt_ratio(par_eps / seq_eps), "-", fmt_u64(par.hash)});
+                       std::max(mesh.host_ns_per_round, 0.0))),
+                   fmt_u64(mesh.hash)});
   bench::print_table(
       sharded,
-      "sharded engine, 8 shards x 16 cross-posting actors (--sim-threads\n"
-      "selects the parallel row; hashes must match — the merge order is\n"
-      "canonical, so thread count never changes results; host ns/round is\n"
-      "the 1-thread time outside shard windows per round):");
-  if (!hashes_match) {
-    std::cerr << "FATAL: sharded engine hash mismatch across thread counts\n";
+      "sharded engine, 8 shards x 16 cross-posting actors (host ns/round\n"
+      "is the time outside shard windows per round):");
+  if (mesh.hash != kMeshHash) {
+    std::cerr << "FATAL: sharded-mesh hash " << mesh.hash
+              << " differs from the pinned " << kMeshHash << "\n";
     return 1;
   }
 
   // --- imbalanced topology: per-shard horizons ---------------------------
-  // 1 hot shard + 63 periodic-burst cold shards, run sequentially and at
-  // --sim-threads, fastest of kSpeedupReps alternating reps per side (the
-  // speedup is the ratio of the two). Deterministic columns (events,
-  // rounds, shard windows, messages, hash) are identical across thread
-  // counts — enforced in-binary below — and the round count is the horizons' acceptance metric: a
-  // global window would burn ~100 all-stall barrier rounds per quiet gap,
-  // per-shard horizons cross each gap in one window, so the parallel run
-  // stops being barrier-bound.
-  imbalanced_mesh(1);  // warm-up
-  ImbalancedMeshResult imb_seq;
-  ImbalancedMeshResult imb_par;
-  const bool imb_hashes_match = fastest_alternating(
-      imbalanced_mesh, bench::sim_threads(), imb_seq, imb_par);
-  const double imb_speedup = imb_seq.wall_s / imb_par.wall_s;
+  // 1 hot shard + 63 periodic-burst cold shards. The round count is the
+  // horizons' acceptance metric: a global window would burn ~100
+  // all-stall barrier rounds per quiet gap, per-shard horizons cross each
+  // gap in one window.
+  imbalanced_mesh();  // warm-up
+  const ImbalancedMeshResult imb_run = imbalanced_mesh();
   const std::uint64_t global_window_rounds =
       static_cast<std::uint64_t>(kImbEpochs) * kImbPeriod / kImbLookahead;
-  Table imb({"threads", "events", "rounds", "wide rounds", "shard windows",
-             "stall %", "messages", "events/sec", "hash"});
-  const auto imb_row = [&imb](const ImbalancedMeshResult& r) {
-    imb.add_row({fmt_u64(r.threads) + "t", fmt_u64(r.events),
-                 fmt_u64(r.rounds), fmt_u64(r.wide_rounds),
-                 fmt_u64(r.shard_windows),
-                 fmt_pct(r.stall_frac()), fmt_u64(r.messages),
-                 fmt_sci(static_cast<double>(r.events) / r.wall_s, 3),
-                 fmt_u64(r.hash)});
-  };
-  imb_row(imb_seq);
-  imb_row(imb_par);
+  Table imb({"mesh", "events", "rounds", "shard windows", "stall %",
+             "messages", "events/sec", "hash"});
+  imb.add_row({"1 hot + 63 cold", fmt_u64(imb_run.events),
+               fmt_u64(imb_run.rounds), fmt_u64(imb_run.shard_windows),
+               fmt_pct(imb_run.stall_frac()), fmt_u64(imb_run.messages),
+               fmt_sci(static_cast<double>(imb_run.events) / imb_run.wall_s,
+                       3),
+               fmt_u64(imb_run.hash)});
   bench::print_table(
       imb,
       "imbalanced mesh, 1 hot + 63 burst-idle shards (per-shard horizons\n"
-      "cross the quiet gaps in one round; hashes must match across thread\n"
-      "counts):");
-  std::cout << "imbalanced speedup " << fmt_ratio(imb_speedup) << " (rounds "
-            << fmt_u64(imb_seq.rounds) << " vs " << global_window_rounds
-            << " for one global window; stall "
-            << fmt_pct(imb_seq.stall_frac()) << ")\n\n";
-  if (!imb_hashes_match) {
-    std::cerr << "FATAL: imbalanced-mesh hash mismatch across thread "
-                 "counts (" << imb_seq.hash << " vs " << imb_par.hash
-              << ")\n";
+      "cross the quiet gaps in one round):");
+  std::cout << "imbalanced rounds " << fmt_u64(imb_run.rounds) << " vs "
+            << global_window_rounds << " for one global window; stall "
+            << fmt_pct(imb_run.stall_frac()) << "\n\n";
+  if (imb_run.hash != kImbHash) {
+    std::cerr << "FATAL: imbalanced-mesh hash " << imb_run.hash
+              << " differs from the pinned " << kImbHash << "\n";
     return 1;
   }
-  if (imb_seq.rounds * 4 >= global_window_rounds) {
+  if (imb_run.rounds * 4 >= global_window_rounds) {
     std::cerr << "FATAL: per-shard horizons stopped collapsing quiet gaps ("
-              << imb_seq.rounds << " rounds vs " << global_window_rounds
+              << imb_run.rounds << " rounds vs " << global_window_rounds
               << " for one global window)\n";
     return 1;
   }
@@ -613,22 +549,15 @@ int main(int argc, char** argv) {
             << ", \"calendar_peak_live_intervals\": "
             << cal_rel.peak_live_intervals()
             << ", \"calendar_sweep_restart_reserves_per_sec\": " << sweep_rps
-            << ", \"sharded_events_per_sec_1t\": " << seq_eps
-            << ", \"sharded_events_per_sec_nt\": " << par_eps
-            << ", \"sharded_host_ns_per_round_1t\": " << seq.host_ns_per_round
-            << ", \"sharded_threads\": " << par.threads
-            << ", \"sharded_hash_match\": " << (hashes_match ? 1 : 0)
-            << ", \"sharded_windows_executed\": " << par.shard_windows
+            << ", \"sharded_events_per_sec\": " << mesh_eps
+            << ", \"sharded_host_ns_per_round\": " << mesh.host_ns_per_round
+            << ", \"sharded_windows_executed\": " << mesh.shard_windows
             << ", \"sharded_barrier_stall_pct\": "
-            << 100.0 * static_cast<double>(par.stalled) /
-                   static_cast<double>(par.shard_windows + par.stalled)
-            << ", \"sharded_wide_rounds\": " << par.wide_rounds
-            << ", \"imb_adaptive_speedup\": " << imb_speedup
+            << 100.0 * static_cast<double>(mesh.stalled) /
+                   static_cast<double>(mesh.shard_windows + mesh.stalled)
             << ", \"imb_adaptive_stall_pct\": "
-            << 100.0 * imb_seq.stall_frac()
-            << ", \"imb_rounds_adaptive\": " << imb_seq.rounds
-            << ", \"imb_wide_rounds\": " << imb_par.wide_rounds
-            << ", \"imb_hash_match\": " << (imb_hashes_match ? 1 : 0)
+            << 100.0 * imb_run.stall_frac()
+            << ", \"imb_rounds_adaptive\": " << imb_run.rounds
             << "}\n";
   return 0;
 }

@@ -41,7 +41,6 @@ namespace ecoscale::bench {
 struct Options {
   std::string json_path;         // empty: no JSON dump
   std::size_t threads = 0;       // 0: pick from env / hardware
-  std::size_t sim_threads = 1;   // sharded-engine threads (0: hardware)
   std::string trace_path;        // empty: tracing off
   std::string trace_categories;  // empty/"all": every category
   double offered_load = 0.0;     // serve benches; 0: bench default sweep
@@ -177,9 +176,6 @@ inline void init(int argc, char** argv) {
     } else if (arg == "--threads" && i + 1 < argc) {
       options().threads =
           static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      options().sim_threads =
-          static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--trace" && i + 1 < argc) {
       options().trace_path = argv[++i];
     } else if (arg == "--trace-categories" && i + 1 < argc) {
@@ -218,38 +214,6 @@ inline void print_table(const Table& table, const std::string& caption = "") {
 }
 
 // --- parallel sweep runner --------------------------------------------------
-
-/// Thread count for the sharded parallel simulation engine
-/// (ShardedSimulator / ShardedRuntime): ECOSCALE_SIM_THREADS, else the
-/// --sim-threads flag, else 1 (0 means hardware concurrency). Unlike
-/// sweep_threads() this defaults to sequential — the engine's results are
-/// thread-count-invariant, so perf runs opt in explicitly.
-/// A malformed env value ("four", "4x", "", out of range) used to parse as
-/// 0 and silently fall back to the flag — a perf run believing itself
-/// parallel would quietly measure the serial engine. Now it warns on
-/// stderr and pins 1 thread so the mistake is visible and the measurement
-/// is at least honestly labelled serial.
-inline std::size_t sim_threads() {
-  if (const char* env = std::getenv("ECOSCALE_SIM_THREADS")) {
-    bool digits = *env != '\0';
-    for (const char* p = env; *p != '\0'; ++p) {
-      if (*p < '0' || *p > '9') {
-        digits = false;
-        break;
-      }
-    }
-    if (digits) {
-      errno = 0;
-      const unsigned long n = std::strtoul(env, nullptr, 10);
-      if (errno == 0) return static_cast<std::size_t>(n);
-    }
-    std::cerr << "bench: malformed ECOSCALE_SIM_THREADS=\"" << env
-              << "\" (want a non-negative thread count; 0 = hardware); "
-                 "falling back to 1 sim thread\n";
-    return 1;
-  }
-  return options().sim_threads;
-}
 
 /// Worker count for parallel_sweep: --threads flag, else
 /// ECOSCALE_BENCH_THREADS, else the hardware concurrency.

@@ -50,10 +50,6 @@ import tempfile
 
 GATED_BENCHES = ["bench_simcore", "bench_mempath", "bench_scale",
                  "bench_serve", "bench_repart"]
-# Matches the CI bench-smoke invocation so sharded-engine tables have the
-# same row keys (the "sim threads" column) in baseline and fresh runs.
-BENCH_ARGS = ["--sim-threads", "4"]
-
 THROUGHPUT_DERATE = 0.5
 LATENCY_INFLATE = 2.0
 WALL_INFLATE = 2.5  # wall-time ("ms") and memory ("MB") ceilings
@@ -117,7 +113,7 @@ def main():
             sys.exit(f"error: {bench} not built")
         with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
             subprocess.run(
-                [str(bench), "--json", tmp.name, *BENCH_ARGS],
+                [str(bench), "--json", tmp.name],
                 check=True, stdout=subprocess.DEVNULL)
             doc = json.loads(pathlib.Path(tmp.name).read_text())
         baseline = out_dir / f"{name}.json"

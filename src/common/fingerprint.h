@@ -1,7 +1,7 @@
 // The determinism fingerprint fold shared by every module.
 //
 // Determinism gates compare 64-bit fingerprints of a run's observable
-// state across thread counts and against pinned baselines, so every module
+// state across runs and against pinned baselines, so every module
 // must fold words the same way. fnv_word is FNV-1a over the 8 bytes of a
 // word, least significant byte first.
 #pragma once

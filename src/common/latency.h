@@ -13,8 +13,8 @@
 //
 // Everything is deterministic: identical record() sequences (in any
 // order — the histogram is order-free) produce identical percentiles and
-// an identical fingerprint(), which is what lets serve benches gate
-// `--sim-threads N` against 1 with byte-equal hashes.
+// an identical fingerprint(), which is what lets serve benches pin their
+// hashes.
 #pragma once
 
 #include <algorithm>

@@ -1,18 +1,15 @@
 // Deterministic balanced reduction trees (DESIGN.md §7.8).
 //
-// Combining N per-shard partials with a serial left fold puts O(N) work on
-// one thread and, for floating point, bakes the summation order into the
-// result in a way no parallel combiner can reproduce. reduce_tree folds
+// Combining N per-shard partials with a serial left fold bakes the
+// summation order of floating point into the result. reduce_tree folds
 // over a *balanced binary tree whose shape depends only on N*: left and
 // right subtrees split at the midpoint, recursively. Because the shape is a
-// pure function of the index range, the result is bit-identical whether the
-// subtrees are combined inline or on helper threads — callers can
-// parallelize the combine without touching determinism, which is exactly
-// the property the sharded engine's cross-thread hash gates demand.
+// pure function of the index range, the result (including floating-point
+// rounding) is fixed by N alone, which is what pinned hashes built on a
+// fold need.
 #pragma once
 
 #include <cstddef>
-#include <thread>
 #include <utility>
 
 namespace ecoscale {
@@ -21,22 +18,12 @@ namespace detail {
 
 template <typename T, typename Get, typename Combine>
 T reduce_range(std::size_t lo, std::size_t hi, const Get& get,
-               const Combine& combine, std::size_t grain) {
+               const Combine& combine) {
   const std::size_t n = hi - lo;
   if (n == 1) return get(lo);
   const std::size_t mid = lo + n / 2;
-  if (grain != 0 && n >= grain) {
-    // Right subtree on a helper thread; same tree, same result.
-    T right{};
-    std::thread helper([&] {
-      right = reduce_range<T>(mid, hi, get, combine, grain);
-    });
-    T left = reduce_range<T>(lo, mid, get, combine, grain);
-    helper.join();
-    return combine(std::move(left), std::move(right));
-  }
-  T left = reduce_range<T>(lo, mid, get, combine, grain);
-  T right = reduce_range<T>(mid, hi, get, combine, grain);
+  T left = reduce_range<T>(lo, mid, get, combine);
+  T right = reduce_range<T>(mid, hi, get, combine);
   return combine(std::move(left), std::move(right));
 }
 
@@ -44,15 +31,13 @@ T reduce_range(std::size_t lo, std::size_t hi, const Get& get,
 
 /// Fold `count` leaves over a balanced binary tree. `get(i)` produces leaf
 /// i, `combine(a, b)` joins two adjacent subtrees (the left argument is
-/// always the lower-index one). Subtrees of at least `grain` leaves run on
-/// a helper thread; `grain = 0` (the default) keeps everything inline. The
-/// tree shape — and therefore the result, including floating-point
-/// rounding — depends only on `count`, never on `grain` or thread timing.
+/// always the lower-index one). The tree shape, and therefore the result,
+/// depends only on `count`.
 template <typename T, typename Get, typename Combine>
 T reduce_tree(std::size_t count, T identity, const Get& get,
-              const Combine& combine, std::size_t grain = 0) {
+              const Combine& combine) {
   if (count == 0) return identity;
-  return detail::reduce_range<T>(0, count, get, combine, grain);
+  return detail::reduce_range<T>(0, count, get, combine);
 }
 
 }  // namespace ecoscale

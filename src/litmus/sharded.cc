@@ -53,7 +53,6 @@ class ShardedLitmusRun final : public DirectoryClient {
           ShardedConfig sc;
           sc.shards = program.nodes;
           sc.lookahead = kHop;
-          sc.threads = config.sim_threads;
           return sc;
         }()),
         dir_(sim_, kHop, kLitmusRetry, *this,
@@ -153,7 +152,7 @@ class ShardedLitmusRun final : public DirectoryClient {
   SimTime now(std::size_t s) { return sim_.shard(s).now(); }
   /// Jitter draws happen only on the thread's home shard (issue, retry,
   /// complete), so each stream's draw order is the thread's own event
-  /// order — deterministic, engine-thread-count invariant.
+  /// order — deterministic.
   SimDuration jitter(std::size_t t) {
     return perturb_.jitter(t, threads_[t].draws++, kMaxJitter);
   }

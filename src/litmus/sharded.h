@@ -9,8 +9,8 @@
 // file adds only the program logic, the page payload (variables and
 // serialization log) and the schedule perturbation: every requester-side
 // departure carries a SchedulePerturb jitter, a pure hash of (seed,
-// thread, draw#). With the engine's canonical merge, a run is
-// byte-identical across `--sim-threads`: same outcomes, logs, fingerprint.
+// thread, draw#), so a run is a pure function of (program, seed): same
+// outcomes, logs, fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +23,6 @@
 namespace ecoscale::litmus {
 
 struct RandomizedConfig {
-  /// ShardedSimulator worker threads (the --sim-threads knob).
-  std::size_t sim_threads = 1;
   std::uint64_t seed = 1;
   /// Randomized schedules (independent perturbation seeds) per program.
   std::size_t rounds = 64;
@@ -33,7 +31,7 @@ struct RandomizedConfig {
 /// Aggregate over `rounds` seeds. Each round's fingerprint hashes its
 /// outcome, every page's final owner and serialization log, and the
 /// directory's counters; `fingerprint` chains them — the value the
-/// --sim-threads determinism contract compares.
+/// determinism checks pin.
 struct RandomizedResult {
   std::set<Outcome> outcomes;
   std::uint64_t fingerprint = 0;

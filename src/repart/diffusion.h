@@ -18,7 +18,7 @@
 //
 // Everything here is a pure function of its inputs — fixed iteration
 // order, no RNG, no wall clock — which is what lets the repartitioner
-// promise byte-identical plans at any --sim-threads (DESIGN.md §7.11).
+// promise byte-identical plans run after run (DESIGN.md §7.11).
 #pragma once
 
 #include <cstddef>

@@ -160,7 +160,7 @@ void MeshWorkload::migrate_item(std::uint32_t item, std::uint32_t from,
   (void)item;
   // The cell state rides the inter-node fabric; both ends absorb the
   // settle cost into their next step (charged at the epoch pause — a
-  // consistent cut, so the charge is thread-count-invariant).
+  // consistent cut, so the charge is deterministic).
   const SimDuration wire = rt_.inter_node_latency(from, to) +
                            nanoseconds(cfg_.cell_state_bytes / 64 + 1);
   nodes_[from].migrate_backlog += wire / 2;

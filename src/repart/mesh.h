@@ -14,8 +14,8 @@
 //
 // Determinism: per-node state is shard-owned, the front position is a
 // pure function of simulated time, the chord graph is seeded, and halo
-// notifications ride the engine's deterministic cross-shard mailboxes —
-// the report fingerprint is byte-identical at any --sim-threads.
+// notifications ride the engine's deterministic cross-shard merge — the
+// report fingerprint is byte-identical run after run.
 #pragma once
 
 #include <cstddef>

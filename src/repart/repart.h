@@ -10,8 +10,8 @@
 // store's block re-homing, the mesh workload's cell moves, or anything
 // else that owns items.
 //
-// Determinism at any --sim-threads (the property bench_repart and
-// repart_test fingerprint-check 1 vs N):
+// Determinism (the property bench_repart and repart_test pin by
+// fingerprint):
 //  * inputs: the folded windows, queue depths and believed-alive sets are
 //    deterministic simulation state, read only while every shard is
 //    paused at the same simulated instant;

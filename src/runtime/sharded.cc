@@ -37,27 +37,23 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
         std::make_unique<Network>(make_tree(config_.internode_radices), nc);
   }
   ECO_CHECK_MSG(internode_->implicit_routing(),
-                "inter-node crossbar must route implicitly (shard threads "
-                "query route_latency concurrently)");
+                "inter-node crossbar must route implicitly");
 
   ShardedConfig sc;
   sc.shards = n;
   sc.lookahead = std::max<SimDuration>(internode_->min_cross_latency(0), 1);
-  sc.threads = config_.threads;
   sc.mailbox_capacity = config_.mailbox_capacity;
   // Per-pair lookahead straight from the interconnect: route_latency is a
   // shortest-path metric (triangle inequality holds), which is what the
   // engine's relayed-causality argument needs, and post_task
   // already charges exactly this latency, so the per-pair post contract is
-  // met with zero slack. The LCA walk is mutation-free (implicit routing
-  // is ECO_CHECKed above), so shard threads may query it concurrently.
+  // met with zero slack.
   Network* net = internode_.get();
   sc.pair_lookahead = [net](std::size_t from, std::size_t to) {
     return net->route_latency(from, to);
   };
   // Past the dense pair-matrix cap the engine falls back to per-source
-  // floors; hand it the per-endpoint tree DP. (Called at engine
-  // construction only — single-threaded, the lazy cache build is safe.)
+  // floors; hand it the per-endpoint tree DP.
   sc.source_floor = [net](std::size_t from) {
     return net->min_latency_from(from, 0);
   };
@@ -120,8 +116,7 @@ void ShardedRuntime::run() {
     // pause, let the policy observe and act, resume. The hook runs on the
     // calling thread with no shard executing, so everything it reads is
     // deterministic simulation state and everything it schedules lands at
-    // or after the boundary — the thread-count-invariance argument of
-    // DESIGN.md §7.11. A hook that schedules nothing after the workload
+    // or after the boundary (DESIGN.md §7.11). A hook that schedules nothing after the workload
     // drains terminates the loop (run_until returns drained).
     std::size_t epoch = 0;
     for (;;) {
@@ -141,7 +136,7 @@ void ShardedRuntime::run() {
 ShardedRuntime::Stats ShardedRuntime::stats() const {
   // Balanced-tree fold over nodes (common/reduce.h): the energy sum is
   // floating point, and the tree shape — hence its rounding — depends only
-  // on the node count, never on who asks or how many threads ran.
+  // on the node count.
   Stats s = reduce_tree<Stats>(
       nodes_.size(), Stats{},
       [&](std::size_t i) {

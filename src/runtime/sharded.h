@@ -41,8 +41,8 @@ struct ShardedRuntimeConfig {
   /// Compute Nodes — one engine shard (and one Machine) each.
   std::size_t nodes = 4;
   std::size_t workers_per_node = 4;
-  /// Simulation threads (0 = hardware concurrency). Never changes results,
-  /// only wall-clock time: --sim-threads N is byte-identical to 1.
+  /// Ignored: the engine runs on the calling thread. Kept only until the
+  /// end-to-end benchmark stops setting it.
   std::size_t threads = 1;
   std::size_t mailbox_capacity = 1024;
   /// Template for each node's machine; nodes is forced to 1 (the shard IS
@@ -132,8 +132,7 @@ class ShardedRuntime {
   /// read any node's deterministic state (obs counters, queue depths,
   /// believed-alive sets) and schedule follow-on events on any shard.
   /// Decisions taken in the hook are therefore a pure function of
-  /// simulation state, never of thread interleaving: --sim-threads N
-  /// stays byte-identical to 1. `at` is the epoch boundary k * period.
+  /// simulation state. `at` is the epoch boundary k * period.
   using EpochHook = std::function<void(std::size_t epoch, SimTime at)>;
   void set_epoch_policy(SimDuration period, EpochHook hook) {
     ECO_CHECK_MSG((period > 0) == static_cast<bool>(hook),
@@ -142,7 +141,7 @@ class ShardedRuntime {
     epoch_hook_ = std::move(hook);
   }
 
-  /// Run windows until every shard and mailbox drains; asserts every
+  /// Run windows until every shard drains; asserts every
   /// node's runtime retired all submitted tasks. With an epoch policy
   /// installed the drain interleaves the epoch hook at every period
   /// boundary (the hook is skipped once the workload has fully drained).
@@ -161,7 +160,7 @@ class ShardedRuntime {
     /// shard whose horizon held no work — the barrier-stall metric).
     std::uint64_t shard_windows = 0;
     std::uint64_t stalled_shard_windows = 0;
-    /// Always 0: every shard has a fixed owner thread (sim/parallel.h).
+    /// Always 0: no window runs off the calling thread (sim/parallel.h).
     /// Kept only until the end-to-end benchmark stops reporting it.
     std::uint64_t steals = 0;
   };

@@ -15,8 +15,8 @@
 // Every mutable structure is shard-owned: the apply log and shed counter
 // of node N are touched only by events executing on shard N, responses
 // are delivered as origin-shard events, and the per-node logs fold into
-// one fingerprint through a deterministic reduction tree — which is what
-// keeps `--sim-threads N` byte-identical to 1.
+// one fingerprint through a deterministic reduction tree, so a run is
+// byte-identical to any other run of the same configuration.
 #pragma once
 
 #include <cstdint>
@@ -146,8 +146,7 @@ class KvStore : public repart::RepartClient {
   /// Admission-control sheds observed by this store, all nodes.
   std::uint64_t sheds() const;
   /// Deterministic fingerprint of every node's apply log (reduction-tree
-  /// fold of per-node FNV hashes): the serve determinism gates compare
-  /// this across --sim-threads settings.
+  /// fold of per-node FNV hashes): the serve determinism gates pin it.
   std::uint64_t apply_log_hash() const;
 
  private:

@@ -17,8 +17,7 @@
 // Latency is recorded at response delivery on the origin shard into a
 // per-origin allocation-free histogram; report() folds origins with a
 // deterministic reduction tree and fingerprints the result together with
-// the store's apply log, giving the serve benches one hash to gate
-// `--sim-threads N` against 1.
+// the store's apply log, giving the serve benches one hash to pin.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +83,7 @@ class LoadGen {
     LatencyHistogram latency;     // successful requests, picoseconds
     SimTime last_completion = 0;
     /// Latency histograms + apply log + shed/issue counts, reduction-tree
-    /// folded: the value serve determinism gates compare across
-    /// --sim-threads settings.
+    /// folded: the value serve determinism gates pin.
     std::uint64_t fingerprint = 0;
   };
   Report report() const;

@@ -1,9 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "common/reduce.h"
 #include "common/rng.h"
@@ -13,84 +11,12 @@ namespace ecoscale {
 
 namespace {
 
-/// Pause polls before yielding: 16 x ~22 ns is about what one yield costs,
-/// so a gate that opens this soon is seen at once; longer spins slowed the
-/// threads still working in wide rounds (DESIGN.md §7.8).
-constexpr int kGateSpinPolls = 16;
-/// Yield phase, timed rather than counted because a yield costs ~0.3 us on
-/// an idle core but a whole timeslice when threads outnumber cores: long
-/// enough to cover a slow round, short enough that a descheduled last
-/// arriver is not starved for long by yielding peers.
-constexpr std::chrono::microseconds kGateYieldBudget{100};
-
-/// Events per round, as an EWMA with alpha = 1/8, at which a round runs
-/// wide; below it the leader runs the round alone. Measured events per
-/// round (ecobench, seed 1): kv_open median 3, max 22; kv_phase median 8,
-/// max 58 — both stay narrow, never switching — while engine_mesh's
-/// median is 212, so 83% of its rounds run wide with 2 switches a rep.
-/// Switching rarely matters as much as the split: a wide round after the
-/// workers have parked costs ~100 us more on a 4-vCPU host (DESIGN.md
-/// §7.8).
-constexpr std::uint64_t kWideRoundEvents = 64;
-
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
 }
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-}  // namespace
-
-/// Generation-counter round gate. Arrivals bump `arrived_`; the last
-/// arriver resets it and publishes the next generation with release, and
-/// the others poll the generation with acquire — pause, then yield, then
-/// park on atomic::wait (parallel.h file comment). The acq_rel arrivals
-/// form one release sequence, so every thread's writes before its arrival
-/// happen-before every thread's reads after the gate opens.
-class RoundGate {
- public:
-  explicit RoundGate(std::uint32_t n) : n_(n) {}
-
-  void sync() {
-    // This thread has not arrived yet, so the generation cannot move
-    // before its own arrival: `gen` is the one this crossing ends.
-    const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.store(gen + 1, std::memory_order_release);
-      generation_.notify_all();
-      return;
-    }
-    for (int i = 0; i < kGateSpinPolls; ++i) {
-      if (generation_.load(std::memory_order_acquire) != gen) return;
-      cpu_relax();
-    }
-    const auto deadline = std::chrono::steady_clock::now() + kGateYieldBudget;
-    do {
-      if (generation_.load(std::memory_order_acquire) != gen) return;
-      std::this_thread::yield();
-    } while (std::chrono::steady_clock::now() < deadline);
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      generation_.wait(gen, std::memory_order_acquire);
-    }
-  }
-
- private:
-  alignas(64) std::atomic<std::uint32_t> arrived_{0};
-  alignas(64) std::atomic<std::uint32_t> generation_{0};
-  const std::uint32_t n_;
-};
-
-namespace {
 
 /// Interned names for the engine's own trace lane: a span per
 /// synchronization round plus cumulative counter tracks for merged
@@ -108,16 +34,6 @@ struct ParTraceNames {
 /// Orchestrator lane: distinct tid under the simulation pid, away from the
 /// per-shard lanes (shard s traces on tid s + 1; plain Simulators on 0).
 constexpr std::uint16_t kEngineTid = 0xFFF0;
-
-/// Which shard (of which engine) the current thread is executing a window
-/// for, and which lane it owns; post() validates its `from` argument
-/// against this and routes through the lane.
-struct RunContext {
-  const void* engine = nullptr;
-  std::size_t shard = 0;
-  ShardLane* lane = nullptr;
-};
-thread_local RunContext tls_run_context;
 
 /// Fold one (value, shard) candidate into a top-2-with-argmin accumulator.
 inline void fold_top2(SimTime cand, std::uint32_t arg, SimTime& best1,
@@ -138,12 +54,6 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
   ECO_CHECK_MSG(config_.shards >= 1, "need at least one shard");
   ECO_CHECK_MSG(config_.lookahead >= 1,
                 "conservative lookahead must be positive");
-  std::size_t threads = config_.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? hw : 1;
-  }
-  threads_ = std::min(threads, config_.shards);
   const std::size_t nshards = config_.shards;
   shards_.reserve(nshards);
   for (std::size_t s = 0; s < nshards; ++s) {
@@ -151,12 +61,7 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     // Lane 0 stays the classic single-engine lane; shard s gets lane s+1.
     shards_.back()->sim.set_trace_lane(static_cast<std::uint16_t>(s + 1));
   }
-  lanes_.reserve(threads_);
-  slots_.reserve(threads_);
-  for (std::size_t t = 0; t < threads_; ++t) {
-    lanes_.push_back(std::make_unique<ShardLane>(config_.mailbox_capacity));
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  }
+  outbox_.reserve(config_.mailbox_capacity);
   next_times_.assign(nshards, kNever);
   horizon_.assign(nshards, kNever);
   pending_.reserve(nshards);
@@ -279,15 +184,6 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
   }
 }
 
-ShardedSimulator::~ShardedSimulator() {
-  if (workers_.empty()) return;
-  // Workers wait at the plan gate whenever the leader is outside a wide
-  // round; crossing it with the stop flag set lets them return.
-  stopping_ = true;
-  gate_->sync();
-  for (auto& w : workers_) w.join();
-}
-
 SimDuration ShardedSimulator::pair_lookahead(std::size_t from,
                                              std::size_t to) const {
   ECO_CHECK(from < shards_.size() && to < shards_.size() && from != to);
@@ -301,9 +197,9 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
   ECO_CHECK(from < shards_.size() && to < shards_.size());
   ECO_CHECK_MSG(from != to,
                 "same-shard events use shard(s).schedule_*, not post()");
-  ECO_CHECK_MSG(tls_run_context.engine == this,
+  ECO_CHECK_MSG(running_shard_ != kNoShard,
                 "post() called outside a running shard action");
-  ECO_CHECK_MSG(tls_run_context.shard == from,
+  ECO_CHECK_MSG(running_shard_ == from,
                 "post() `from` must be the shard executing this action");
   ECO_CHECK_MSG(t >= shards_[from]->sim.now() + pair_lookahead(from, to),
                 "cross-shard event inside the conservative lookahead window");
@@ -315,21 +211,23 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
   // that time.
   src.sim.tighten_run_bound(t + dest_floor_[from]);
   ++src.post_seq;
-  tls_run_context.lane->push(t, static_cast<std::uint32_t>(from),
-                             static_cast<std::uint32_t>(to), std::move(action));
+  if (outbox_.size() >= config_.mailbox_capacity) ++outbox_spills_;
+  Message& m = outbox_.emplace_back();
+  m.time = t;
+  m.src = static_cast<std::uint32_t>(from);
+  m.dst = static_cast<std::uint32_t>(to);
+  m.action = std::move(action);
 }
 
-void ShardedSimulator::run_shard_window(std::size_t s, SimTime end,
-                                        std::size_t lane) {
-  const RunContext saved = tls_run_context;
-  tls_run_context = RunContext{this, s, lanes_[lane].get()};
+void ShardedSimulator::run_shard_window(std::size_t s, SimTime end) {
+  running_shard_ = s;
   try {
     shards_[s]->sim.run_before(end);
   } catch (...) {
     shards_[s]->error = std::current_exception();
-    ++slots_[lane]->errors;
+    ++pending_errors_;
   }
-  tls_run_context = saved;
+  running_shard_ = kNoShard;
 }
 
 void ShardedSimulator::rethrow_shard_error() {
@@ -390,80 +288,41 @@ void ShardedSimulator::plan_horizons() {
 
 void ShardedSimulator::prepare_run() {
   trace_prev_valid_ = false;
-  const std::size_t nshards = shards_.size();
-  const std::size_t nthreads = threads_;
-  // Pre-reserve the fold buffers so the steady state allocates nothing
-  // (sim_alloc_test gates this at 1 and 4 threads); the merge reads the
-  // lanes in place and needs no scratch.
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    const std::size_t lo = t * nshards / nthreads;
-    const std::size_t hi = (t + 1) * nshards / nthreads;
-    slots_[t]->pending.reserve(hi - lo);
-  }
   // Between segments the controller may have scheduled on any shard, so
   // the seed reads every queue; rounds then refresh only what they touch.
-  for (std::size_t d = 0; d < nshards; ++d) {
+  for (std::size_t d = 0; d < shards_.size(); ++d) {
     const Simulator& sim = shards_[d]->sim;
     next_times_[d] = sim.idle() ? kNever : sim.next_event_time();
   }
-  for (std::size_t t = 0; t < nthreads; ++t) fold_range(t);
+  fold();
 }
 
-void ShardedSimulator::fold_range(std::size_t tid) {
-  WorkerSlot& me = *slots_[tid];
-  const std::size_t nshards = shards_.size();
-  const std::size_t lo = tid * nshards / threads_;
-  const std::size_t hi = (tid + 1) * nshards / threads_;
-  me.pending.clear();
-  me.part_floor = kNever;
-  me.part_src1 = kNever;
-  me.part_src2 = kNever;
-  me.part_src_arg = 0;
+void ShardedSimulator::fold() {
+  pending_.clear();
+  pending_next_.clear();
+  plan_floor_ = kNever;
+  plan_src1_ = kNever;
+  plan_src2_ = kNever;
+  plan_src_arg_ = 0;
   // Only the collapsed horizon reads the top-2; dense horizons skip it
   // (kv_open folds 8 shards every ~1 us round).
   const bool top2 = pair_matrix_.empty();
-  for (std::size_t d = lo; d < hi; ++d) {
+  for (std::size_t d = 0; d < shards_.size(); ++d) {
     const SimTime next = next_times_[d];
     if (next == kNever) continue;
-    me.pending.push_back(static_cast<std::uint32_t>(d));
-    me.part_floor = std::min(me.part_floor, next);
+    pending_.push_back(static_cast<std::uint32_t>(d));
+    pending_next_.push_back(next);
+    plan_floor_ = std::min(plan_floor_, next);
     if (top2) {
       fold_top2(next + source_floor_[d], static_cast<std::uint32_t>(d),
-                me.part_src1, me.part_src2, me.part_src_arg);
+                plan_src1_, plan_src2_, plan_src_arg_);
     }
   }
 }
 
-ShardedSimulator::Round ShardedSimulator::plan_round() {
-  // A window that threw bumped its thread's tally; only then is a scan of
-  // the shards worth it. Each slot's tally has one writer, ordered before
-  // this read by the round's last gate.
-  for (auto& slot_ptr : slots_) {
-    pending_errors_ += slot_ptr->errors;
-    slot_ptr->errors = 0;
-  }
+bool ShardedSimulator::plan_round() {
   if (pending_errors_ > 0) rethrow_shard_error();
-  // Fold the per-thread partials: O(threads) here instead of the old
-  // O(shards) worker-0 rescan — the second level of the next-event fold.
-  SimTime floor = kNever;
-  SimTime src1 = kNever, src2 = kNever;
-  std::uint32_t src_arg = 0;
-  std::uint64_t round_events = 0;
-  for (auto& slot_ptr : slots_) {
-    WorkerSlot& slot = *slot_ptr;
-    floor = std::min(floor, slot.part_floor);
-    fold_top2(slot.part_src1, slot.part_src_arg, src1, src2, src_arg);
-    src2 = std::min(src2, slot.part_src2);
-    round_events += slot.events;
-    slot.events = 0;
-    shard_windows_ += slot.executed;
-    stalled_windows_ += slot.stalled;
-    slot.executed = 0;
-    slot.stalled = 0;
-  }
   if (trace_prev_valid_) {
-    // Fixed-point EWMA update, alpha = 1/8: x8' = x8 - x8/8 + events.
-    events_ewma_x8_ += round_events - events_ewma_x8_ / 8;
     // The span for the round that just completed: [its floor, the tightest
     // horizon any shard ran to). Counters are cumulative tracks.
     const SimTime span_end = plan_min_horizon_ == kNever
@@ -479,155 +338,59 @@ ShardedSimulator::Round ShardedSimulator::plan_round() {
                       (obs::Lane{obs::kSimPid, kEngineTid}),
                       trace_prev_floor_, stalled_windows_);
   }
-  if (floor == kNever || floor >= run_bound_) {
+  if (plan_floor_ == kNever || plan_floor_ >= run_bound_) {
     // Drained, or every remaining event sits at or past the run_until()
     // bound — this segment is over (the pending work is the next one's).
-    return Round::kDone;
-  }
-  plan_src1_ = src1;
-  plan_src2_ = src2;
-  plan_src_arg_ = src_arg;
-  // Publish the round: the pending shards in ascending order, each
-  // thread's owned range a contiguous slice of it, and their horizons.
-  pending_.clear();
-  pending_next_.clear();
-  for (auto& slot_ptr : slots_) {
-    WorkerSlot& slot = *slot_ptr;
-    slot.claim_begin = static_cast<std::uint32_t>(pending_.size());
-    for (const std::uint32_t d : slot.pending) {
-      pending_.push_back(d);
-      pending_next_.push_back(next_times_[d]);
-    }
-    slot.claim_end = static_cast<std::uint32_t>(pending_.size());
+    return false;
   }
   plan_horizons();
   trace_prev_valid_ = true;
-  trace_prev_floor_ = floor;
+  trace_prev_floor_ = plan_floor_;
   ++windows_;
-  if (threads_ > 1 && events_ewma_x8_ >= 8 * kWideRoundEvents) {
-    ++wide_rounds_;
-    return Round::kWide;
-  }
-  return Round::kNarrow;
+  return true;
 }
 
-void ShardedSimulator::run_window(std::size_t i, std::size_t tid) {
-  WorkerSlot& me = *slots_[tid];
+void ShardedSimulator::run_window(std::size_t i) {
   const std::uint32_t d = pending_[i];
   const SimTime horizon = horizon_[d];
   if (horizon > pending_next_[i]) {
-    ++me.executed;
+    ++shard_windows_;
     const Simulator& sim = shards_[d]->sim;
-    const std::uint64_t before = sim.events_processed();
-    run_shard_window(d, horizon, tid);
-    me.events += sim.events_processed() - before;
-    // next_times_[d] belongs to d's owner, which also reads it in the
-    // merge phase, after the execute gate.
+    run_shard_window(d, horizon);
     next_times_[d] = sim.idle() ? kNever : sim.next_event_time();
   } else {
     // Pending work the horizon forbade: a barrier stall. Deterministic
     // (horizons derive from published simulation state only).
-    ++me.stalled;
+    ++stalled_windows_;
   }
 }
 
-void ShardedSimulator::insert_messages(std::size_t lo, std::size_t hi,
-                                       std::size_t nlanes) {
-  // Insert the messages bound for [lo, hi) from lanes [0, nlanes) in lane
-  // order, which is ascending (source shard, send index): each thread runs
-  // its pending shards in ascending order into its own lane, and thread
-  // t's shards all lie above thread t-1's. A destination queue orders
+void ShardedSimulator::insert_messages() {
+  // The outbox holds ascending (source shard, send index): the round ran
+  // its pending shards in ascending order. A destination queue orders
   // events by (time, seq) and the inserts take consecutive seqs, so
   // same-time messages run in (source, send index) order and the rest in
-  // time order — exactly what sorting the round first would give, at any
-  // thread count (parallel.h, "Determinism"). In a wide round other
-  // threads walk the same lanes concurrently, but move out only their own
-  // destinations' actions; this thread reads the key fields alone for
-  // every other message.
+  // time order — exactly what sorting the round first would give
+  // (parallel.h, "Determinism").
   std::uint32_t prev_src = 0;
-  for (std::size_t t = 0; t < nlanes; ++t) {
-    lanes_[t]->for_each([&](ShardMessage& m) {
-      ECO_CHECK_MSG(m.src >= prev_src,
-                    "lane order is not ascending by source shard");
-      prev_src = m.src;
-      if (m.dst < lo || m.dst >= hi) return;
-      shards_[m.dst]->sim.schedule_at(m.time, std::move(m.action));
-      // A delivery can only pull the destination's next event earlier.
-      // Store only when it does: in a wide round the range owners'
-      // entries share next_times_' cache lines.
-      if (m.time < next_times_[m.dst]) next_times_[m.dst] = m.time;
-    });
+  for (Message& m : outbox_) {
+    ECO_CHECK_MSG(m.src >= prev_src,
+                  "outbox push order is not ascending by source shard");
+    prev_src = m.src;
+    shards_[m.dst]->sim.schedule_at(m.time, std::move(m.action));
+    // A delivery can only pull the destination's next event earlier.
+    next_times_[m.dst] = std::min(next_times_[m.dst], m.time);
   }
+  outbox_.clear();
 }
 
-// Round schedule. Narrow: the leader plans, then runs every window and
-// merges every message itself — no gate. Wide, three gates whatever the
-// thread count:
-//   plan (leader) | gate | execute | gate | insert + fold | gate |
-//   next plan ...
-// Workers sit at the plan gate between wide rounds, so a round the leader
-// runs narrow — or a pause between run_until() segments — leaves them
-// parked.
-
-void ShardedSimulator::run_narrow_round() {
-  // The last round's merge is over. Every runnable window back to back,
-  // with one clock pair for the lot.
-  lanes_[0]->clear();
+void ShardedSimulator::run_round() {
+  // Every runnable window back to back, with one clock pair for the lot.
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    run_window(i, 0);
-  }
-  slots_[0]->window_ns += elapsed_ns(t0);
-  // Only lane 0 carried messages, so one pass over every destination
-  // replaces the per-range merges.
-  insert_messages(0, shards_.size(), 1);
-  for (std::size_t t = 0; t < threads_; ++t) fold_range(t);
-}
-
-void ShardedSimulator::execute_wide(std::size_t tid) {
-  // The thread's own pending shards, in ascending order: the slice of
-  // pending_ its range contributed at the plan. Every thread's reads of
-  // the lane ended at the last wide round's fold gate, so it can clear.
-  WorkerSlot& me = *slots_[tid];
-  lanes_[tid]->clear();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint32_t i = me.claim_begin; i < me.claim_end; ++i) {
-    run_window(i, tid);
-  }
-  me.window_ns += elapsed_ns(t0);
-}
-
-void ShardedSimulator::merge_wide(std::size_t tid) {
-  const std::size_t nshards = shards_.size();
-  insert_messages(tid * nshards / threads_, (tid + 1) * nshards / threads_,
-                  threads_);
-  fold_range(tid);
-}
-
-void ShardedSimulator::run_wide_round() {
-  if (workers_.empty()) {
-    gate_ = std::make_unique<RoundGate>(static_cast<std::uint32_t>(threads_));
-    workers_.reserve(threads_ - 1);
-    for (std::size_t t = 1; t < threads_; ++t) {
-      workers_.emplace_back([this, t] { worker_loop(t); });
-    }
-  }
-  gate_->sync();  // plan published
-  execute_wide(0);
-  gate_->sync();  // every window finished, every lane complete
-  merge_wide(0);
-  gate_->sync();  // partials published for the next plan
-}
-
-void ShardedSimulator::worker_loop(std::size_t tid) noexcept {
-  for (;;) {
-    gate_->sync();  // a wide round's plan, or the destructor's stop
-    if (stopping_) return;
-    execute_wide(tid);
-    gate_->sync();
-    merge_wide(tid);
-    gate_->sync();
-  }
+  for (std::size_t i = 0; i < pending_.size(); ++i) run_window(i);
+  window_ns_ += elapsed_ns(t0);
+  insert_messages();
+  fold();
 }
 
 void ShardedSimulator::run() { run_until(kNever); }
@@ -637,16 +400,8 @@ bool ShardedSimulator::run_until(SimTime bound) {
   prepare_run();
   try {
     // plan_round() rethrows a shard's exception at the next round
-    // boundary; by then every worker is back at the plan gate.
-    for (;;) {
-      const Round round = plan_round();
-      if (round == Round::kDone) break;
-      if (round == Round::kWide) {
-        run_wide_round();
-      } else {
-        run_narrow_round();
-      }
-    }
+    // boundary.
+    while (plan_round()) run_round();
   } catch (...) {
     run_bound_ = kNever;
     throw;
@@ -665,18 +420,6 @@ std::uint64_t ShardedSimulator::messages() const {
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
 }
 
-std::uint64_t ShardedSimulator::mailbox_spills() const {
-  std::uint64_t total = 0;
-  for (const auto& l : lanes_) total += l->overflow_spills();
-  return total;
-}
-
-std::size_t ShardedSimulator::mailbox_state_bytes() const {
-  std::size_t total = 0;
-  for (const auto& l : lanes_) total += l->state_bytes();
-  return total;
-}
-
 std::uint64_t ShardedSimulator::events_processed() const {
   return reduce_tree<std::uint64_t>(
       shards_.size(), 0,
@@ -689,12 +432,6 @@ SimTime ShardedSimulator::now() const {
       shards_.size(), 0,
       [&](std::size_t s) { return shards_[s]->sim.now(); },
       [](SimTime a, SimTime b) { return std::max(a, b); });
-}
-
-std::uint64_t ShardedSimulator::shard_wall_time_ns() const {
-  std::uint64_t total = 0;
-  for (const auto& slot : slots_) total += slot->window_ns;
-  return total;
 }
 
 }  // namespace ecoscale

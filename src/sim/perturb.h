@@ -2,9 +2,9 @@
 //
 // Litmus-style executors explore schedules by adding bounded jitter to
 // event issue times. The jitter must be (a) deterministic per seed, so a
-// failing schedule replays, and (b) independent of evaluation order, so a
-// sharded run at N worker threads draws exactly the values a 1-thread run
-// draws. A stateful Rng stream satisfies neither across threads; this is
+// failing schedule replays, and (b) independent of evaluation order, so
+// the value a stream draws never depends on how the shards interleave. A
+// stateful Rng stream shared by the shards satisfies neither; this is
 // instead a pure hash: every (stream, step) pair maps to its jitter
 // independently, with splitmix64 as the mixer (the same finalizer
 // common/rng.h seeds with).

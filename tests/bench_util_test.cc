@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -99,66 +100,6 @@ TEST(SweepThreads, FlagBeatsEnvBeatsHardware) {
   EXPECT_GE(bench::sweep_threads(), 1u);
 }
 
-/// RAII set/restore of ECOSCALE_SIM_THREADS around a test body.
-struct SimThreadsEnvGuard {
-  explicit SimThreadsEnvGuard(const char* value) {
-    const char* old = std::getenv("ECOSCALE_SIM_THREADS");
-    if (old != nullptr) saved = old;
-    had = old != nullptr;
-    if (value != nullptr) {
-      ::setenv("ECOSCALE_SIM_THREADS", value, 1);
-    } else {
-      ::unsetenv("ECOSCALE_SIM_THREADS");
-    }
-  }
-  ~SimThreadsEnvGuard() {
-    if (had) {
-      ::setenv("ECOSCALE_SIM_THREADS", saved.c_str(), 1);
-    } else {
-      ::unsetenv("ECOSCALE_SIM_THREADS");
-    }
-  }
-  std::string saved;
-  bool had = false;
-};
-
-TEST(SimThreads, ValidEnvOverridesFlag) {
-  OptionsGuard guard;
-  bench::options().sim_threads = 2;
-  SimThreadsEnvGuard env("8");
-  EXPECT_EQ(bench::sim_threads(), 8u);
-}
-
-TEST(SimThreads, ZeroEnvMeansHardwarePick) {
-  OptionsGuard guard;
-  bench::options().sim_threads = 2;
-  SimThreadsEnvGuard env("0");
-  // 0 is valid and documented: the engine resolves it to hardware
-  // concurrency, so the helper must pass it through, not drop it.
-  EXPECT_EQ(bench::sim_threads(), 0u);
-}
-
-TEST(SimThreads, UnsetEnvFallsBackToFlag) {
-  OptionsGuard guard;
-  bench::options().sim_threads = 3;
-  SimThreadsEnvGuard env(nullptr);
-  EXPECT_EQ(bench::sim_threads(), 3u);
-}
-
-TEST(SimThreads, MalformedEnvWarnsAndPinsOneThread) {
-  OptionsGuard guard;
-  bench::options().sim_threads = 7;  // must NOT silently win
-  for (const char* bad : {"four", "4x", "", " 4", "-1", "0x10",
-                          "99999999999999999999999999"}) {
-    SimThreadsEnvGuard env(bad);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(bench::sim_threads(), 1u) << "env was \"" << bad << "\"";
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("malformed ECOSCALE_SIM_THREADS"), std::string::npos)
-        << "env was \"" << bad << "\"";
-  }
-}
-
 TEST(JsonDump, RecordedTablesFlushAsJson) {
   OptionsGuard guard;
   const std::string path =
@@ -233,6 +174,45 @@ TEST(Flags, MalformedLoadFlagViaInitKeepsDefaults) {
   EXPECT_NE(err.find("malformed --zipf"), std::string::npos);
   EXPECT_DOUBLE_EQ(bench::options().offered_load, 0.0);
   EXPECT_DOUBLE_EQ(bench::options().zipf, -1.0);
+}
+
+// Command lines written for the retired --sim-threads flag still run:
+// init() skips the flag and its value and parses the rest.
+TEST(Flags, RetiredSimThreadsFlagIsSkipped) {
+  OptionsGuard guard;
+  bench::options() = bench::Options{};
+  std::string a0 = "bench", a1 = "--sim-threads", a2 = "4", a3 = "--threads",
+              a4 = "5", a5 = "--zipf", a6 = "0.5";
+  char* argv[] = {a0.data(), a1.data(), a2.data(), a3.data(),
+                  a4.data(), a5.data(), a6.data()};
+  ::testing::internal::CaptureStderr();
+  bench::init(7, argv);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(bench::options().threads, 5u);
+  EXPECT_DOUBLE_EQ(bench::options().zipf, 0.5);
+}
+
+// ECOSCALE_SIM_THREADS is no longer read: a malformed value warns about
+// nothing and leaves the sweep's thread count alone.
+TEST(Flags, RetiredSimThreadsEnvIsIgnored) {
+  OptionsGuard guard;
+  bench::options() = bench::Options{};
+  const char* old = std::getenv("ECOSCALE_SIM_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("ECOSCALE_SIM_THREADS", "four", 1);
+  std::string a0 = "bench", a1 = "--threads", a2 = "3";
+  char* argv[] = {a0.data(), a1.data(), a2.data()};
+  ::testing::internal::CaptureStderr();
+  bench::init(3, argv);
+  const std::size_t sweep = bench::sweep_threads();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  if (old != nullptr) {
+    ::setenv("ECOSCALE_SIM_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("ECOSCALE_SIM_THREADS");
+  }
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(sweep, 3u);
 }
 
 TEST(Flags, ZeroLoadParsesAsBenchDefaultSweep) {

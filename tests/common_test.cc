@@ -5,12 +5,14 @@
 #include <cstdint>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/energy.h"
 #include "common/fingerprint.h"
 #include "common/latency.h"
+#include "common/reduce.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -568,6 +570,42 @@ TEST(Fingerprint, FoldIsOrderSensitive) {
   EXPECT_EQ(ab, 0x162a8345ecfd7fc0ull);
   EXPECT_EQ(ba, 0xe6273486e4d7b1a0ull);
   EXPECT_NE(ab, ba);
+}
+
+TEST(ReduceTree, EmptyCountReturnsTheIdentity) {
+  int calls = 0;
+  const int r = reduce_tree<int>(
+      0, 42, [&calls](std::size_t) { return ++calls; },
+      [](int a, int b) { return a + b; });
+  EXPECT_EQ(r, 42);
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ReduceTree, ShapeIsAMidpointSplitOfTheCount) {
+  const auto shape = [](std::size_t count) {
+    return reduce_tree<std::string>(
+        count, "",
+        [](std::size_t i) { return std::to_string(i); },
+        [](std::string a, std::string b) { return "(" + a + "," + b + ")"; });
+  };
+  EXPECT_EQ(shape(1), "0");
+  EXPECT_EQ(shape(2), "(0,1)");
+  EXPECT_EQ(shape(5), "((0,1),(2,(3,4)))");
+  EXPECT_EQ(shape(8), "(((0,1),(2,3)),((4,5),(6,7)))");
+}
+
+TEST(ReduceTree, FloatRoundingFollowsTheTreeNotALeftFold) {
+  // At 1e16 doubles are 2 apart, so each +1 below rounds away unless it
+  // meets the other +1 first. The tree adds (1e16 + 1) + (-1e16 + 1); a
+  // left fold cancels the large terms before the last +1.
+  const std::vector<double> leaves = {1e16, 1.0, -1e16, 1.0};
+  const double tree = reduce_tree<double>(
+      leaves.size(), 0.0, [&leaves](std::size_t i) { return leaves[i]; },
+      [](double a, double b) { return a + b; });
+  double left = 0.0;
+  for (const double v : leaves) left += v;
+  EXPECT_EQ(tree, 0.0);
+  EXPECT_EQ(left, 1.0);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Litmus harness tests (DESIGN.md §7.10): the oracle's allowed sets for
 // the classic shapes, the exhaustive executor against the real
 // PgasSystem, the sharded randomized executor's model conformance and
-// its --sim-threads byte-identity contract.
+// its pinned fingerprints, and the directory's stale-update guard under a
+// page that migrates back and forth.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "common/check.h"
@@ -211,9 +214,8 @@ TEST(LitmusExhaustive, RefusesOversizedPrograms) {
 
 // --- sharded randomized executor -------------------------------------------
 
-RandomizedConfig quick_config(std::size_t sim_threads) {
+RandomizedConfig quick_config() {
   RandomizedConfig c;
-  c.sim_threads = sim_threads;
   c.seed = 42;
   c.rounds = 24;
   return c;
@@ -223,7 +225,7 @@ TEST(LitmusSharded, SuiteStaysWithinTheModel) {
   for (const LitmusProgram& p : standard_suite()) {
     Oracle oracle(p);
     const RandomizedResult res =
-        check_randomized(p, oracle, quick_config(1));
+        check_randomized(p, oracle, quick_config());
     EXPECT_FALSE(res.outcomes.empty()) << p.name;
     EXPECT_GT(res.events, 0u) << p.name;
   }
@@ -232,7 +234,7 @@ TEST(LitmusSharded, SuiteStaysWithinTheModel) {
 TEST(LitmusSharded, PerturbationExploresMultipleOutcomes) {
   const LitmusProgram& p = suite_program("sb_same_page");
   Oracle oracle(p);
-  const RandomizedResult res = check_randomized(p, oracle, quick_config(1));
+  const RandomizedResult res = check_randomized(p, oracle, quick_config());
   // Timing jitter must actually reorder the racing accesses.
   EXPECT_GE(res.outcomes.size(), 2u);
 }
@@ -240,7 +242,7 @@ TEST(LitmusSharded, PerturbationExploresMultipleOutcomes) {
 TEST(LitmusSharded, MigrationReHomesThePage) {
   const LitmusProgram& p = suite_program("migration_inflight");
   Oracle oracle(p);
-  const RandomizedResult res = check_randomized(p, oracle, quick_config(1));
+  const RandomizedResult res = check_randomized(p, oracle, quick_config());
   // One explicit migrate per round, no losses.
   EXPECT_EQ(res.protocol.migrations, 24u);
 }
@@ -248,7 +250,7 @@ TEST(LitmusSharded, MigrationReHomesThePage) {
 TEST(LitmusSharded, CrashDrivesNacksAndFailover) {
   const LitmusProgram& p = suite_program("failover_lost_update");
   Oracle oracle(p);
-  const RandomizedResult res = check_randomized(p, oracle, quick_config(1));
+  const RandomizedResult res = check_randomized(p, oracle, quick_config());
   // With the crash racing the loads across 24 seeds, some schedules must
   // hit the dead owner and at least one must exhaust retries into
   // failover (deterministic for the fixed seed).
@@ -256,16 +258,94 @@ TEST(LitmusSharded, CrashDrivesNacksAndFailover) {
   EXPECT_GT(res.protocol.failovers, 0u);
 }
 
-TEST(LitmusSharded, ByteIdenticalAcrossSimThreads) {
-  for (const LitmusProgram& p : standard_suite()) {
-    const RandomizedResult seq = run_randomized(p, quick_config(1));
-    const RandomizedResult par = run_randomized(p, quick_config(4));
-    EXPECT_EQ(seq.fingerprint, par.fingerprint) << p.name;
-    EXPECT_EQ(seq.outcomes, par.outcomes) << p.name;
-    EXPECT_EQ(seq.events, par.events) << p.name;
-    EXPECT_EQ(seq.protocol.nacks, par.protocol.nacks) << p.name;
-    EXPECT_EQ(seq.protocol.failovers, par.protocol.failovers) << p.name;
+// Captured before the engine's host threads were deleted; every thread
+// count the engine offered gave these values.
+TEST(LitmusSharded, FingerprintsArePinned) {
+  struct Pinned {
+    const char* name;
+    std::uint64_t fingerprint;
+    std::uint64_t events;
+    std::uint64_t nacks;
+    std::uint64_t failovers;
+    std::size_t outcomes;
+  };
+  const Pinned pinned[] = {
+      {"sb_same_page", 13518656571247082435ull, 240, 0, 0, 2},
+      {"sb_two_pages", 13374788336026817379ull, 240, 0, 0, 1},
+      {"mp_same_page", 17038629230388646587ull, 240, 0, 0, 2},
+      {"mp_two_pages", 2530068666136878755ull, 240, 0, 0, 1},
+      {"atomic_inc", 8829904413258177623ull, 192, 0, 0, 3},
+      {"migration_inflight", 11273683491415323580ull, 462, 0, 0, 4},
+      {"failover_lost_update", 4486869965316721315ull, 572, 88, 22, 2},
+  };
+  ASSERT_EQ(standard_suite().size(), std::size(pinned));
+  for (const Pinned& want : pinned) {
+    const RandomizedResult r =
+        run_randomized(suite_program(want.name), quick_config());
+    EXPECT_EQ(r.fingerprint, want.fingerprint) << want.name;
+    EXPECT_EQ(r.events, want.events) << want.name;
+    EXPECT_EQ(r.protocol.nacks, want.nacks) << want.name;
+    EXPECT_EQ(r.protocol.failovers, want.failovers) << want.name;
+    EXPECT_EQ(r.outcomes.size(), want.outcomes) << want.name;
   }
+}
+
+// One page migrates back and forth between nodes 0 and 1 while node 2
+// reads it. If an owner update naming the other node reached a node that
+// had already pulled the page back, the directory's stale-update guard
+// would have to keep that holder's view, or the page would end up with no
+// holder (FATAL in holder()) or a request would forward around a cycle
+// (FATAL at the hop bound). Installs and their broadcasts all travel one
+// fixed hop, so between two nodes they arrive in send order and this
+// program alone never sends a holder a stale update; the failover variant
+// below does.
+LitmusProgram migration_ping_pong() {
+  LitmusProgram p;
+  p.name = "migration_ping_pong";
+  p.nodes = 3;
+  p.pages = 1;
+  p.page_owner = {0};
+  p.threads = {{0, {migrate(0, 1), store(0, 0, 1), migrate(0, 1)}},
+               {1, {migrate(0, 0), store(0, 0, 2), migrate(0, 0)}},
+               {2, {load(0, 0), load(0, 0), load(0, 0)}}};
+  p.validate();
+  return p;
+}
+
+TEST(LitmusSharded, PageMigratingBackAndForthKeepsOneHolder) {
+  const LitmusProgram p = migration_ping_pong();
+  const Oracle oracle(p);
+  RandomizedConfig c = quick_config();
+  c.rounds = 256;
+  const RandomizedResult res = check_randomized(p, oracle, c);
+  // Four migrate ops per round, each served once by the page's holder.
+  EXPECT_EQ(res.protocol.migrations, 4u * c.rounds);
+  EXPECT_GE(res.outcomes.size(), 2u);
+}
+
+// The same back-and-forth after a crash: the page's home (node 3, no
+// program thread) dies, node 0 and node 1 both time out on it and fetch
+// the page, and one of them moves it on to the other. A failover fetch
+// that finds the page gone answers with the dead node's view, so that
+// answer can reach a requester that holds the page by then — the stale
+// update the guard exists for. Without the guard a request forwards
+// around a cycle within these rounds.
+TEST(LitmusSharded, PageMigratingBackAndForthAfterFailoverKeepsOneHolder) {
+  LitmusProgram p;
+  p.name = "failover_ping_pong";
+  p.nodes = 4;
+  p.pages = 1;
+  p.page_owner = {3};
+  p.threads = {{0, {crash(3), load(0, 0), migrate(0, 1), load(0, 0)}},
+               {1, {load(0, 0), migrate(0, 0), store(0, 0, 1)}},
+               {2, {load(0, 0), load(0, 0), load(0, 0)}}};
+  p.validate();
+  const Oracle oracle(p);
+  RandomizedConfig c = quick_config();
+  c.rounds = 256;
+  const RandomizedResult res = check_randomized(p, oracle, c);
+  EXPECT_EQ(res.protocol.migrations, 2u * c.rounds);
+  EXPECT_GT(res.protocol.failovers, 0u);
 }
 
 TEST(LitmusSharded, ExecutorsAgreeWithEachOther) {
@@ -278,7 +358,7 @@ TEST(LitmusSharded, ExecutorsAgreeWithEachOther) {
     const LitmusProgram& p = suite_program(name);
     Oracle oracle(p);
     const ExhaustiveResult exh = check_exhaustive(p, oracle);
-    RandomizedConfig c = quick_config(1);
+    RandomizedConfig c = quick_config();
     c.rounds = 64;
     const RandomizedResult rand = check_randomized(p, oracle, c);
     for (const Outcome& o : rand.outcomes) {

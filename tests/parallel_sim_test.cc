@@ -1,13 +1,10 @@
-// Tests for the sharded parallel simulation engine (sim/parallel.h):
-// per-thread lane FIFO + wraparound, the conservative post() contract, the
-// lane-order merge's tie order, and — the load-bearing property —
-// byte-identical determinism across --sim-threads 1, 2 and 8, both for a
-// raw engine workload and for a mixed UNIMEM+UNILOGIC workload on
-// ShardedRuntime — plus the narrow/wide round rule and the lifetime of the
-// worker pool.
+// Tests for the sharded simulation engine (sim/parallel.h): the
+// conservative post() contract, the push-order merge's tie order, outbox
+// spills, run_until() pauses, and — the load-bearing property — pinned
+// hashes and window schedules for raw engine workloads and for a mixed
+// UNIMEM+UNILOGIC workload on ShardedRuntime, captured from earlier
+// engines and never moved without a stated reason.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -29,7 +26,6 @@
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
 #include "runtime/sharded.h"
-#include "sim/mailbox.h"
 #include "sim/parallel.h"
 #include "unimem/pgas.h"
 
@@ -53,11 +49,10 @@ struct TraceHasher {
   }
 };
 
-// Background load for the wide path: `chains` chains of no-op events on
-// `sim`, one every `period` from `start` until before `stop`. A round runs
-// wide only once the engine's EWMA of events per round is large enough, so
-// tests that must cover wide rounds add this to their own (sparse)
-// workload. Returns the number of events added.
+// Background load: `chains` chains of no-op events on `sim`, one every
+// `period` from `start` until before `stop`, for tests that want hundreds
+// of events a round on top of their own sparse workload. Returns the
+// number of events added.
 std::uint64_t add_ticks(Simulator& sim, std::size_t chains, SimTime start,
                         SimTime stop, SimDuration period = 1) {
   struct Tick {
@@ -72,83 +67,6 @@ std::uint64_t add_ticks(Simulator& sim, std::size_t chains, SimTime start,
     sim.schedule_at(start, Tick{&sim, stop, period});
   }
   return chains * ((stop - start + period - 1) / period);
-}
-
-// --- per-thread lane --------------------------------------------------------
-
-// Run every pending message's action in visit order, as the merge does.
-std::size_t run_lane(ShardLane& lane) {
-  std::size_t n = 0;
-  lane.for_each([&n](ShardMessage& m) {
-    m.action();
-    ++n;
-  });
-  return n;
-}
-
-TEST(ShardLane, FifoAcrossRingWraparound) {
-  ShardLane lane(4);
-  ASSERT_EQ(lane.capacity(), 4u);
-  std::vector<int> got;
-  // 32 push/visit/clear rounds of 3 messages wrap the 4-slot ring many
-  // times.
-  for (int round = 0; round < 32; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      const int v = round * 3 + i;
-      lane.push(static_cast<SimTime>(v), /*src=*/0, /*dst=*/1,
-                [&got, v] { got.push_back(v); });
-    }
-    ASSERT_EQ(run_lane(lane), 3u);
-    lane.clear();
-    EXPECT_TRUE(lane.empty());
-  }
-  EXPECT_EQ(lane.overflow_spills(), 0u);
-  ASSERT_EQ(got.size(), 96u);
-  for (int v = 0; v < 96; ++v) EXPECT_EQ(got[v], v);
-}
-
-// Messages for different (src, dst) pairs share one lane and must come
-// back with their tags, ring first and overflow after, in push order.
-TEST(ShardLane, OverflowSpillKeepsFifoOrder) {
-  ShardLane lane(4);
-  std::vector<int> got;
-  for (int v = 0; v < 10; ++v) {
-    lane.push(static_cast<SimTime>(100 + v), static_cast<std::uint32_t>(v),
-              static_cast<std::uint32_t>(9 - v),
-              [&got, v] { got.push_back(v); });
-  }
-  EXPECT_EQ(lane.overflow_spills(), 6u);
-  int i = 0;
-  lane.for_each([&i](ShardMessage& m) {
-    EXPECT_EQ(m.time, static_cast<SimTime>(100 + i));
-    EXPECT_EQ(m.src, static_cast<std::uint32_t>(i));
-    EXPECT_EQ(m.dst, static_cast<std::uint32_t>(9 - i));
-    m.action();
-    ++i;
-  });
-  EXPECT_EQ(i, 10);
-  for (int v = 0; v < 10; ++v) EXPECT_EQ(got[v], v);
-}
-
-// clear() forgets unvisited messages too, and the next round starts on an
-// empty ring: it fits without spilling and visits only its own messages.
-TEST(ShardLane, ClearThenReuse) {
-  ShardLane lane(4);
-  std::vector<int> got;
-  for (int v = 0; v < 6; ++v) {  // overflows
-    lane.push(static_cast<SimTime>(v), 0, 1, [&got, v] { got.push_back(v); });
-  }
-  EXPECT_EQ(lane.overflow_spills(), 2u);
-  lane.clear();
-  EXPECT_TRUE(lane.empty());
-  EXPECT_EQ(run_lane(lane), 0u);
-  for (int v = 10; v < 14; ++v) {
-    lane.push(static_cast<SimTime>(v), 0, 1, [&got, v] { got.push_back(v); });
-  }
-  EXPECT_EQ(lane.overflow_spills(), 2u);
-  EXPECT_FALSE(lane.empty());
-  EXPECT_EQ(run_lane(lane), 4u);
-  EXPECT_EQ(got, (std::vector<int>{10, 11, 12, 13}));
 }
 
 // --- post() contract --------------------------------------------------------
@@ -172,21 +90,29 @@ TEST(ShardedSimulator, PostInsideTheLookaheadWindowIsRejected) {
   EXPECT_THROW(engine.run(), CheckError);
 }
 
-TEST(ShardedSimulator, ActionExceptionPropagatesFromWorkerThreads) {
+TEST(ShardedSimulator, PostFromAnotherShardsActionIsRejected) {
   ShardedConfig sc;
-  sc.shards = 4;
+  sc.shards = 3;
   sc.lookahead = 10;
-  sc.threads = 4;
   ShardedSimulator engine(sc);
-  for (std::size_t s = 0; s < 4; ++s) {
-    engine.shard(s).schedule_at(5, [] {});
-    add_ticks(engine.shard(s), 4, 1, 1000);  // ~160 events a round: wide
-  }
-  engine.shard(3).schedule_at(307, [] {
-    throw std::runtime_error("shard 3 exploded");
+  // Shard 0's action claims to post as shard 1.
+  engine.shard(0).schedule_at(5, [&engine] {
+    engine.post(1, 2, engine.shard(1).now() + 100, [] {});
   });
-  EXPECT_THROW(engine.run(), std::runtime_error);
-  EXPECT_GT(engine.wide_rounds(), 0u);
+  EXPECT_THROW(engine.run(), CheckError);
+  EXPECT_EQ(engine.messages(), 0u);
+}
+
+TEST(ShardedSimulator, PostToTheSameShardIsRejected) {
+  ShardedConfig sc;
+  sc.shards = 2;
+  sc.lookahead = 10;
+  ShardedSimulator engine(sc);
+  engine.shard(0).schedule_at(5, [&engine] {
+    engine.post(0, 0, engine.shard(0).now() + 100, [] {});
+  });
+  EXPECT_THROW(engine.run(), CheckError);
+  EXPECT_EQ(engine.messages(), 0u);
 }
 
 // --- deterministic cross-shard workload -------------------------------------
@@ -194,9 +120,8 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromWorkerThreads) {
 // Per-shard actor mesh: every shard runs self-rescheduling actors that mix
 // their execution order into the shard's own hash; a deterministic fraction
 // of fires post a message to another shard, which mixes into the
-// *destination's* hash when it executes there. All mutable state is
-// per-shard, so any hash difference across thread counts is an engine
-// ordering bug.
+// *destination's* hash when it executes there, so the combined hash pins
+// the engine's event order.
 struct MeshActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
@@ -231,16 +156,16 @@ struct MeshActor {
   }
 };
 
-std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
+std::uint64_t mesh_workload_hash(std::size_t shards,
                                  std::size_t mailbox_capacity,
                                  std::uint64_t fires_per_actor,
                                  std::uint64_t* spills_out = nullptr,
-                                 std::uint64_t* wide_out = nullptr) {
+                                 std::size_t threads = 1) {
   ShardedConfig sc;
   sc.shards = shards;
   sc.lookahead = 200;
-  sc.threads = threads;
   sc.mailbox_capacity = mailbox_capacity;
+  sc.threads = threads;
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(shards);
   std::vector<std::unique_ptr<MeshActor>> actors;
@@ -264,41 +189,23 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
   combined.mix(engine.messages());
   combined.mix(engine.windows());
   if (spills_out != nullptr) *spills_out = engine.mailbox_spills();
-  if (wide_out != nullptr) *wide_out = engine.wide_rounds();
   EXPECT_GT(engine.messages(), 0u);
   return combined.h;
 }
 
-// Three threads split the 8 destination shards 2/3/3, so the merge's
-// destination ranges are uneven and no thread count divides the shards.
-// The wide/narrow rule reads events per round only, so every thread count
-// above one runs the same rounds wide, and one thread runs none.
-TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_3_8) {
-  std::uint64_t w1 = 0, w2 = 0, w3 = 0, w8 = 0;
-  const std::uint64_t h1 = mesh_workload_hash(8, 1, 1024, 400, nullptr, &w1);
-  const std::uint64_t h2 = mesh_workload_hash(8, 2, 1024, 400, nullptr, &w2);
-  const std::uint64_t h3 = mesh_workload_hash(8, 3, 1024, 400, nullptr, &w3);
-  const std::uint64_t h8 = mesh_workload_hash(8, 8, 1024, 400, nullptr, &w8);
-  // Captured before the merge stopped sorting each round's messages; it
-  // pins the engine against itself at every thread count, not only the
-  // thread counts against each other.
-  EXPECT_EQ(h1, 6437149492501349650ull);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h1, h3);
-  EXPECT_EQ(h1, h8);
-  EXPECT_EQ(w1, 0u);
-  EXPECT_GT(w2, 0u);
-  EXPECT_EQ(w2, w3);
-  EXPECT_EQ(w2, w8);
+// Captured before the merge stopped sorting each round's messages, and
+// equal at every thread count the engine used to offer.
+TEST(ShardedSimulator, MeshWorkloadHashIsPinned) {
+  EXPECT_EQ(mesh_workload_hash(8, 1024, 400), 6437149492501349650ull);
 }
 
-// --- pinned window schedule: sparse, narrow-heavy ---------------------------
+// --- pinned window schedule: sparse ---------------------------
 
 // One actor per shard, firing every few hundred ps and posting every third
 // fire to a random peer at exactly its pair latency plus a little jitter.
 // Under a dense ring-distance oracle this retires about three events per
-// round, the kv_open regime, so nearly every round is narrow and most
-// shards are idle or stalled in any one round.
+// round, the kv_open regime, so most shards are idle or stalled in any
+// one round.
 struct SparseActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
@@ -335,16 +242,14 @@ struct PinnedSchedule {
   std::uint64_t stalled = 0;
   std::uint64_t messages = 0;
   std::uint64_t events = 0;
-  std::uint64_t wide = 0;
   std::vector<std::uint64_t> hashes;
 };
 
-PinnedSchedule sparse_dense_run(std::size_t threads) {
+PinnedSchedule sparse_dense_run() {
   constexpr std::size_t kShards = 8;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = 40;
-  sc.threads = threads;
   sc.pair_lookahead = [](std::size_t a, std::size_t b) -> SimDuration {
     const std::size_t d = a > b ? a - b : b - a;
     return 40 + 15 * std::min(d, kShards - d);  // ring distance: a metric
@@ -364,51 +269,64 @@ PinnedSchedule sparse_dense_run(std::size_t threads) {
   out.stalled = engine.stalled_shard_windows();
   out.messages = engine.messages();
   out.events = engine.events_processed();
-  out.wide = engine.wide_rounds();
   for (const TraceHasher& h : hashes) out.hashes.push_back(h.h);
   return out;
 }
 
-// The thread-count comparisons above cannot see a bookkeeping bug that
-// shifts the schedule the same way at every thread count (a horizon too
-// tight, a shard never refolded). This pins the schedule itself: every
-// round count and per-shard hash below was captured from the engine
-// before its horizon and fold bookkeeping was rewritten, and must never
-// move without a stated reason.
+// A hash alone cannot tell a bookkeeping bug that shifts the schedule (a
+// horizon too tight, a shard never refolded) from a reordering. This pins
+// the schedule itself: every round count and per-shard hash below was
+// captured from the engine before its horizon and fold bookkeeping was
+// rewritten, and must never move without a stated reason.
 TEST(ShardedSimulator, SparseDenseOracleScheduleIsPinned) {
   const std::vector<std::uint64_t> kHashes = {
       2827401570427685187ull,  478695462841783085ull,
       17642853541103510482ull, 10457630523463739846ull,
       17925130330492456983ull, 5913163402733311746ull,
       7733550416784480553ull,  14002279286810579532ull};
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE(threads);
-    const PinnedSchedule r = sparse_dense_run(threads);
-    EXPECT_EQ(r.windows, 1298u);
-    EXPECT_EQ(r.shard_windows, 3841u);
-    EXPECT_EQ(r.stalled, 6411u);
-    EXPECT_EQ(r.messages, 1076u);
-    EXPECT_EQ(r.events, 4284u);
-    EXPECT_EQ(r.wide, 0u);  // about three events a round: never wide
-    EXPECT_EQ(r.hashes, kHashes);
-  }
+  const PinnedSchedule r = sparse_dense_run();
+  EXPECT_EQ(r.windows, 1298u);
+  EXPECT_EQ(r.shard_windows, 3841u);
+  EXPECT_EQ(r.stalled, 6411u);
+  EXPECT_EQ(r.messages, 1076u);
+  EXPECT_EQ(r.events, 4284u);
+  EXPECT_EQ(r.hashes, kHashes);
 }
 
-// Window-boundary lane stress: a 4-slot ring under a message rate far
-// beyond it wraps its indices every window and overflows constantly; the
-// spill path must preserve the merge order exactly. Spill *counts* are
-// a wall-clock-side metric that varies with how many shards share a lane
-// (i.e. with the thread count), so only the hashes must match.
-TEST(ShardedSimulator, MailboxWraparoundAtWindowBoundariesIsDeterministic) {
-  std::uint64_t spills1 = 0;
-  std::uint64_t spills4 = 0;
-  const std::uint64_t h1 = mesh_workload_hash(4, 1, 4, 800, &spills1);
-  const std::uint64_t h4 = mesh_workload_hash(4, 4, 4, 800, &spills4);
-  EXPECT_EQ(h1, 8102669783069899077ull);  // captured with the sorting merge
-  EXPECT_EQ(h1, h4);
-  EXPECT_GT(spills1, 0u);
-  EXPECT_GT(spills4, 0u);
+// Outbox stress: a 4-message outbox under a message rate far beyond it
+// spills in nearly every round; the spilled messages must keep their push
+// order, so the hash is the one captured with the sorting merge.
+TEST(ShardedSimulator, OutboxSpillsKeepTheMergeOrder) {
+  std::uint64_t spills = 0;
+  EXPECT_EQ(mesh_workload_hash(4, 4, 800, &spills), 8102669783069899077ull);
+  EXPECT_EQ(spills, 2441u);
+}
+
+// The spill count is exact: one per push made while the outbox already
+// holds `mailbox_capacity` messages. The merge empties the outbox, so a
+// later round that stays under the capacity adds none.
+TEST(ShardedSimulator, OutboxSpillCountsPushesPastCapacity) {
+  ShardedConfig sc;
+  sc.shards = 2;
+  sc.lookahead = 10;
+  sc.mailbox_capacity = 4;
+  ShardedSimulator engine(sc);
+  int delivered = 0;
+  const auto burst = [&engine, &delivered](int n) {
+    for (int i = 0; i < n; ++i) {
+      engine.post(0, 1, engine.shard(0).now() + 10,
+                  [&delivered] { ++delivered; });
+    }
+  };
+  // The first burst caps shard 0's window well before 100, so the two
+  // bursts land in different rounds.
+  engine.shard(0).schedule_at(5, [&burst] { burst(6); });
+  engine.shard(0).schedule_at(100, [&burst] { burst(3); });
+  engine.run();
+  EXPECT_GE(engine.windows(), 2u);
+  EXPECT_EQ(engine.messages(), 9u);
+  EXPECT_EQ(engine.mailbox_spills(), 2u);
+  EXPECT_EQ(delivered, 9);
 }
 
 // --- merge tie order, from first principles ---------------------------------
@@ -432,27 +350,20 @@ void PrintTo(const Delivery& d, std::ostream* os) {
 }
 constexpr std::uint32_t kTieDst = 3;
 
-// Four sources on both sides of the destination, hence in different lanes
-// at every thread count above one, post to shard 3 in one round: times
-// shared within and across sources, several sent in the opposite order to
-// their times, and a local destination event, scheduled before the run,
-// at a time some messages share. The expected order is derived here from
-// what was posted — (time, local before messages, source, send index) —
-// not from the engine at another thread count. Returns whether the sends
-// ran off the calling thread, i.e. in a wide round.
-bool tie_order_run(std::size_t threads) {
+// Four sources on both sides of the destination post to shard 3 in one
+// round: times shared within and across sources, several sent in the
+// opposite order to their times, and a local destination event, scheduled
+// before the run, at a time some messages share. The expected order is
+// derived here from what was posted — (time, local before messages,
+// source, send index) — not from the engine.
+TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
   constexpr std::size_t kShards = 8;
   constexpr SimTime kSendAt = 500;
   constexpr SimTime kX = 700;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = 100;
-  sc.threads = threads;
   ShardedSimulator engine(sc);
-  // Background ticks on every shard make the rounds around kSendAt wide.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    add_ticks(engine.shard(s), 4, 1, 2000);
-  }
   const std::vector<std::pair<std::uint32_t, std::vector<SimTime>>> sends = {
       {0, {kX + 30, kX + 10, kX + 20, kX + 10}},
       {1, {kX + 20, kX + 20, kX}},
@@ -460,14 +371,11 @@ bool tie_order_run(std::size_t threads) {
       {7, {kX, kX + 30, kX + 10, kX + 10}},
   };
   std::vector<Delivery> got;
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> off_caller{false};
   engine.shard(kTieDst).schedule_at(kX + 10, [&got] {
     got.push_back(Delivery{kX + 10, kLocal, 0});
   });
   for (const auto& [src, times] : sends) {
     engine.shard(src).schedule_at(kSendAt, [&, src = src, times = times] {
-      if (std::this_thread::get_id() != caller) off_caller = true;
       for (std::uint32_t i = 0; i < times.size(); ++i) {
         const SimTime t = times[i];
         engine.post(src, kTieDst, t, [&engine, &got, t, src = src, i] {
@@ -494,25 +402,6 @@ bool tie_order_run(std::size_t threads) {
               return a.index < b.index;
             });
   EXPECT_EQ(got, want);
-  return off_caller;
-}
-
-TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
-    SCOPED_TRACE(threads);
-    // Above one thread a wide round must have merged the sends.
-    EXPECT_EQ(tie_order_run(threads), threads > 1);
-  }
-}
-
-TEST(ShardedSimulator, ThreadsClampedToShardCount) {
-  ShardedConfig sc;
-  sc.shards = 2;
-  sc.lookahead = 10;
-  sc.threads = 16;
-  ShardedSimulator engine(sc);
-  EXPECT_EQ(engine.threads_used(), 2u);
 }
 
 // --- per-pair post contract -------------------------------------------------
@@ -625,53 +514,42 @@ TEST(ShardedSimulator, OverstatedSourceFloorIsRejected) {
 // cap shard 0 runs its local work past the pong's delivery time in round
 // 1 and the merge two rounds later schedules an event in its past.
 //
-// Each run happens twice: sparse, so every round is narrow, and with dense
-// background ticks on shard 0 whose EWMA is warmed by one-round run_until()
-// segments first, so the ping's round and every later one run wide.
+// Each run happens twice: sparse, and after dense background ticks on
+// shard 0 have run through one-round run_until() segments, so the ping's
+// round carries hundreds of events.
 void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
                         SimDuration hop) {
-  for (const bool wide : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      ShardedConfig sc;
-      sc.shards = 3;
-      sc.lookahead = 100;
-      sc.threads = threads;
-      tweak(sc);
-      ShardedSimulator engine(sc);
-      // Scenario start: after the warm-up span in the wide variant.
-      const SimTime t0 = wide ? 2000 : 0;
-      if (wide) {
-        add_ticks(engine.shard(0), 8, 1, t0 + 5000);
-        // Shards 1 and 2 are idle, so each segment is one ~800-event
-        // round on shard 0.
-        for (SimTime b = 100; b <= t0; b += 100) engine.run_until(b);
-      }
-      for (SimTime t = t0 + 10; t <= t0 + 5000; t += 10) {
-        engine.shard(0).schedule_at(t, [] {});
-      }
-      engine.shard(2).schedule_at(t0 + 1000000, [] {});  // distant, not idle
-      SimTime pong_at = 0;
-      engine.shard(0).schedule_at(t0 + 10, [&engine, &pong_at, hop] {
-        engine.post(0, 1, engine.shard(0).now() + hop,
-                    [&engine, &pong_at, hop] {
-                      engine.post(1, 0, engine.shard(1).now() + hop,
-                                  [&engine, &pong_at] {
-                                    pong_at = engine.shard(0).now();
-                                  });
-                    });
-      });
-      const std::uint64_t warm_wide = engine.wide_rounds();
-      engine.run();
-      EXPECT_EQ(pong_at, t0 + 10 + 2 * hop);
-      if (wide && threads > 1) {
-        // Warm-up rounds went wide, and the EWMA only rises under them,
-        // so the ping's round ran wide too.
-        EXPECT_GT(warm_wide, 0u);
-        EXPECT_GT(engine.wide_rounds(), warm_wide);
-      } else {
-        EXPECT_EQ(engine.wide_rounds(), 0u);
-      }
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense);
+    ShardedConfig sc;
+    sc.shards = 3;
+    sc.lookahead = 100;
+    tweak(sc);
+    ShardedSimulator engine(sc);
+    // Scenario start: after the warm-up span in the dense variant.
+    const SimTime t0 = dense ? 2000 : 0;
+    if (dense) {
+      add_ticks(engine.shard(0), 8, 1, t0 + 5000);
+      // Shards 1 and 2 are idle, so each segment is one ~800-event round
+      // on shard 0.
+      for (SimTime b = 100; b <= t0; b += 100) engine.run_until(b);
     }
+    for (SimTime t = t0 + 10; t <= t0 + 5000; t += 10) {
+      engine.shard(0).schedule_at(t, [] {});
+    }
+    engine.shard(2).schedule_at(t0 + 1000000, [] {});  // distant, not idle
+    SimTime pong_at = 0;
+    engine.shard(0).schedule_at(t0 + 10, [&engine, &pong_at, hop] {
+      engine.post(0, 1, engine.shard(0).now() + hop,
+                  [&engine, &pong_at, hop] {
+                    engine.post(1, 0, engine.shard(1).now() + hop,
+                                [&engine, &pong_at] {
+                                  pong_at = engine.shard(0).now();
+                                });
+                  });
+    });
+    engine.run();
+    EXPECT_EQ(pong_at, t0 + 10 + 2 * hop);
   }
 }
 
@@ -712,7 +590,7 @@ TEST(ShardedSimulator, EchoToGlobalMinShardCollapsedFloors) {
 // one lookahead at a time — (period / lookahead) barriers per period —
 // while per-shard horizons let the hot shard cross an entire quiet gap in
 // one window.
-constexpr std::size_t kImbShards = 64;  // shards >> threads: claim queues
+constexpr std::size_t kImbShards = 64;
 constexpr SimTime kImbPeriod = 20000;
 constexpr int kImbEpochs = 6;
 constexpr SimDuration kImbLookahead = 200;
@@ -778,14 +656,12 @@ struct ImbalancedResult {
   std::uint64_t windows = 0;
   std::uint64_t shard_windows = 0;
   std::uint64_t stalled = 0;
-  std::uint64_t steals = 0;
 };
 
-ImbalancedResult imbalanced_run(std::size_t threads) {
+ImbalancedResult imbalanced_run() {
   ShardedConfig sc;
   sc.shards = kImbShards;
   sc.lookahead = kImbLookahead;
-  sc.threads = threads;
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(kImbShards);
   HotActor hot;
@@ -824,79 +700,21 @@ ImbalancedResult imbalanced_run(std::size_t threads) {
   r.windows = engine.windows();
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
-  r.steals = engine.steals();
   return r;
 }
 
-// Three threads split the 64 shards 21/21/22 — uneven destination ranges
-// for the merge, with every range receiving cross-range messages.
-TEST(ShardedSimulator, ImbalancedTopologyByteIdenticalAcross1_2_3_8Threads) {
-  const ImbalancedResult r1 = imbalanced_run(1);
-  const ImbalancedResult r2 = imbalanced_run(2);
-  const ImbalancedResult r3 = imbalanced_run(3);
-  const ImbalancedResult r8 = imbalanced_run(8);
-  EXPECT_EQ(r1.hash, r2.hash);
-  EXPECT_EQ(r1.hash, r3.hash);
-  EXPECT_EQ(r1.hash, r8.hash);
-  // Every shard has a fixed owner thread: nothing is ever stolen.
-  EXPECT_EQ(r1.steals, 0u);
-  EXPECT_EQ(r2.steals, 0u);
-  EXPECT_EQ(r3.steals, 0u);
-  EXPECT_EQ(r8.steals, 0u);
-}
-
-// The round gate's park path: one shard's action blocks for ~2 ms of host
-// time in each of a few rounds while the other shards have only a short
-// background load to run, so their threads exhaust the spin and yield
-// phases and park on atomic::wait until the last arriver wakes them. The
-// background (~800 events a round on shards 2 and 3) makes every round
-// after the first wide, so the blocking rounds really cross the gate. The
-// run must complete and match the sequential run exactly.
-std::uint64_t blocking_shard_hash(std::size_t threads) {
-  constexpr std::size_t kShards = 4;
-  constexpr int kBlockingRounds = 4;
-  ShardedConfig sc;
-  sc.shards = kShards;
-  sc.lookahead = 100;
-  sc.threads = threads;
-  ShardedSimulator engine(sc);
-  std::vector<TraceHasher> hashes(kShards);
-  std::uint64_t background = 0;
-  for (std::size_t s = 2; s < kShards; ++s) {
-    background += add_ticks(engine.shard(s), 4, 1, 800);
-  }
-  // Shard 0 sleeps, then posts to shard 1, which answers; each leg is a
-  // new round, so the sleeps land in distinct rounds.
-  std::function<void(int)> ping = [&](int left) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    hashes[0].mix(engine.shard(0).now());
-    if (left == 0) return;
-    engine.post(0, 1, engine.shard(0).now() + 100, [&, left] {
-      hashes[1].mix(engine.shard(1).now());
-      engine.post(1, 0, engine.shard(1).now() + 100,
-                  [&ping, left] { ping(left - 1); });
-    });
-  };
-  engine.shard(0).schedule_at(1, [&ping] { ping(kBlockingRounds - 1); });
-  engine.run();
-  TraceHasher combined;
-  for (const TraceHasher& h : hashes) combined.mix(h.h);
-  combined.mix(engine.events_processed());
-  combined.mix(engine.messages());
-  combined.mix(engine.windows());
-  EXPECT_EQ(engine.events_processed() - background, 2u * kBlockingRounds - 1);
-  if (threads > 1) {
-    EXPECT_GT(engine.wide_rounds(), 0u);
-  }
-  return combined.h;
-}
-
-TEST(ShardedSimulator, PeersParkedAtTheRoundGateAreWokenByABlockedShard) {
-  EXPECT_EQ(blocking_shard_hash(4), blocking_shard_hash(1));
+// Captured before the engine's host threads were deleted; every thread
+// count the engine offered gave these values.
+TEST(ShardedSimulator, ImbalancedTopologyHashIsPinned) {
+  const ImbalancedResult r = imbalanced_run();
+  EXPECT_EQ(r.hash, 8690796927192043311ull);
+  EXPECT_EQ(r.windows, 131u);
+  EXPECT_EQ(r.shard_windows, 927u);
+  EXPECT_EQ(r.stalled, 5961u);
 }
 
 TEST(ShardedSimulator, AdaptiveHorizonsCrossQuietGapsInOneWindow) {
-  const ImbalancedResult r = imbalanced_run(1);
+  const ImbalancedResult r = imbalanced_run();
   // One global window per lookahead would take kImbEpochs * kImbPeriod /
   // kImbLookahead rounds to cover the run; per-shard horizons cross each
   // quiet gap in one round, so the count collapses well below that.
@@ -1015,7 +833,7 @@ TEST(PgasSystem, SingleNodeMachineHasNoCrossTraffic) {
 
 // Per-node epoch generator: every epoch it issues node-local UNIMEM
 // traffic, submits local tasks (software + fabric via the UNILOGIC pool),
-// and forwards one task to another node through the engine mailboxes.
+// and forwards one task to another node through the engine.
 struct NodeGenerator {
   ShardedRuntime* rt = nullptr;
   std::size_t node = 0;
@@ -1054,7 +872,7 @@ struct NodeGenerator {
     hash->mix(st.finish);
     // Local work for this node's scheduler / UNILOGIC pool.
     for (int i = 0; i < 2; ++i) rt->submit(node, make_task(sim.now()));
-    // One cross-node forward through the SPSC mailboxes.
+    // One cross-node forward through the engine.
     if (nodes > 1) {
       const std::size_t to = (node + 1 + rng.uniform_u64(nodes - 1)) % nodes;
       rt->post_task(node, to, make_task(0));
@@ -1065,13 +883,12 @@ struct NodeGenerator {
   }
 };
 
-std::uint64_t sharded_runtime_hash(std::size_t threads,
-                                   ShardedRuntime::Stats* stats_out = nullptr,
-                                   std::uint64_t* wide_out = nullptr) {
+std::uint64_t sharded_runtime_hash(ShardedRuntime::Stats* stats_out,
+                                   std::size_t threads = 1) {
   ShardedRuntimeConfig cfg;
   cfg.nodes = 8;
-  cfg.workers_per_node = 2;
   cfg.threads = threads;
+  cfg.workers_per_node = 2;
   cfg.runtime.placement = PlacementPolicy::kModelBased;
   cfg.runtime.share_fabric = true;
   cfg.runtime.distribution = DistributionPolicy::kLazyLocal;
@@ -1098,12 +915,11 @@ std::uint64_t sharded_runtime_hash(std::size_t threads,
     rt.shard(node).schedule_at(static_cast<SimTime>(1 + node),
                                [&g] { g.fire(); });
     // Background ticks, 32 per lookahead per node (~256 events a round),
-    // through the generators' six epochs, so the rounds run wide.
+    // through the generators' six epochs.
     add_ticks(rt.shard(node), 2, 1, microseconds(180),
               std::max<SimDuration>(rt.lookahead() / 16, 1));
   }
   rt.run();
-  if (wide_out != nullptr) *wide_out = rt.engine().wide_rounds();
 
   TraceHasher combined;
   for (std::size_t node = 0; node < cfg.nodes; ++node) {
@@ -1123,37 +939,21 @@ std::uint64_t sharded_runtime_hash(std::size_t threads,
   combined.mix(s.events);
   combined.mix(s.windows);
   combined.mix(s.cross_posts);
-  if (stats_out != nullptr) *stats_out = s;
+  *stats_out = s;
   return combined.h;
 }
 
-TEST(ShardedRuntime, MixedUnimemUnilogicWorkloadIdenticalAcrossThreads) {
-  ShardedRuntime::Stats s1{};
-  std::uint64_t w2 = 0, w8 = 0;
-  const std::uint64_t h1 = sharded_runtime_hash(1, &s1);
-  const std::uint64_t h2 = sharded_runtime_hash(2, nullptr, &w2);
-  const std::uint64_t h8 = sharded_runtime_hash(8, nullptr, &w8);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h1, h8);
-  EXPECT_GT(w2, 0u);
-  EXPECT_EQ(w2, w8);
+// Captured before the engine's host threads were deleted; every thread
+// count the engine offered gave these values.
+TEST(ShardedRuntime, MixedUnimemUnilogicWorkloadHashIsPinned) {
+  ShardedRuntime::Stats s{};
+  EXPECT_EQ(sharded_runtime_hash(&s), 18404818494914409895ull);
   // The workload really was mixed and really did cross node boundaries:
   // 8 nodes x 6 epochs x (2 local + 1 forwarded) tasks.
-  EXPECT_EQ(s1.tasks, 8u * 6u * 3u);
-  EXPECT_GT(s1.cross_posts, 0u);
-  EXPECT_GT(s1.windows, 0u);
-  EXPECT_GT(s1.makespan, 0u);
-}
-
-TEST(ShardedRuntime, WideRoundsReportNoSteals) {
-  // Every shard has a fixed owner thread, so even a run whose rounds go
-  // wide on four threads executes no window off its owner.
-  ShardedRuntime::Stats s{};
-  std::uint64_t wide = 0;
-  sharded_runtime_hash(4, &s, &wide);
-  EXPECT_GT(wide, 0u);
-  EXPECT_GT(s.shard_windows, 0u);
-  EXPECT_EQ(s.steals, 0u);
+  EXPECT_EQ(s.tasks, 8u * 6u * 3u);
+  EXPECT_EQ(s.cross_posts, 48u);
+  EXPECT_EQ(s.windows, 704u);
+  EXPECT_GT(s.makespan, 0u);
 }
 
 // --- run_until(): the epoch-pause primitive ---------------------------------
@@ -1214,18 +1014,13 @@ TEST(ShardedSimulator, ControllerMayScheduleAtThePauseOnAnyShard) {
 // One segmented run with a mid-run controller: chains of self-scheduling
 // events with deterministic cross-posts, paused every 17 ticks; at each
 // pause the controller folds the (deterministic) per-shard counters into
-// the hash and injects boundary events for the first few epochs. The
-// final hash must be byte-identical across thread counts — run_until's
-// pause is a consistent cut, never a function of the interleaving. With
-// `background` chains of ticks per shard (~28 events per chain a round)
-// most rounds run wide, and the workers wait parked across every pause.
-std::uint64_t segmented_run_hash(std::size_t threads,
-                                 std::size_t background = 0,
-                                 std::uint64_t* wide_out = nullptr) {
+// the hash and injects boundary events for the first few epochs, so the
+// final hash pins run_until's pause as a consistent cut. `background`
+// chains of ticks per shard add ~28 events per chain a round.
+std::uint64_t segmented_run_hash(std::size_t background) {
   ShardedConfig sc;
   sc.shards = 4;
   sc.lookahead = 7;
-  sc.threads = threads;
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(4);
   for (std::size_t s = 0; s < 4 && background > 0; ++s) {
@@ -1281,221 +1076,82 @@ std::uint64_t segmented_run_hash(std::size_t threads,
   }
   for (std::size_t s = 0; s < 4; ++s) controller.mix(hashes[s].h);
   controller.mix(engine.events_processed());
-  if (wide_out != nullptr) *wide_out = engine.wide_rounds();
   return controller.h;
 }
 
-TEST(ShardedSimulator, SegmentedRunsAreByteIdenticalAcrossThreads) {
-  // Narrow only: the chains alone retire a few events a round.
-  std::uint64_t w8 = 0;
-  const std::uint64_t h1 = segmented_run_hash(1);
-  const std::uint64_t h2 = segmented_run_hash(2);
-  const std::uint64_t h8 = segmented_run_hash(8, 0, &w8);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h1, h8);
-  EXPECT_EQ(w8, 0u);
-  // Wide: the same controller over 8 background chains per shard.
-  std::uint64_t wide2 = 0;
-  std::uint64_t wide8 = 0;
-  const std::uint64_t b1 = segmented_run_hash(1, 8);
-  const std::uint64_t b2 = segmented_run_hash(2, 8, &wide2);
-  const std::uint64_t b8 = segmented_run_hash(8, 8, &wide8);
-  EXPECT_EQ(b1, b2);
-  EXPECT_EQ(b1, b8);
-  EXPECT_GT(wide2, 0u);
-  EXPECT_EQ(wide2, wide8);
+// Captured before the engine's host threads were deleted; every thread
+// count the engine offered gave these values.
+TEST(ShardedSimulator, SegmentedRunsArePinned) {
+  EXPECT_EQ(segmented_run_hash(0), 4235869954645008129ull);
+  EXPECT_EQ(segmented_run_hash(8), 18415974269980460998ull);
 }
 
-// --- worker pool lifetime ---------------------------------------------------
-
-// A fresh number for every thread that asks: a thread started after
-// another one exited gets a new number even when it inherits the old
-// thread's id, so counting numbers counts threads ever started.
-std::uint64_t thread_birth() {
-  static std::atomic<std::uint64_t> next{0};
-  thread_local const std::uint64_t birth = next.fetch_add(1);
-  return birth;
-}
-
-// The threads that ran each shard's actions. Shard s's sets are touched
-// only by the thread running s's window, and the round gates order
-// successive windows, so the sets need no lock.
-struct ThreadLog {
-  std::vector<std::set<std::thread::id>> ids;
-  std::vector<std::set<std::uint64_t>> births;
-  explicit ThreadLog(std::size_t shards) : ids(shards), births(shards) {}
-  void note(std::size_t s) {
-    ids[s].insert(std::this_thread::get_id());
-    births[s].insert(thread_birth());
-  }
-  std::set<std::thread::id> all_ids() const {
-    std::set<std::thread::id> all;
-    for (const auto& set : ids) all.insert(set.begin(), set.end());
-    return all;
-  }
-  std::set<std::uint64_t> all_births() const {
-    std::set<std::uint64_t> all;
-    for (const auto& set : births) all.insert(set.begin(), set.end());
-    return all;
-  }
-};
+// --- the calling thread runs every action --------------------------------
 
 // One event a tick on `shard` until before `stop`, each noting its thread.
 struct LoggedTick {
   Simulator* sim;
   std::size_t shard;
-  ThreadLog* log;
+  std::vector<std::set<std::thread::id>>* ids;
   SimTime stop;
   void operator()() const {
-    log->note(shard);
+    (*ids)[shard].insert(std::this_thread::get_id());
     if (sim->now() + 1 < stop) sim->schedule_after(1, *this);
   }
 };
 
-ShardedConfig pool_config() {
+ShardedConfig four_shards(std::size_t threads) {
   ShardedConfig sc;
   sc.shards = 4;
   sc.lookahead = 10;
-  sc.threads = 4;
+  sc.threads = threads;
   return sc;
 }
 
-TEST(ShardedSimulator, WorkerThreadsSurviveRunUntilSegments) {
-  ShardedSimulator engine(pool_config());
-  ThreadLog log(4);
-  for (std::size_t s = 0; s < 4; ++s) {
-    add_ticks(engine.shard(s), 4, 1, 1000);  // ~200 events a round: wide
-    engine.shard(s).schedule_at(1, LoggedTick{&engine.shard(s), s, &log, 1000});
-  }
-  // 50 segments of two rounds each; workers must wait across every pause
-  // instead of being spawned and joined per segment.
-  SimTime bound = 0;
-  bool drained = false;
-  for (int seg = 0; seg < 50; ++seg) drained = engine.run_until(bound += 20);
-  EXPECT_TRUE(drained);
-  EXPECT_GT(engine.wide_rounds(), 0u);
-  EXPECT_EQ(engine.spawned_workers(), 3u);
-  EXPECT_LE(log.all_ids().size(), 4u);
-  EXPECT_LE(log.all_births().size(), 4u);
-  // The first rounds (EWMA still low) ran narrow, on the caller.
-  EXPECT_EQ(log.all_ids().count(std::this_thread::get_id()), 1u);
-}
-
-// Wide rounds run shard s only on its owner, thread t with
-// t*S/T <= s < (t+1)*S/T. A warm-up segment lifts the events-per-round
-// EWMA past the wide threshold; every round of the logged segment after it
-// must run wide, so each shard's log holds only its owner's thread.
-void expect_fixed_owners(std::size_t threads) {
-  SCOPED_TRACE(threads);
-  constexpr std::size_t kShards = 8;
-  ShardedConfig sc = pool_config();
-  sc.shards = kShards;
-  sc.threads = threads;
-  ShardedSimulator engine(sc);
-  ThreadLog log(kShards);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    add_ticks(engine.shard(s), 4, 1, 1000);  // ~320 events a round: wide
-  }
-  EXPECT_FALSE(engine.run_until(100));
-  for (std::size_t s = 0; s < kShards; ++s) {
-    engine.shard(s).schedule_at(100,
-                                LoggedTick{&engine.shard(s), s, &log, 900});
-  }
-  const std::uint64_t rounds0 = engine.windows();
-  const std::uint64_t wide0 = engine.wide_rounds();
-  EXPECT_FALSE(engine.run_until(900));
-  ASSERT_GT(engine.windows(), rounds0);
-  ASSERT_EQ(engine.wide_rounds() - wide0, engine.windows() - rounds0);
-  const auto owner = [&](std::size_t s) {
-    std::size_t t = 0;
-    while (s >= (t + 1) * kShards / threads) ++t;
-    return t;
-  };
-  for (std::size_t s = 0; s < kShards; ++s) {
-    ASSERT_EQ(log.ids[s].size(), 1u) << "shard " << s;
-  }
-  for (std::size_t a = 0; a < kShards; ++a) {
-    for (std::size_t b = a + 1; b < kShards; ++b) {
-      EXPECT_EQ(*log.ids[a].begin() == *log.ids[b].begin(),
-                owner(a) == owner(b))
-          << "shards " << a << " and " << b;
-    }
-  }
-  EXPECT_EQ(log.all_ids().size(), threads);
-  EXPECT_EQ(engine.steals(), 0u);
-}
-
-TEST(ShardedSimulator, WideRoundsRunEachShardOnlyOnItsOwnerThread) {
-  for (std::size_t threads : {2, 3, 4}) expect_fixed_owners(threads);
-}
-
+// Sparse rounds (~40 events, the kv-style regime) and dense ones (~200
+// events) alike run every action on the caller's thread, whatever
+// `threads` says: the engine starts no thread.
 TEST(ShardedSimulator, NarrowRoundsRunEveryActionOnTheCallersThread) {
-  // ~40 events a round, below the wide threshold: the kv-style regime.
-  ShardedSimulator engine(pool_config());
-  ThreadLog log(4);
-  for (std::size_t s = 0; s < 4; ++s) {
-    engine.shard(s).schedule_at(1, LoggedTick{&engine.shard(s), s, &log, 600});
-  }
-  SimTime bound = 0;
-  while (!engine.run_until(bound += 50)) {
-  }
-  EXPECT_EQ(engine.events_processed(), 4u * 599u);
-  EXPECT_GT(engine.windows(), 0u);
-  EXPECT_EQ(engine.wide_rounds(), 0u);
-  EXPECT_EQ(engine.spawned_workers(), 0u);
-  EXPECT_EQ(engine.steals(), 0u);
-  const std::set<std::thread::id> ids = log.all_ids();
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
-}
-
-// Throws on any thread but `leader`, one event a tick until before `stop`.
-struct WorkerTrap {
-  Simulator* sim;
-  std::thread::id leader;
-  SimTime stop;
-  void operator()() const {
-    if (std::this_thread::get_id() != leader) {
-      throw std::runtime_error("thrown on a worker");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    for (const bool dense : {false, true}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, dense "
+                                      << dense);
+      ShardedSimulator engine(four_shards(threads));
+      EXPECT_EQ(engine.threads_used(), 1u);
+      std::vector<std::set<std::thread::id>> ids(4);
+      std::uint64_t background = 0;
+      for (std::size_t s = 0; s < 4; ++s) {
+        if (dense) background += add_ticks(engine.shard(s), 4, 1, 600);
+        engine.shard(s).schedule_at(
+            1, LoggedTick{&engine.shard(s), s, &ids, 600});
+      }
+      SimTime bound = 0;
+      while (!engine.run_until(bound += 50)) {
+      }
+      EXPECT_EQ(engine.events_processed(), 4u * 599u + background);
+      EXPECT_GT(engine.windows(), 0u);
+      for (const auto& set : ids) {
+        ASSERT_EQ(set.size(), 1u);
+        EXPECT_EQ(*set.begin(), std::this_thread::get_id());
+      }
     }
-    if (sim->now() + 1 < stop) sim->schedule_after(1, *this);
-  }
-};
-
-TEST(ShardedSimulator, ActionExceptionPropagatesFromTheLeaderAndFromAWorker) {
-  {
-    // Narrow round: the action runs, and throws, on the caller.
-    ShardedSimulator engine(pool_config());
-    std::thread::id thrower;
-    for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
-    engine.shard(3).schedule_at(7, [&thrower] {
-      thrower = std::this_thread::get_id();
-      throw std::runtime_error("thrown on the leader");
-    });
-    EXPECT_THROW(engine.run(), std::runtime_error);
-    EXPECT_EQ(thrower, std::this_thread::get_id());
-    EXPECT_EQ(engine.wide_rounds(), 0u);
-  }
-  {
-    // Wide rounds: every shard throws as soon as a worker, not the caller,
-    // runs one of its trap events, so the exception that surfaces was
-    // thrown on a worker.
-    ShardedSimulator engine(pool_config());
-    for (std::size_t s = 0; s < 4; ++s) {
-      add_ticks(engine.shard(s), 8, 1, 2000);
-      engine.shard(s).schedule_at(
-          200, WorkerTrap{&engine.shard(s), std::this_thread::get_id(), 2000});
-    }
-    EXPECT_THROW(engine.run(), std::runtime_error);
-    EXPECT_GT(engine.wide_rounds(), 0u);
   }
 }
 
-TEST(ShardedSimulator, TwoThrowsInOneNarrowRoundRethrowLowestShardFirst) {
-  // Shards 1 and 3 both throw inside the same narrow round (the leader
-  // runs shard 3's window after shard 1's). The lowest shard id surfaces
-  // first; the other exception is kept and surfaces on the next run.
-  ShardedSimulator engine(pool_config());
+TEST(ShardedSimulator, ActionExceptionPropagatesFromRun) {
+  ShardedSimulator engine(four_shards(1));
+  for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
+  engine.shard(3).schedule_at(7, [] {
+    throw std::runtime_error("shard 3 exploded");
+  });
+  EXPECT_THROW(engine.run(), std::runtime_error);
+}
+
+TEST(ShardedSimulator, TwoThrowsInOneRoundRethrowLowestShardFirst) {
+  // Shards 1 and 3 both throw inside the same round (shard 3's window
+  // runs after shard 1's). The lowest shard id surfaces first; the other
+  // exception is kept and surfaces on the next run.
+  ShardedSimulator engine(four_shards(1));
   for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
   engine.shard(3).schedule_at(7, [] { throw std::runtime_error("shard 3"); });
   engine.shard(1).schedule_at(7, [] { throw std::runtime_error("shard 1"); });
@@ -1507,35 +1163,132 @@ TEST(ShardedSimulator, TwoThrowsInOneNarrowRoundRethrowLowestShardFirst) {
       EXPECT_STREQ(e.what(), expected);
     }
   }
-  EXPECT_EQ(engine.wide_rounds(), 0u);
   EXPECT_EQ(engine.windows(), 1u);  // both threw in the first round
   engine.run();  // nothing left to rethrow: drains
   EXPECT_EQ(engine.events_processed(), 6u);
 }
 
-TEST(ShardedSimulator, DestructorReturnsWithNoRunsAfterAThrowAndWhileParked) {
-  {
-    ShardedSimulator never_run(pool_config());
-    EXPECT_EQ(never_run.spawned_workers(), 0u);
+TEST(ShardedSimulator, ActionExceptionPropagatesFromRunUntil) {
+  ShardedSimulator engine(four_shards(1));
+  int late = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    engine.shard(s).schedule_at(60, [&late] { ++late; });
   }
+  engine.shard(0).schedule_at(7, [] { throw std::runtime_error("shard 0"); });
+  EXPECT_THROW(engine.run_until(50), std::runtime_error);
+  EXPECT_EQ(late, 0);
+  // The thrown exception is spent: the segments resume at their own bounds.
+  EXPECT_FALSE(engine.run_until(50));
+  EXPECT_EQ(late, 0);
+  EXPECT_TRUE(engine.run_until(100));
+  EXPECT_EQ(late, 4);
+}
+
+// A window that throws after posting still ends its round normally: the
+// message is merged at the round boundary and runs on the next run().
+TEST(ShardedSimulator, MessagesPostedBeforeAThrowAreDeliveredOnTheNextRun) {
+  ShardedConfig sc;
+  sc.shards = 2;
+  sc.lookahead = 10;
+  ShardedSimulator engine(sc);
+  SimTime landed = 0;
+  engine.shard(0).schedule_at(5, [&engine, &landed] {
+    engine.post(0, 1, 40,
+                [&engine, &landed] { landed = engine.shard(1).now(); });
+    throw std::runtime_error("after the post");
+  });
+  EXPECT_THROW(engine.run(), std::runtime_error);
+  EXPECT_EQ(landed, 0u);
+  EXPECT_EQ(engine.messages(), 1u);
+  engine.run();
+  EXPECT_EQ(landed, 40u);
+}
+
+// An exception that carries a reference, so the test can see it released.
+struct TokenError : std::runtime_error {
+  explicit TokenError(std::shared_ptr<int> t)
+      : std::runtime_error("token"), token(std::move(t)) {}
+  std::shared_ptr<int> token;
+};
+
+// Destroying an engine mid-run, with events still queued on every shard
+// and a second exception not yet rethrown, releases all of them.
+TEST(ShardedSimulator, DestructorReleasesPendingWorkAfterAThrow) {
+  const auto token = std::make_shared<int>(0);
   {
-    ShardedSimulator engine(pool_config());
-    for (std::size_t s = 0; s < 4; ++s) add_ticks(engine.shard(s), 4, 1, 1000);
-    engine.shard(3).schedule_at(307, [] {
-      throw std::runtime_error("shard 3 exploded");
-    });
+    ShardedSimulator engine(four_shards(1));
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine.shard(s).schedule_at(1000, [token] { (void)*token; });
+    }
+    engine.shard(1).schedule_at(7, [] { throw std::runtime_error("shard 1"); });
+    engine.shard(3).schedule_at(7, [token] { throw TokenError(token); });
     EXPECT_THROW(engine.run(), std::runtime_error);
-    EXPECT_EQ(engine.spawned_workers(), 3u);
+    EXPECT_GT(token.use_count(), 4);
   }
-  {
-    ShardedSimulator engine(pool_config());
-    for (std::size_t s = 0; s < 4; ++s) add_ticks(engine.shard(s), 4, 1, 1000);
-    EXPECT_TRUE(engine.run_until(1000));
-    EXPECT_EQ(engine.spawned_workers(), 3u);
-    // Well past the gate's ~100 us yield budget: the workers are parked on
-    // atomic::wait when the destructor releases them.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(ShardedSimulator, RunOnAnEmptyEngineDoesNothing) {
+  ShardedSimulator engine(four_shards(1));
+  engine.run();
+  EXPECT_TRUE(engine.run_until(100));
+  EXPECT_EQ(engine.windows(), 0u);
+  EXPECT_EQ(engine.events_processed(), 0u);
+  EXPECT_EQ(engine.now(), 0u);
+  EXPECT_EQ(engine.shard_wall_time_ns(), 0u);
+}
+
+// With no pending peer nothing bounds a shard's horizon, so a lone shard
+// drains in one window however much work it holds.
+TEST(ShardedSimulator, OneShardDrainsInOneWindow) {
+  ShardedConfig sc;
+  sc.shards = 1;
+  sc.lookahead = 10;
+  ShardedSimulator engine(sc);
+  const std::uint64_t events = add_ticks(engine.shard(0), 3, 1, 500);
+  engine.run();
+  EXPECT_EQ(engine.windows(), 1u);
+  EXPECT_EQ(engine.shard_windows(), 1u);
+  EXPECT_EQ(engine.stalled_shard_windows(), 0u);
+  EXPECT_EQ(engine.events_processed(), events);
+  EXPECT_EQ(engine.now(), 499u);
+}
+
+// Idle shards cost a round nothing: they neither run a window nor count
+// as stalled, and the one busy shard is bounded by no peer.
+TEST(ShardedSimulator, IdleShardsAreNeitherRunNorStalled) {
+  ShardedSimulator engine(four_shards(1));
+  const std::uint64_t events = add_ticks(engine.shard(2), 2, 1, 300);
+  engine.run();
+  EXPECT_EQ(engine.windows(), 1u);
+  EXPECT_EQ(engine.shard_windows(), 1u);
+  EXPECT_EQ(engine.stalled_shard_windows(), 0u);
+  EXPECT_EQ(engine.events_processed(), events);
+  EXPECT_EQ(engine.now(), 299u);
+  EXPECT_EQ(engine.shard(0).now(), 0u);
+}
+
+// --- documented no-ops ------------------------------------------------------
+
+// The end-to-end benchmark still sets `threads` for its 4-thread run. Any
+// value leaves the engine on the calling thread with the pinned result.
+TEST(ShardedSimulator, ThreadsFieldIsANoOp) {
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{4}, std::size_t{16}}) {
+    SCOPED_TRACE(threads);
+    ShardedSimulator engine(four_shards(threads));
+    EXPECT_EQ(engine.threads_used(), 1u);
+    EXPECT_EQ(engine.steals(), 0u);
+    EXPECT_EQ(mesh_workload_hash(8, 1024, 400, nullptr, threads),
+              6437149492501349650ull);
   }
+}
+
+TEST(ShardedRuntime, ThreadsFieldIsANoOp) {
+  ShardedRuntime::Stats s{};
+  EXPECT_EQ(sharded_runtime_hash(&s, 4), 18404818494914409895ull);
+  EXPECT_EQ(s.windows, 704u);
+  EXPECT_EQ(s.steals, 0u);
 }
 
 TEST(ShardedRuntime, ForwardedTasksPayTheInterNodeLatency) {

@@ -1,6 +1,6 @@
 // Serving subsystem tests: the KV store must be linearizable per key
 // against a reference map, admission control must shed (not hang) under
-// overload, results must be byte-identical across --sim-threads, and the
+// overload, results must match pinned fingerprints, and the
 // graph engine must match its single-threaded functional references.
 #include <gtest/gtest.h>
 
@@ -28,12 +28,10 @@ using serve::KvStore;
 using serve::LoadGen;
 using serve::LoadGenConfig;
 
-ShardedRuntimeConfig serve_config(std::size_t nodes, std::size_t workers,
-                                  std::size_t threads = 1) {
+ShardedRuntimeConfig serve_config(std::size_t nodes, std::size_t workers) {
   ShardedRuntimeConfig rc;
   rc.nodes = nodes;
   rc.workers_per_node = workers;
-  rc.threads = threads;
   rc.runtime.placement = PlacementPolicy::kAlwaysSoftware;
   rc.runtime.distribution = DistributionPolicy::kHomeOnly;
   return rc;
@@ -222,8 +220,8 @@ TEST(Admission, ShedResponsesKeepClosedLoopsLive) {
   EXPECT_GT(report.completed, 0u);
 }
 
-LoadGen::Report run_loadgen(std::size_t threads) {
-  ShardedRuntimeConfig rc = serve_config(4, 2, threads);
+LoadGen::Report run_loadgen() {
+  ShardedRuntimeConfig rc = serve_config(4, 2);
   rc.runtime.admission_limit = 32;
   ShardedRuntime rt(rc);
   serve::KvConfig kv_cfg = small_kv();
@@ -240,18 +238,16 @@ LoadGen::Report run_loadgen(std::size_t threads) {
   return gen.report();
 }
 
-TEST(Determinism, ByteIdenticalAcrossSimThreads) {
-  const LoadGen::Report seq = run_loadgen(1);
-  ASSERT_GT(seq.completed, 0u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const LoadGen::Report par = run_loadgen(threads);
-    EXPECT_EQ(par.fingerprint, seq.fingerprint) << threads << " threads";
-    EXPECT_EQ(par.issued, seq.issued);
-    EXPECT_EQ(par.completed, seq.completed);
-    EXPECT_EQ(par.shed, seq.shed);
-    EXPECT_EQ(par.last_completion, seq.last_completion);
-    EXPECT_EQ(par.latency.fingerprint(), seq.latency.fingerprint());
-  }
+// Captured before the engine's host threads were deleted; every thread
+// count the engine offered gave these values.
+TEST(Determinism, LoadGenReportIsPinned) {
+  const LoadGen::Report r = run_loadgen();
+  EXPECT_EQ(r.fingerprint, 15811600211630494333ull);
+  EXPECT_EQ(r.issued, 1000u);
+  EXPECT_EQ(r.completed, 725u);
+  EXPECT_EQ(r.shed, 275u);
+  EXPECT_EQ(r.last_completion, 399860743u);
+  EXPECT_EQ(r.latency.fingerprint(), 16324940971407887339ull);
 }
 
 // --- graph engine -----------------------------------------------------------

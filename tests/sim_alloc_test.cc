@@ -249,23 +249,19 @@ TEST(SimulatorAllocation, TracedPgasAndNetworkLoopsStayAllocationFree) {
 }
 #endif  // !ECO_TRACE_DISABLED
 
-// --- sharded parallel engine ------------------------------------------------
+// --- sharded engine ----------------------------------------------------------
 
-// Cross-posting actor for the multi-threaded engine: self-reschedules on
-// its own shard and sends every fourth fire to its ring neighbor. All
-// captures fit InlineAction's inline buffer, the mailbox ring is sized so
-// nothing spills, and the merge reads the lanes in place with no scratch
-// of its own — so once warm, a round (plan, execute, insert, fold) must
-// not allocate at all.
+// Cross-posting actor for the sharded engine: self-reschedules on its own
+// shard and sends every fourth fire to its ring neighbor. All captures fit
+// InlineAction's inline buffer, the outbox is sized so nothing spills, and
+// the merge reads the outbox in place with no scratch of its own — so once
+// warm, a round (plan, execute, insert, fold) must not allocate at all.
 struct ShardPumpActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
   std::size_t shards = 0;
   std::uint64_t left = 0;
-  // Per-shard sink slots: slot d is only ever written by whichever thread
-  // is executing shard d's window (cross-posts land on the destination's
-  // slot), so the accumulation needs no synchronization of its own.
-  std::uint64_t* sinks = nullptr;
+  std::uint64_t* sinks = nullptr;  // one slot per shard
 
   void fire() {
     Simulator& sim = eng->shard(shard);
@@ -283,92 +279,39 @@ struct ShardPumpActor {
   }
 };
 
-// Eight actors per shard retire ~170 events a round, enough for the
-// engine's events-per-round EWMA to run rounds wide (lazily spawning the
-// workers once per run), so both the wide and the narrow path are warm.
-constexpr std::size_t kPumpActorsPerShard = 8;
-
-std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor,
-                                 std::uint64_t* wide_rounds = nullptr) {
-  const std::uint64_t before = g_allocations.load();
-  ShardedConfig sc;
-  sc.shards = 8;
-  sc.lookahead = 200;
-  sc.threads = 4;  // the promise must hold with --sim-threads > 1
-  sc.mailbox_capacity = 1024;
-  ShardedSimulator engine(sc);
-  EXPECT_EQ(engine.threads_used(), 4u);
-  std::array<std::uint64_t, 8> sinks{};
-  std::array<ShardPumpActor, 8 * kPumpActorsPerShard> actors;
-  for (std::size_t i = 0; i < actors.size(); ++i) {
-    const std::size_t s = i % 8;
-    actors[i].eng = &engine;
-    actors[i].shard = s;
-    actors[i].shards = 8;
-    actors[i].left = fires_per_actor;
-    actors[i].sinks = sinks.data();
-    ShardPumpActor* a = &actors[i];
-    engine.shard(s).schedule_at(static_cast<SimTime>(1 + i),
-                                [a] { a->fire(); });
-  }
-  engine.run();
-  EXPECT_EQ(engine.mailbox_spills(), 0u)
-      << "ring overflowed; spills allocate and void the comparison";
-  EXPECT_GT(engine.messages(), 0u);
-  if (wide_rounds != nullptr) *wide_rounds = engine.wide_rounds();
-  return g_allocations.load() - before;
-}
-
-TEST(SimulatorAllocation, ShardedEngineWindowsAreAllocationFreeOnceWarm) {
-  // Per-run costs (engine construction, scratch reservations, the one
-  // lazy spawn of threads-1 workers and their gate, event-slab warm-up)
-  // are identical for identical configs, so running 4x the windows must
-  // allocate exactly as much as running 1x — anything per-window shows up
-  // as the difference. Both runs must go wide, or the spawn would be
-  // counted in one run only and the wide path would go untested.
-  sharded_run_allocs(500);  // warm process-wide pools and TLS once
-  std::uint64_t base_wide = 0;
-  std::uint64_t scaled_wide = 0;
-  const std::uint64_t base = sharded_run_allocs(500, &base_wide);
-  const std::uint64_t scaled = sharded_run_allocs(2000, &scaled_wide);
-  EXPECT_GT(base_wide, 0u);
-  EXPECT_GT(scaled_wide, base_wide);
-  EXPECT_EQ(scaled, base)
-      << "the parallel engine allocated per window in steady state";
-}
-
-// The kv-style regime at one thread: one actor per shard, every fourth
-// fire a cross post, a dense pair oracle — a few events a round, so every
-// round is narrow and most shards stall. The round's pending list, packed
-// next times and horizons are all sized at construction or run() entry,
-// and the merge reads lane 0 in place, so once the engine has run, a
-// second run of many more rounds must not allocate at all.
-TEST(SimulatorAllocation, OneThreadNarrowRoundsAreAllocationFreeOnceWarm) {
+// The round's pending list, next times and horizons are sized at
+// construction or run() entry, and the merge reads the outbox in place, so
+// once the engine has run, a second run of many more rounds must not
+// allocate at all. `per_shard` actors run on each of 8 shards under a dense
+// pair oracle. `threads = 4` is ignored: the engine runs on the caller
+// either way.
+void expect_sharded_rounds_allocation_free(std::size_t per_shard) {
   constexpr std::size_t kShards = 8;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = 50;
-  sc.threads = 1;
+  sc.threads = 4;
   sc.pair_lookahead = [](std::size_t a, std::size_t b) -> SimDuration {
     const std::size_t d = a > b ? a - b : b - a;
     return 20 + 30 * std::min(d, kShards - d);  // ring distance: a metric
   };
   ShardedSimulator engine(sc);
   std::array<std::uint64_t, kShards> sinks{};
-  std::array<ShardPumpActor, kShards> actors;
+  std::vector<ShardPumpActor> actors(kShards * per_shard);
   const auto start = [&](std::uint64_t fires_per_actor) {
-    for (std::size_t s = 0; s < kShards; ++s) {
-      actors[s] = ShardPumpActor{&engine, s, kShards, fires_per_actor,
+    for (std::size_t i = 0; i < actors.size(); ++i) {
+      const std::size_t s = i % kShards;
+      actors[i] = ShardPumpActor{&engine, s, kShards, fires_per_actor,
                                  sinks.data()};
-      ShardPumpActor* a = &actors[s];
-      const SimTime at = engine.shard(s).now() + 1 + s;
+      ShardPumpActor* a = &actors[i];
+      const SimTime at = engine.shard(s).now() + 1 + i;
       engine.shard(s).schedule_at(at, [a] { a->fire(); });
     }
   };
   // Queue storage is the kernel's own growth with the peak in flight;
   // size it so that only the engine's per-round bookkeeping is measured.
   for (std::size_t s = 0; s < kShards; ++s) {
-    engine.shard(s).reserve_events(64);
+    engine.shard(s).reserve_events(64 * per_shard);
   }
   start(200);
   engine.run();  // warm: TLS, the action pool, the first run's reserves
@@ -377,12 +320,23 @@ TEST(SimulatorAllocation, OneThreadNarrowRoundsAreAllocationFreeOnceWarm) {
   const std::uint64_t before = g_allocations.load();
   engine.run();
   EXPECT_EQ(g_allocations.load(), before)
-      << "a 1-thread narrow round allocated in steady state";
-  // Sparse: a few events a round, so rounds scale with the work.
-  EXPECT_GT(engine.windows() - warm_windows, 2000u);
-  EXPECT_EQ(engine.wide_rounds(), 0u);
-  EXPECT_EQ(engine.mailbox_spills(), 0u);
+      << "a sharded round allocated in steady state";
+  // Ten times the fires: the rounds scale with the work.
+  EXPECT_GT(engine.windows() - warm_windows, 5 * warm_windows);
+  EXPECT_EQ(engine.mailbox_spills(), 0u)
+      << "the outbox overflowed; spills allocate and void the comparison";
   EXPECT_GT(engine.messages(), 0u);
+}
+
+// One actor per shard: the kv-style regime, a few events a round and most
+// shards stalled.
+TEST(SimulatorAllocation, SparseShardedRoundsAreAllocationFreeOnceWarm) {
+  expect_sharded_rounds_allocation_free(1);
+}
+
+// Eight actors per shard: ~170 events a round, the mesh regime.
+TEST(SimulatorAllocation, DenseShardedRoundsAreAllocationFreeOnceWarm) {
+  expect_sharded_rounds_allocation_free(8);
 }
 
 TEST(SimulatorAllocation, ColdStartAllocatesOnlyStorageGrowth) {

@@ -358,7 +358,6 @@ ShardedConfig dir_engine(std::size_t nodes) {
   ShardedConfig sc;
   sc.shards = nodes;
   sc.lookahead = kDirHop;
-  sc.threads = 2;  // the threaded engine: one node's events per shard
   return sc;
 }
 
