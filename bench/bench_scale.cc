@@ -3,12 +3,12 @@
 // what the implicit-routing + pooled-state refactor is supposed to buy:
 //
 //  * construction wall time (a 100k-worker machine must build in < 1 s),
-//  * routing + cross-shard outbox state per endpoint (< 64 B/endpoint —
+//  * routing + cross-shard inbox state per endpoint (< 64 B/endpoint —
 //    the dense table alone was 8 B per endpoint *pair*),
 //  * route-computation ns/op (the LCA walk, sampled over random pairs),
 //    compared head-to-head against the legacy dense table at 64 workers,
-//  * cross-shard message throughput through the engine's one outbox, with
-//    a pinned hash.
+//  * cross-shard message throughput through the engine's inboxes, with a
+//    pinned hash.
 //
 // Deterministic columns (state bytes, hashes, counts) are committed in
 // bench/baselines/bench_scale.json and compared exactly by CI; wall-time
@@ -65,8 +65,8 @@ struct ScaleRow {
   double construct_ms = 0.0;
   double rss_mb = 0.0;             // RSS growth while constructing
   std::uint64_t route_bytes = 0;   // Network routing state
-  std::uint64_t outbox_bytes = 0;  // sharded-engine outbox
-  double state_b_per_ep = 0.0;     // (route + outbox) / workers
+  std::uint64_t inbox_bytes = 0;   // sharded-engine inboxes
+  double state_b_per_ep = 0.0;     // (route + inbox) / workers
   double route_ns = 0.0;           // route_latency ns/op, sampled pairs
   std::uint64_t lazy_workers = 0;  // constructed after touching one pool
 };
@@ -118,9 +118,9 @@ ScaleRow measure_scale_point(const ScalePoint& p) {
   ECO_CHECK_MSG(net.implicit_routing(),
                 "machine trees must route implicitly");
   row.route_bytes = net.route_state_bytes();
-  row.outbox_bytes = engine.mailbox_state_bytes();
+  row.inbox_bytes = engine.mailbox_state_bytes();
   row.state_b_per_ep =
-      static_cast<double>(row.route_bytes + row.outbox_bytes) /
+      static_cast<double>(row.route_bytes + row.inbox_bytes) /
       static_cast<double>(row.workers);
 
   // Routing cost, sampled over random pairs (fewer samples at 100k where
@@ -166,13 +166,13 @@ struct PostActor {
   }
 };
 
-/// post_throughput(32, 600)'s hash, pinned when the workload was written
-/// (and equal at every thread count the engine used to offer).
-constexpr std::uint64_t kPostHash = 1933027399000859106ull;
+/// post_throughput(32, 600)'s hash, re-pinned when events were keyed by
+/// (time, origin, counter) (ROADMAP item 9: canonical event key); it folds
+/// in the run count.
+constexpr std::uint64_t kPostHash = 1357228552584791385ull;
 
 struct PostRun {
   std::uint64_t messages = 0;
-  std::uint64_t spills = 0;
   double msgs_per_sec = 0.0;
   std::uint64_t hash = 0;
   double wall_s = 0.0;
@@ -205,7 +205,6 @@ PostRun post_throughput(std::size_t shards, std::uint64_t fires) {
   PostRun run;
   run.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   run.messages = engine.messages();
-  run.spills = engine.mailbox_spills();
   run.msgs_per_sec = static_cast<double>(run.messages) / run.wall_s;
   run.hash = 1469598103934665603ull;
   for (const std::uint64_t h : hashes) {
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "bench_scale",
       "hierarchical machines scale to 100k workers: implicit routes, "
-      "one cross-shard outbox, pooled node state");
+      "per-shard cross-shard inboxes, pooled node state");
 
   // --- construction + state sweep -----------------------------------------
   const std::vector<ScalePoint> points = {
@@ -236,23 +235,23 @@ int main(int argc, char** argv) {
       {6250, 16, 25},   // 100k, three-level tree
   };
   Table scale({"workers", "nodes", "construct ms", "rss MB", "route bytes",
-               "outbox bytes", "state B/ep", "route ns/op", "lazy workers"});
+               "inbox bytes", "state B/ep", "route ns/op", "lazy workers"});
   std::vector<ScaleRow> rows;
   for (const ScalePoint& p : points) {
     rows.push_back(measure_scale_point(p));
     const ScaleRow& r = rows.back();
     scale.add_row({fmt_u64(r.workers), fmt_u64(r.nodes),
                    fmt_fixed(r.construct_ms, 2), fmt_fixed(r.rss_mb, 1),
-                   fmt_u64(r.route_bytes), fmt_u64(r.outbox_bytes),
+                   fmt_u64(r.route_bytes), fmt_u64(r.inbox_bytes),
                    fmt_fixed(r.state_b_per_ep, 2), fmt_fixed(r.route_ns, 1),
                    fmt_u64(r.lazy_workers)});
   }
   bench::print_table(
       scale,
       "machine construction and routing state, 64 -> 100k workers (route\n"
-      "state is the per-vertex tree arrays; outbox bytes the engine's\n"
-      "reserved cross-shard outbox; lazy workers = constructed after\n"
-      "touching one node's pool):");
+      "state is the per-vertex tree arrays; inbox bytes the engine's\n"
+      "reserved cross-shard inboxes, reserved on a shard's first message;\n"
+      "lazy workers = constructed after touching one node's pool):");
   const ScaleRow& big = rows.back();
   if (big.construct_ms >= 1000.0) {
     std::cerr << "FATAL: 100k-worker machine took " << big.construct_ms
@@ -260,7 +259,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (big.state_b_per_ep >= 64.0) {
-    std::cerr << "FATAL: route+outbox state is " << big.state_b_per_ep
+    std::cerr << "FATAL: route+inbox state is " << big.state_b_per_ep
               << " B/endpoint at 100k workers (budget: 64)\n";
     return 1;
   }
@@ -293,12 +292,12 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kFires = 600;
   post_throughput(kShards, kFires / 8);  // warm-up
   const PostRun posts = post_throughput(kShards, kFires);
-  Table post_table({"mesh", "messages", "spills", "msgs/sec", "hash"});
-  post_table.add_row({"32x4", fmt_u64(posts.messages), fmt_u64(posts.spills),
+  Table post_table({"mesh", "messages", "msgs/sec", "hash"});
+  post_table.add_row({"32x4", fmt_u64(posts.messages),
                       fmt_sci(posts.msgs_per_sec, 3), fmt_u64(posts.hash)});
   bench::print_table(
       post_table,
-      "cross-shard messages through the engine's outbox, 32 shards x 4\n"
+      "cross-shard messages through the engine's inboxes, 32 shards x 4\n"
       "actors (the hash is pinned):");
   if (posts.hash != kPostHash) {
     std::cerr << "FATAL: cross-shard hash " << posts.hash

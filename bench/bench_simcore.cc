@@ -134,21 +134,17 @@ struct ShardHash {
 
 struct ShardedMeshResult {
   std::uint64_t events = 0;
-  std::uint64_t windows = 0;
+  std::uint64_t runs = 0;  // engine shard runs
   std::uint64_t messages = 0;
-  std::uint64_t hash = 0;     // combined per-shard hashes + engine counters
+  std::uint64_t hash = 0;  // combined per-shard hashes + engine counters
   double wall_s = 0.0;
-  std::uint64_t shard_windows = 0;  // per-shard executions across rounds
-  std::uint64_t stalled = 0;        // skipped shard-windows (barrier stall)
-  // Host ns per round outside shard windows: plan, merge and fold.
-  double host_ns_per_round = 0.0;
 };
 
 /// Cross-posting actor mesh on the ShardedSimulator: per-shard
 /// self-rescheduling actors where one fire in four also posts an event to
-/// another shard at now + lookahead + jitter. Exercises window turnover,
-/// the push-order merge and the post() latency contract — the
-/// engine-level analogue of the multi-node runtime workloads.
+/// another shard at now + lookahead + jitter. Exercises shard turnover,
+/// the inboxes and the post() latency contract — the engine-level
+/// analogue of the multi-node runtime workloads.
 ShardedMeshResult sharded_mesh(std::size_t shards,
                                std::size_t actors_per_shard,
                                std::uint64_t fires_per_actor) {
@@ -206,17 +202,12 @@ ShardedMeshResult sharded_mesh(std::size_t shards,
   ShardedMeshResult r;
   r.wall_s = seconds_since(t0);
   r.events = engine.events_processed();
-  r.windows = engine.windows();
+  r.runs = engine.windows();
   r.messages = engine.messages();
-  r.shard_windows = engine.shard_windows();
-  r.stalled = engine.stalled_shard_windows();
-  r.host_ns_per_round =
-      (r.wall_s * 1e9 - static_cast<double>(engine.shard_wall_time_ns())) /
-      static_cast<double>(std::max<std::uint64_t>(r.windows, 1));
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
   combined.mix(r.events);
-  combined.mix(r.windows);
+  combined.mix(r.runs);
   combined.mix(r.messages);
   r.hash = combined.h;
   return r;
@@ -226,17 +217,10 @@ ShardedMeshResult sharded_mesh(std::size_t shards,
 
 struct ImbalancedMeshResult {
   std::uint64_t events = 0;
-  std::uint64_t rounds = 0;          // engine synchronization rounds
-  std::uint64_t shard_windows = 0;   // per-shard window executions
-  std::uint64_t stalled = 0;         // shard-windows skipped (no work)
+  std::uint64_t runs = 0;  // engine shard runs
   std::uint64_t messages = 0;
   std::uint64_t hash = 0;
   double wall_s = 0.0;
-  double stall_frac() const {
-    const std::uint64_t total = shard_windows + stalled;
-    return total == 0 ? 0.0
-                      : static_cast<double>(stalled) / static_cast<double>(total);
-  }
 };
 
 constexpr SimTime kImbPeriod = 20000;
@@ -244,12 +228,12 @@ constexpr int kImbEpochs = 60;
 constexpr SimDuration kImbLookahead = 200;
 
 /// A global-window engine's worst case (DESIGN.md §7.8): shard 0 fires
-/// continuously and holds the global floor, shards 1..63 wake in short
+/// continuously and holds the earliest event, shards 1..63 wake in short
 /// synchronized bursts once per 20 us period and sleep in between. One
 /// global window `[floor, floor + lookahead)` would march every shard
-/// forward 200 ns at a time — 100 all-stall barrier rounds per quiet gap,
-/// kImbEpochs * kImbPeriod / kImbLookahead rounds in all — while per-shard
-/// horizons let the hot shard cross each gap in a single fat window.
+/// forward 200 ns at a time — 100 steps per quiet gap,
+/// kImbEpochs * kImbPeriod / kImbLookahead in all — while the runner-up
+/// bound lets the hot shard cross each gap in one run.
 ImbalancedMeshResult imbalanced_mesh() {
   constexpr std::size_t kShards = 64;
   constexpr std::uint64_t kBurst = 16;
@@ -329,26 +313,24 @@ ImbalancedMeshResult imbalanced_mesh() {
   ImbalancedMeshResult r;
   r.wall_s = seconds_since(t0);
   r.events = engine.events_processed();
-  r.rounds = engine.windows();
-  r.shard_windows = engine.shard_windows();
-  r.stalled = engine.stalled_shard_windows();
+  r.runs = engine.windows();
   r.messages = engine.messages();
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
   combined.mix(r.events);
-  combined.mix(r.rounds);
-  combined.mix(r.shard_windows);
-  combined.mix(r.stalled);  // deterministic: derived from published state
+  combined.mix(r.runs);
   combined.mix(r.messages);
   r.hash = combined.h;
   return r;
 }
 
-/// The meshes' combined hashes, pinned when each scenario was written
-/// (and equal at every thread count the engine used to offer). A change
-/// means the engine's event order changed.
-constexpr std::uint64_t kMeshHash = 17309734613842959067ull;
-constexpr std::uint64_t kImbHash = 802887353787896146ull;
+/// The meshes' combined hashes and the imbalanced mesh's run count,
+/// re-pinned when events were keyed by (time, origin, counter) (ROADMAP
+/// item 9: canonical event key). A change means the engine's event order
+/// or its run schedule changed.
+constexpr std::uint64_t kMeshHash = 12348878263092206049ull;
+constexpr std::uint64_t kImbHash = 11802418423080887130ull;
+constexpr std::uint64_t kImbRuns = 8101;
 
 /// reserve() throughput for a timeline type under a given load pattern.
 template <typename TimelineT>
@@ -484,56 +466,54 @@ int main(int argc, char** argv) {
   const ShardedMeshResult mesh =
       sharded_mesh(kShards, kActorsPerShard, kFires);
   const double mesh_eps = static_cast<double>(mesh.events) / mesh.wall_s;
-  Table sharded({"mesh", "events", "windows", "messages", "events/sec",
-                 "host ns/round", "hash"});
-  sharded.add_row({"8x16", fmt_u64(mesh.events), fmt_u64(mesh.windows),
+  Table sharded({"mesh", "events", "runs", "messages", "events/sec",
+                 "hash"});
+  sharded.add_row({"8x16", fmt_u64(mesh.events), fmt_u64(mesh.runs),
                    fmt_u64(mesh.messages), fmt_sci(mesh_eps, 3),
-                   fmt_u64(static_cast<std::uint64_t>(
-                       std::max(mesh.host_ns_per_round, 0.0))),
                    fmt_u64(mesh.hash)});
-  bench::print_table(
-      sharded,
-      "sharded engine, 8 shards x 16 cross-posting actors (host ns/round\n"
-      "is the time outside shard windows per round):");
+  bench::print_table(sharded,
+                     "sharded engine, 8 shards x 16 cross-posting actors:");
   if (mesh.hash != kMeshHash) {
     std::cerr << "FATAL: sharded-mesh hash " << mesh.hash
               << " differs from the pinned " << kMeshHash << "\n";
     return 1;
   }
 
-  // --- imbalanced topology: per-shard horizons ---------------------------
-  // 1 hot shard + 63 periodic-burst cold shards. The round count is the
-  // horizons' acceptance metric: a global window would burn ~100
-  // all-stall barrier rounds per quiet gap, per-shard horizons cross each
-  // gap in one window.
+  // --- imbalanced topology: the runner-up bound ---------------------------
+  // 1 hot shard + 63 periodic-burst cold shards. Stepping one lookahead at
+  // a time would take the hot shard alone ~100 runs per quiet gap, and
+  // every cold burst takes at least one run of its own; the runner-up
+  // bound crosses each gap in one run. The run count is pinned exactly,
+  // so any change to the schedule fails, and must stay below that bound.
   imbalanced_mesh();  // warm-up
   const ImbalancedMeshResult imb_run = imbalanced_mesh();
-  const std::uint64_t global_window_rounds =
+  const std::uint64_t stepped_runs =
       static_cast<std::uint64_t>(kImbEpochs) * kImbPeriod / kImbLookahead;
-  Table imb({"mesh", "events", "rounds", "shard windows", "stall %",
-             "messages", "events/sec", "hash"});
+  const std::uint64_t cold_bursts = static_cast<std::uint64_t>(kImbEpochs) * 63;
+  Table imb({"mesh", "events", "runs", "messages", "events/sec", "hash"});
   imb.add_row({"1 hot + 63 cold", fmt_u64(imb_run.events),
-               fmt_u64(imb_run.rounds), fmt_u64(imb_run.shard_windows),
-               fmt_pct(imb_run.stall_frac()), fmt_u64(imb_run.messages),
+               fmt_u64(imb_run.runs), fmt_u64(imb_run.messages),
                fmt_sci(static_cast<double>(imb_run.events) / imb_run.wall_s,
                        3),
                fmt_u64(imb_run.hash)});
   bench::print_table(
       imb,
-      "imbalanced mesh, 1 hot + 63 burst-idle shards (per-shard horizons\n"
-      "cross the quiet gaps in one round):");
-  std::cout << "imbalanced rounds " << fmt_u64(imb_run.rounds) << " vs "
-            << global_window_rounds << " for one global window; stall "
-            << fmt_pct(imb_run.stall_frac()) << "\n\n";
+      "imbalanced mesh, 1 hot + 63 burst-idle shards (the hot shard\n"
+      "crosses each quiet gap in one run):");
+  std::cout << "imbalanced runs " << fmt_u64(imb_run.runs) << " vs "
+            << stepped_runs + cold_bursts
+            << " for one-lookahead steps plus one run per cold burst\n\n";
   if (imb_run.hash != kImbHash) {
     std::cerr << "FATAL: imbalanced-mesh hash " << imb_run.hash
               << " differs from the pinned " << kImbHash << "\n";
     return 1;
   }
-  if (imb_run.rounds * 4 >= global_window_rounds) {
-    std::cerr << "FATAL: per-shard horizons stopped collapsing quiet gaps ("
-              << imb_run.rounds << " rounds vs " << global_window_rounds
-              << " for one global window)\n";
+  if (imb_run.runs != kImbRuns ||
+      imb_run.runs >= stepped_runs + cold_bursts) {
+    std::cerr << "FATAL: imbalanced-mesh run count " << imb_run.runs
+              << " differs from the pinned " << kImbRuns
+              << " or reaches the one-lookahead-step count "
+              << stepped_runs + cold_bursts << "\n";
     return 1;
   }
 
@@ -550,14 +530,7 @@ int main(int argc, char** argv) {
             << cal_rel.peak_live_intervals()
             << ", \"calendar_sweep_restart_reserves_per_sec\": " << sweep_rps
             << ", \"sharded_events_per_sec\": " << mesh_eps
-            << ", \"sharded_host_ns_per_round\": " << mesh.host_ns_per_round
-            << ", \"sharded_windows_executed\": " << mesh.shard_windows
-            << ", \"sharded_barrier_stall_pct\": "
-            << 100.0 * static_cast<double>(mesh.stalled) /
-                   static_cast<double>(mesh.shard_windows + mesh.stalled)
-            << ", \"imb_adaptive_stall_pct\": "
-            << 100.0 * imb_run.stall_frac()
-            << ", \"imb_rounds_adaptive\": " << imb_run.rounds
-            << "}\n";
+            << ", \"sharded_runs\": " << mesh.runs
+            << ", \"imb_runs\": " << imb_run.runs << "}\n";
   return 0;
 }

@@ -392,109 +392,6 @@ SimDuration Network::min_cross_latency(int min_level) {
   return best;
 }
 
-SimDuration Network::min_latency_from(std::size_t src, int min_level) {
-  ECO_CHECK(src < topo_.endpoint_count());
-  if (!tree_routing_) {
-    // Dense fallback: sweep destinations with the same crossing oracle as
-    // the pairwise min_cross_latency() path.
-    SimDuration best = 0;
-    const std::size_t eps = topo_.endpoint_count();
-    for (std::size_t dst = 0; dst < eps; ++dst) {
-      if (dst == src) continue;
-      bool crosses = false;
-      SimDuration latency = 0;
-      for (const LinkId l : route(src, dst)) {
-        const TopoLink& link = topo_.link(l);
-        if (link.level >= min_level) crosses = true;
-        latency += params_for_level(link.level).hop_latency;
-      }
-      if (crosses && (best == 0 || latency < best)) best = latency;
-    }
-    return best;
-  }
-  auto fold_top2 = [](SimDuration c, SimDuration& b1, SimDuration& b2) {
-    if (c < b1) {
-      b2 = b1;
-      b1 = c;
-    } else if (c < b2) {
-      b2 = c;  // equal ties land here, so "except me" still sees the twin
-    }
-  };
-  auto it = source_dp_cache_.find(min_level);
-  if (it == source_dp_cache_.end()) {
-    const std::size_t verts = topo_.vertex_count();
-    SourceDp dp;
-    dp.is_ep.assign(verts, false);
-    for (std::size_t e = 0; e < topo_.endpoint_count(); ++e) {
-      dp.is_ep[topo_.endpoint(e)] = true;
-    }
-    dp.down_min.assign(verts, kInfLatency);
-    dp.down_cross.assign(verts, kInfLatency);
-    dp.best1.assign(verts, kInfLatency);
-    dp.best2.assign(verts, kInfLatency);
-    dp.best1x.assign(verts, kInfLatency);
-    dp.best2x.assign(verts, kInfLatency);
-    for (std::size_t v = 0; v < verts; ++v) {
-      if (dp.is_ep[v]) dp.down_min[v] = 0;
-    }
-    for (std::size_t i = verts; i-- > 1;) {  // children before parents
-      const VertexId v = bfs_order_[i];
-      const VertexId p = parent_[v];
-      const SimDuration hop = up_hop_latency(v);
-      const bool qualifies = topo_.link(up_link_[v]).level >= min_level;
-      const SimDuration c = sat_add(dp.down_min[v], hop);
-      // Crossing inside the branch: either deeper down, or on the child's
-      // own attachment link when that link qualifies.
-      const SimDuration cx = sat_add(
-          std::min(qualifies ? dp.down_min[v] : kInfLatency,
-                   dp.down_cross[v]),
-          hop);
-      fold_top2(c, dp.best1[p], dp.best2[p]);
-      fold_top2(cx, dp.best1x[p], dp.best2x[p]);
-      dp.down_min[p] = std::min(dp.down_min[p], c);
-      dp.down_cross[p] = std::min(dp.down_cross[p], cx);
-    }
-    it = source_dp_cache_.emplace(min_level, std::move(dp)).first;
-  }
-  const SourceDp& dp = it->second;
-  // Climb from the source leaf. At each ancestor p the climb stands `c`
-  // away from src, `crossed` recording whether it has used a qualifying
-  // link yet; p itself (if an endpoint) or its other children complete the
-  // route. A sibling branch is eligible unconditionally when the route
-  // must still cross inside it (sibx), or as soon as the climb crossed.
-  SimDuration best = kInfLatency;
-  SimDuration c = 0;
-  bool crossed = false;
-  VertexId v = topo_.endpoint(src);
-  const VertexId root = bfs_order_[0];
-  // The rooted tree is anchored at vertex 0, which may itself be an
-  // endpoint — a source can have *descendants*, not just ancestors. A
-  // route that never climbs qualifies only by crossing inside the subtree,
-  // which is exactly down_cross of the source vertex.
-  best = std::min(best, dp.down_cross[v]);
-  while (v != root) {
-    const VertexId p = parent_[v];
-    const SimDuration hop = up_hop_latency(v);
-    const bool qualifies = topo_.link(up_link_[v]).level >= min_level;
-    const SimDuration c2 = sat_add(c, hop);
-    const bool crossed2 = crossed || qualifies;
-    if (crossed2 && dp.is_ep[p]) best = std::min(best, c2);
-    const SimDuration mine = sat_add(dp.down_min[v], hop);
-    const SimDuration minex = sat_add(
-        std::min(qualifies ? dp.down_min[v] : kInfLatency, dp.down_cross[v]),
-        hop);
-    const SimDuration sib = mine == dp.best1[p] ? dp.best2[p] : dp.best1[p];
-    const SimDuration sibx =
-        minex == dp.best1x[p] ? dp.best2x[p] : dp.best1x[p];
-    if (crossed2) best = std::min(best, sat_add(c2, sib));
-    best = std::min(best, sat_add(c2, sibx));
-    c = c2;
-    crossed = crossed2;
-    v = p;
-  }
-  return best == kInfLatency ? 0 : best;
-}
-
 int Network::diameter() {
   if (tree_routing_) {
     // Deepest-LCA endpoint pair by tree DP: at every vertex combine the

@@ -98,7 +98,7 @@ class Network {
   /// message crossing that tier of the hierarchy can possibly arrive.
   /// This is the conservative lookahead of the sharded parallel simulation
   /// engine: shard per Compute Node, pass min_cross_latency(1), and no
-  /// cross-shard event can ever land inside a synchronization window.
+  /// cross-shard event can ever land inside the lookahead.
   /// Returns 0 if no route crosses `min_level` (single-partition topology).
   /// Implicit routing computes it analytically (an O(V) two-pass tree DP
   /// over per-level link latencies) instead of enumerating endpoint pairs;
@@ -106,25 +106,6 @@ class Network {
   /// materializes every route so later table reads are safe from
   /// concurrent shard threads. Cached per level either way.
   SimDuration min_cross_latency(int min_level = 0);
-
-  /// Per-source variant of min_cross_latency(): the minimum route_latency()
-  /// from endpoint `src` to any *other* endpoint over a route traversing at
-  /// least one link of level >= `min_level`. This is a shard's "source
-  /// floor" for the adaptive sharded engine (sim/parallel.h): every
-  /// cross-partition message endpoint `src` emits pays at least this much,
-  /// so `min over busy shards s of (next_event(s) + min_latency_from(s))`
-  /// bounds any delivery into another shard — even a relayed one, since
-  /// each relay leg re-pays its own source floor. Returns 0 if no route
-  /// from `src` crosses `min_level`.
-  /// Implicit routing answers from a per-level tree DP cached on first use
-  /// (O(V) build, then O(depth) per query): climbing from the source leaf,
-  /// each ancestor contributes its nearest descendant endpoint through a
-  /// sibling branch, with "nearest except the branch I came from" answered
-  /// by top-2 child contributions — tracked both unconditionally and
-  /// restricted to paths that cross `min_level` inside the branch. The
-  /// dense path sweeps destinations with the same crossing oracle as
-  /// min_cross_latency().
-  SimDuration min_latency_from(std::size_t src, int min_level = 0);
 
   /// Maximum hop count over all endpoint pairs (paper §2: tree depth adds
   /// one hop per level). Implicit routing derives it from the level
@@ -249,18 +230,6 @@ class Network {
   std::vector<LinkId> path_arena_;          // shared storage for all routes
   std::vector<std::vector<std::uint32_t>> parent_cache_;  // BFS trees
   std::map<int, SimDuration> min_cross_cache_;  // min_cross_latency memo
-
-  // min_latency_from() per-min_level DP arrays (implicit routing only).
-  // down_min[v]: nearest endpoint in v's subtree; down_cross[v]: nearest
-  // one whose path from v crosses a level >= min_level link; best1/best2
-  // (and the crossing-restricted best1x/best2x): top-2 child contributions
-  // at each parent, for O(1) "best sibling except me" during a query climb.
-  struct SourceDp {
-    std::vector<bool> is_ep;
-    std::vector<SimDuration> down_min, down_cross;
-    std::vector<SimDuration> best1, best2, best1x, best2x;
-  };
-  std::map<int, SourceDp> source_dp_cache_;
 };
 
 }  // namespace ecoscale

@@ -1,9 +1,6 @@
 #include "model/predictor.h"
 
-#include <istream>
-#include <ostream>
-
-#include "common/check.h"
+#include <algorithm>
 
 namespace ecoscale {
 
@@ -21,7 +18,6 @@ void CostPredictor::observe(const HistoryRecord& record) {
   const auto x = record.features.vector();
   m.time.observe(x, record.time_ns);
   m.energy.observe(x, record.energy_pj);
-  records_.push_back(record);
 }
 
 Prediction CostPredictor::static_estimate(const KernelIR& kernel,
@@ -74,35 +70,6 @@ std::size_t CostPredictor::observations(KernelId kernel,
                                         DeviceClass device) const {
   auto it = models_.find({kernel, device});
   return it == models_.end() ? 0 : it->second.time.observations();
-}
-
-void CostPredictor::save(std::ostream& os) const {
-  os << "ecoscale-history-v1 " << records_.size() << "\n";
-  for (const auto& r : records_) {
-    os << r.kernel << ' ' << static_cast<int>(r.device) << ' '
-       << r.features.items << ' ' << r.features.bytes << ' '
-       << r.features.reuse << ' ' << r.features.branchiness << ' '
-       << r.time_ns << ' ' << r.energy_pj << "\n";
-  }
-}
-
-CostPredictor CostPredictor::load(std::istream& is) {
-  std::string magic;
-  std::size_t count = 0;
-  is >> magic >> count;
-  ECO_CHECK_MSG(magic == "ecoscale-history-v1", "bad history file header");
-  CostPredictor p;
-  for (std::size_t i = 0; i < count; ++i) {
-    HistoryRecord r;
-    int device = 0;
-    is >> r.kernel >> device >> r.features.items >> r.features.bytes >>
-        r.features.reuse >> r.features.branchiness >> r.time_ns >>
-        r.energy_pj;
-    ECO_CHECK_MSG(static_cast<bool>(is), "truncated history file");
-    r.device = static_cast<DeviceClass>(device);
-    p.observe(r);
-  }
-  return p;
 }
 
 }  // namespace ecoscale

@@ -1,19 +1,16 @@
-// Input-dependent execution-time / energy predictors and the Execution
-// History store (paper §4.2 and Figure 5's "Execution History" block).
+// Input-dependent execution-time / energy predictors (paper §4.2 and
+// Figure 5's "Execution History" block).
 //
 // For every (kernel, device-class) pair the runtime keeps a regression
 // model over input features. The training part happens online: each
-// completed task contributes one observation; the actuation part is the
-// scheduler's predict() call.
+// completed task contributes one observation, which the models fold in
+// and do not keep, so the history costs O(models), not O(tasks); the
+// actuation part is the scheduler's predict() call.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "common/units.h"
 #include "hls/ir.h"
@@ -69,14 +66,6 @@ class CostPredictor {
 
   std::size_t observations(KernelId kernel, DeviceClass device) const;
 
-  /// Serialise / restore the History file (paper: "A history of the
-  /// function calls as well as their execution time is stored in a History
-  /// file").
-  void save(std::ostream& os) const;
-  static CostPredictor load(std::istream& is);
-
-  const std::vector<HistoryRecord>& records() const { return records_; }
-
  private:
   struct Models {
     RidgeRegression time{TaskFeatures::kDims};
@@ -89,7 +78,6 @@ class CostPredictor {
                                     const TaskFeatures& features);
 
   std::map<ModelKey, Models> models_;
-  std::vector<HistoryRecord> records_;
 };
 
 }  // namespace ecoscale

@@ -156,7 +156,7 @@ class RuntimeSystem {
   std::size_t worker_count() const { return workers_.size(); }
   /// Queue depth (queued + running) of `worker` — the same metric
   /// admission control limits, exposed for the repartitioner's epoch
-  /// sampling (read only between engine windows, when nothing runs).
+  /// sampling (read only at engine pauses, when nothing runs).
   std::size_t queue_depth(std::size_t worker) const {
     ECO_CHECK(worker < workers_.size());
     const WorkerState& w = workers_[worker];

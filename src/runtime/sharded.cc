@@ -43,20 +43,6 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
   sc.shards = n;
   sc.lookahead = std::max<SimDuration>(internode_->min_cross_latency(0), 1);
   sc.mailbox_capacity = config_.mailbox_capacity;
-  // Per-pair lookahead straight from the interconnect: route_latency is a
-  // shortest-path metric (triangle inequality holds), which is what the
-  // engine's relayed-causality argument needs, and post_task
-  // already charges exactly this latency, so the per-pair post contract is
-  // met with zero slack.
-  Network* net = internode_.get();
-  sc.pair_lookahead = [net](std::size_t from, std::size_t to) {
-    return net->route_latency(from, to);
-  };
-  // Past the dense pair-matrix cap the engine falls back to per-source
-  // floors; hand it the per-endpoint tree DP.
-  sc.source_floor = [net](std::size_t from) {
-    return net->min_latency_from(from, 0);
-  };
   engine_ = std::make_unique<ShardedSimulator>(sc);
 
   nodes_.reserve(n);

@@ -6,20 +6,20 @@
 // that bound into wall-clock parallelism for the *simulator*: every
 // Compute Node gets its own shard — a private Simulator, Machine
 // (single-node UNIMEM domain, UNILOGIC pool, workers) and RuntimeSystem —
-// and the shards advance concurrently inside conservative synchronization
-// windows (see sim/parallel.h). Node-local work (PGAS accesses, fabric
+// and the engine runs the earliest shard up to the runner-up plus the
+// lookahead (see sim/parallel.h). Node-local work (PGAS accesses, fabric
 // invocations, queue spills) never leaves its shard; the only cross-shard
-// interaction is an explicit task forward, which rides an SPSC mailbox and
-// is charged the inter-node interconnect's head latency — by construction
-// at least the engine's lookahead, so no shard ever receives an event in
-// its past.
+// interaction is an explicit task forward, which rides the destination's
+// inbox and is charged the inter-node interconnect's head latency — by
+// construction at least the engine's lookahead, so no shard ever receives
+// an event in its past.
 //
 // Inter-node latencies and the lookahead are derived from a Network over
 // the node-level topology (Network::route_latency / min_cross_latency) —
 // the same implicit-route oracle the machine uses, queried on demand
 // rather than materialized as an N² matrix — not hand-tuned constants:
-// changing link parameters automatically tightens or relaxes the window
-// size.
+// changing link parameters automatically tightens or relaxes the
+// lookahead.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +44,7 @@ struct ShardedRuntimeConfig {
   /// Ignored: the engine runs on the calling thread. Kept only until the
   /// end-to-end benchmark stops setting it.
   std::size_t threads = 1;
+  /// Engine-wide inbox reservation (ShardedConfig::mailbox_capacity).
   std::size_t mailbox_capacity = 1024;
   /// Template for each node's machine; nodes is forced to 1 (the shard IS
   /// the node) and workers_per_node to the field above. The PGAS l1 link
@@ -78,13 +79,12 @@ class ShardedRuntime {
   explicit ShardedRuntime(ShardedRuntimeConfig config);
 
   std::size_t node_count() const { return nodes_.size(); }
-  /// Conservative lookahead the engine windows run with: the minimum
-  /// inter-node head latency of the node-level interconnect.
+  /// Conservative lookahead the engine runs with: the minimum inter-node
+  /// head latency of the node-level interconnect.
   SimDuration lookahead() const { return engine_->lookahead(); }
   /// Head latency of the inter-node route (what a forwarded task pays).
-  /// Answered by the interconnect's implicit-route oracle — a mutation-free
-  /// LCA walk (Network::route_latency), safe from concurrent shard threads
-  /// — instead of a dense nodes² table.
+  /// Answered by the interconnect's implicit-route oracle — an LCA walk
+  /// (Network::route_latency) — instead of a dense nodes² table.
   SimDuration inter_node_latency(std::size_t from, std::size_t to) const {
     ECO_CHECK(from < nodes_.size() && to < nodes_.size());
     return internode_->route_latency(from, to);
@@ -112,8 +112,7 @@ class ShardedRuntime {
 
   /// Ship `task` from node `from` (whose shard must be executing the
   /// calling action) to node `to`: it is released on the destination after
-  /// the inter-node head latency, routed through the (from, to) mailbox
-  /// and merged deterministically at the next window barrier.
+  /// the inter-node head latency, keyed when it is posted (sim/parallel.h).
   void post_task(std::size_t from, std::size_t to, Task task);
 
   /// Generic cross-node event, `extra_delay` after the inter-node latency.
@@ -141,7 +140,7 @@ class ShardedRuntime {
     epoch_hook_ = std::move(hook);
   }
 
-  /// Run windows until every shard drains; asserts every
+  /// Run the engine until every shard drains; asserts every
   /// node's runtime retired all submitted tasks. With an epoch policy
   /// installed the drain interleaves the epoch hook at every period
   /// boundary (the hook is skipped once the workload has fully drained).
@@ -152,15 +151,16 @@ class ShardedRuntime {
     Picojoules energy = 0.0;       // machine energy, all nodes
     std::uint64_t tasks = 0;       // task results across nodes
     std::uint64_t shed_tasks = 0;  // admission-control sheds, all nodes
-    std::uint64_t cross_posts = 0; // mailbox messages (forwards + posts)
+    std::uint64_t cross_posts = 0; // cross-shard messages (forwards + posts)
     std::uint64_t events = 0;      // simulator events, all shards
-    std::uint64_t windows = 0;     // engine synchronization rounds
+    std::uint64_t windows = 0;     // engine shard runs
+    /// The engine's documented constants and aliases (sim/parallel.h),
+    /// kept only until the end-to-end benchmark stops reporting them:
+    /// spills and stalls are always 0, shard_windows equals windows.
     std::uint64_t mailbox_spills = 0;
-    /// Per-shard window executions / skips across all rounds (a skip is a
-    /// shard whose horizon held no work — the barrier-stall metric).
     std::uint64_t shard_windows = 0;
     std::uint64_t stalled_shard_windows = 0;
-    /// Always 0: no window runs off the calling thread (sim/parallel.h).
+    /// Always 0: nothing runs off the calling thread (sim/parallel.h).
     /// Kept only until the end-to-end benchmark stops reporting it.
     std::uint64_t steals = 0;
   };

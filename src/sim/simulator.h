@@ -1,9 +1,12 @@
 // Discrete-event simulation kernel.
 //
 // A Simulator owns a monotonic picosecond clock and a binary heap of pending
-// events. Ties are broken by insertion sequence number, so a run is fully
-// deterministic: the same seed and the same schedule order always produce
-// the same trace.
+// events. Ties are broken by the event's key, its insertion sequence number,
+// so a run is fully deterministic: the same seed and the same schedule order
+// always produce the same trace. The key's top 16 bits name the event's
+// origin (0 for a plain Simulator); the sharded engine gives each shard its
+// own origin, so events order by (time, origin, origin counter) there
+// (sim/parallel.h).
 //
 // Hot-path layout: actions are InlineAction (captures up to 64 bytes live
 // inside the slot, larger ones spill to a recycled block pool) and are
@@ -44,6 +47,13 @@ class Simulator {
  public:
   using Action = InlineAction;
 
+  /// The key's origin field: its top kOriginBits bits. The low 48 bits
+  /// count the origin's events in creation order.
+  static constexpr int kOriginBits = 16;
+  static constexpr int kOriginShift = 64 - kOriginBits;
+  static constexpr std::uint64_t kCounterMask =
+      (std::uint64_t{1} << kOriginShift) - 1;
+
   SimTime now() const { return now_; }
 
   /// Schedule an action at an absolute time (must not be in the past).
@@ -52,6 +62,13 @@ class Simulator {
   /// captures up to InlineAction::kInlineBytes).
   template <typename F>
   void schedule_at(SimTime t, F&& action) {
+    schedule_keyed(t, next_seq_++, std::forward<F>(action));
+  }
+
+  /// Schedule with a key stamped elsewhere (next_key() of the sending
+  /// simulator): the sharded engine's inbox delivery.
+  template <typename F>
+  void schedule_keyed(SimTime t, std::uint64_t key, F&& action) {
     ECO_CHECK_MSG(t >= now_, "event scheduled in the past");
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -64,7 +81,23 @@ class Simulator {
       slot = slot_count_++;
     }
     slot_ref(slot).emplace(std::forward<F>(action));
-    heap_push(Entry{t, next_seq_++, slot});
+    heap_push(Entry{t, key, slot});
+  }
+
+  /// Stamp every event this simulator creates from now on with `origin`.
+  /// Call before anything is scheduled.
+  void set_origin(std::uint16_t origin) {
+    ECO_CHECK_MSG(next_seq_ == 0, "set_origin() after scheduling");
+    next_seq_ = std::uint64_t{origin} << kOriginShift;
+  }
+
+  /// The next key of this simulator's origin, for an event it sends to
+  /// another simulator (schedule_keyed there). Local schedules and sends
+  /// share the counter, so the key records the creation order.
+  std::uint64_t next_key() {
+    ECO_CHECK_MSG((next_seq_ & kCounterMask) != kCounterMask,
+                  "48-bit event counter exhausted");
+    return next_seq_++;
   }
 
   /// Schedule an action `delay` after the current time.
@@ -109,11 +142,11 @@ class Simulator {
   }
 
   /// Run every event with time strictly before `end` and stop, leaving the
-  /// clock at the last retired event (NOT at `end`). This is the window
-  /// primitive of the sharded parallel engine: events delivered from other
-  /// shards at exactly the window edge must still be schedulable, so the
-  /// clock never advances past what actually executed. Untimed: the engine
-  /// times all of a round's windows with one clock pair instead
+  /// clock at the last retired event (NOT at `end`). This is the shard-run
+  /// primitive of the sharded engine: events delivered from other shards
+  /// at exactly the run's bound must still be schedulable, so the clock
+  /// never advances past what actually executed. Untimed: the engine times
+  /// its whole executor loop with one clock pair instead
   /// (ShardedSimulator::shard_wall_time_ns), so wall_time_ns() excludes it.
   void run_before(SimTime end) {
     run_bound_ = end;
@@ -125,7 +158,7 @@ class Simulator {
   /// run_before). The sharded engine calls this from inside a posting
   /// action: once a shard emits a cross-shard message it must stop before
   /// the earliest time an echo of that message could return (parallel.h,
-  /// "self-chain echo cap").
+  /// "echo cap").
   void tighten_run_bound(SimTime end) {
     run_bound_ = std::min(run_bound_, end);
   }

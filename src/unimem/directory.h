@@ -5,8 +5,8 @@
 // owning node, and ownership changes only when the item migrates (claim
 // C2). Every node keeps a view of each item's owner; a node holds an item
 // iff its own view names itself. Row n of the flat view array changes only
-// in events on shard n, or at an engine pause, so no shard's window
-// writes another shard's view.
+// in events on shard n, or at an engine pause, so no shard's events
+// write another shard's view.
 //
 // Ownership moves at a pause (every view flips at once: the
 // repartitioner's epoch cut) or in flight: the holder releases the item,

@@ -247,30 +247,6 @@ class PgasSystem {
   /// single-node machine (no cross-node traffic, nothing to shard).
   SimDuration shard_lookahead() { return network_->min_cross_latency(1); }
 
-  /// Per-peer lookahead for the adaptive sharded engine: the head latency
-  /// of the route between node `from` and node `to` (measured between
-  /// their lead workers — the machine builders attach every worker to its
-  /// node switch symmetrically, so any worker pair across the two nodes
-  /// pays the same inter-node path). Head latency is a metric (a shortest
-  /// path over per-link latencies obeys the triangle inequality), which is
-  /// exactly the property ShardedConfig::pair_lookahead requires for
-  /// relay-safe adaptive horizons. Mutation-free LCA walk under implicit
-  /// routing — safe from concurrent shard threads.
-  SimDuration shard_lookahead(std::size_t from, std::size_t to) {
-    return network_->route_latency(
-        flat(WorkerCoord{static_cast<NodeId>(from), 0}),
-        flat(WorkerCoord{static_cast<NodeId>(to), 0}));
-  }
-
-  /// Per-source lookahead floor: the cheapest inter-node (level >= 1)
-  /// route out of node `from`. Feeds ShardedConfig::source_floor when the
-  /// shard count is past the dense pair-matrix cap. Cached per level
-  /// inside the network after the first call.
-  SimDuration shard_lookahead_floor(std::size_t from) {
-    return network_->min_latency_from(
-        flat(WorkerCoord{static_cast<NodeId>(from), 0}), 1);
-  }
-
   std::uint64_t remote_accesses() const { return remote_accesses_; }
   std::uint64_t local_accesses() const { return local_accesses_; }
   const EnergyMeter& energy() const { return energy_; }

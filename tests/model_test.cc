@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -152,37 +151,6 @@ TEST(Predictor, DevicesModelledIndependently) {
   EXPECT_GT(pc.time_ns, ph.time_ns * 0.2);
   EXPECT_NEAR(pc.time_ns, 1500.0, 100.0);
   EXPECT_NEAR(ph.time_ns, 5150.0, 300.0);
-}
-
-TEST(Predictor, HistoryFileRoundTrip) {
-  CostPredictor pred;
-  const auto k = make_cart_split_kernel();
-  for (int i = 1; i <= 25; ++i) {
-    HistoryRecord r;
-    r.kernel = k.id;
-    r.device = i % 2 ? DeviceClass::kCpu : DeviceClass::kRemoteFabric;
-    r.features.items = i * 7.0;
-    r.features.bytes = i * 84.0;
-    r.time_ns = 3.0 * r.features.items + 11.0;
-    r.energy_pj = 2.0 * r.features.items;
-    pred.observe(r);
-  }
-  std::stringstream file;
-  pred.save(file);
-  const auto restored = CostPredictor::load(file);
-  EXPECT_EQ(restored.records().size(), pred.records().size());
-  TaskFeatures f;
-  f.items = 70.0;
-  f.bytes = 840.0;
-  const auto a = pred.predict(k, DeviceClass::kCpu, f);
-  const auto b = restored.predict(k, DeviceClass::kCpu, f);
-  EXPECT_DOUBLE_EQ(a.time_ns, b.time_ns);
-  EXPECT_EQ(a.from_model, b.from_model);
-}
-
-TEST(Predictor, LoadRejectsBadHeader) {
-  std::stringstream bad("not-a-history 0\n");
-  EXPECT_THROW(CostPredictor::load(bad), CheckError);
 }
 
 TEST(Predictor, PredictionsClampedNonNegative) {

@@ -1,13 +1,13 @@
 // Tests for the sharded simulation engine (sim/parallel.h): the
-// conservative post() contract, the push-order merge's tie order, outbox
-// spills, run_until() pauses, and — the load-bearing property — pinned
-// hashes and window schedules for raw engine workloads and for a mixed
-// UNIMEM+UNILOGIC workload on ShardedRuntime, captured from earlier
-// engines and never moved without a stated reason.
+// conservative post() contract, the event key's tie order, inbox growth,
+// the echo cap, run_until() pauses, exceptions, and pinned hashes and run
+// counts for raw engine workloads and for a mixed UNIMEM+UNILOGIC
+// workload on ShardedRuntime. The pins never move without a stated
+// reason; tests/engine_oracle_test.cc checks the event order against an
+// independent global queue.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <numeric>
 #include <memory>
 #include <ostream>
@@ -51,7 +51,7 @@ struct TraceHasher {
 
 // Background load: `chains` chains of no-op events on `sim`, one every
 // `period` from `start` until before `stop`, for tests that want hundreds
-// of events a round on top of their own sparse workload. Returns the
+// of events a run on top of their own sparse workload. Returns the
 // number of events added.
 std::uint64_t add_ticks(Simulator& sim, std::size_t chains, SimTime start,
                         SimTime stop, SimDuration period = 1) {
@@ -159,7 +159,6 @@ struct MeshActor {
 std::uint64_t mesh_workload_hash(std::size_t shards,
                                  std::size_t mailbox_capacity,
                                  std::uint64_t fires_per_actor,
-                                 std::uint64_t* spills_out = nullptr,
                                  std::size_t threads = 1) {
   ShardedConfig sc;
   sc.shards = shards;
@@ -188,24 +187,23 @@ std::uint64_t mesh_workload_hash(std::size_t shards,
   combined.mix(engine.events_processed());
   combined.mix(engine.messages());
   combined.mix(engine.windows());
-  if (spills_out != nullptr) *spills_out = engine.mailbox_spills();
   EXPECT_GT(engine.messages(), 0u);
   return combined.h;
 }
 
-// Captured before the merge stopped sorting each round's messages, and
-// equal at every thread count the engine used to offer.
+// Re-pinned when events were keyed by (time, origin, counter) (ROADMAP
+// item 9: canonical event key); the hash folds in the run count.
+constexpr std::uint64_t kMeshHash = 4214805800217996465ull;
+
 TEST(ShardedSimulator, MeshWorkloadHashIsPinned) {
-  EXPECT_EQ(mesh_workload_hash(8, 1024, 400), 6437149492501349650ull);
+  EXPECT_EQ(mesh_workload_hash(8, 1024, 400), kMeshHash);
 }
 
-// --- pinned window schedule: sparse ---------------------------
+// --- pinned run schedule: sparse ----------------------------------------
 
 // One actor per shard, firing every few hundred ps and posting every third
-// fire to a random peer at exactly its pair latency plus a little jitter.
-// Under a dense ring-distance oracle this retires about three events per
-// round, the kv_open regime, so most shards are idle or stalled in any
-// one round.
+// fire to a random peer at a ring-distance latency plus a little jitter:
+// a few events per shard run, the kv_open regime.
 struct SparseActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
@@ -222,8 +220,9 @@ struct SparseActor {
     const std::size_t n = eng->shard_count();
     if (rng.uniform_u64(3) == 0) {
       const std::size_t to = (shard + 1 + rng.uniform_u64(n - 1)) % n;
-      const SimTime t =
-          sim.now() + eng->pair_lookahead(shard, to) + rng.uniform_u64(40);
+      const std::size_t d = shard > to ? shard - to : to - shard;
+      const SimTime t = sim.now() + eng->lookahead() +
+                        15 * std::min(d, n - d) + rng.uniform_u64(40);
       ShardedSimulator* e = eng;
       TraceHasher* dest = &hashes[to];
       const std::size_t from = shard;
@@ -237,23 +236,17 @@ struct SparseActor {
 };
 
 struct PinnedSchedule {
-  std::uint64_t windows = 0;
-  std::uint64_t shard_windows = 0;
-  std::uint64_t stalled = 0;
+  std::uint64_t runs = 0;
   std::uint64_t messages = 0;
   std::uint64_t events = 0;
   std::vector<std::uint64_t> hashes;
 };
 
-PinnedSchedule sparse_dense_run() {
+PinnedSchedule sparse_ring_run() {
   constexpr std::size_t kShards = 8;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = 40;
-  sc.pair_lookahead = [](std::size_t a, std::size_t b) -> SimDuration {
-    const std::size_t d = a > b ? a - b : b - a;
-    return 40 + 15 * std::min(d, kShards - d);  // ring distance: a metric
-  };
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(kShards);
   std::vector<SparseActor> actors(kShards);
@@ -264,9 +257,9 @@ PinnedSchedule sparse_dense_run() {
   }
   engine.run();
   PinnedSchedule out;
-  out.windows = engine.windows();
-  out.shard_windows = engine.shard_windows();
-  out.stalled = engine.stalled_shard_windows();
+  out.runs = engine.windows();
+  EXPECT_EQ(engine.shard_windows(), out.runs);
+  EXPECT_EQ(engine.stalled_shard_windows(), 0u);
   out.messages = engine.messages();
   out.events = engine.events_processed();
   for (const TraceHasher& h : hashes) out.hashes.push_back(h.h);
@@ -274,89 +267,81 @@ PinnedSchedule sparse_dense_run() {
 }
 
 // A hash alone cannot tell a bookkeeping bug that shifts the schedule (a
-// horizon too tight, a shard never refolded) from a reordering. This pins
-// the schedule itself: every round count and per-shard hash below was
-// captured from the engine before its horizon and fold bookkeeping was
-// rewritten, and must never move without a stated reason.
-TEST(ShardedSimulator, SparseDenseOracleScheduleIsPinned) {
+// bound too tight, a leaf never replayed) from a reordering. This pins the
+// run count and every shard's own hash. Re-pinned when events were keyed
+// by (time, origin, counter) (ROADMAP item 9: canonical event key): the
+// run count, and the hashes of shards 4 and 5, which hold same-time
+// events that the key orders differently from the round engine's merge
+// (both engines retire events in time order, so only ties can move); the
+// other six hashes are the round engine's.
+TEST(ShardedSimulator, SparseRingScheduleIsPinned) {
   const std::vector<std::uint64_t> kHashes = {
       2827401570427685187ull,  478695462841783085ull,
       17642853541103510482ull, 10457630523463739846ull,
-      17925130330492456983ull, 5913163402733311746ull,
+      6838835034638304183ull,  6612912859612419706ull,
       7733550416784480553ull,  14002279286810579532ull};
-  const PinnedSchedule r = sparse_dense_run();
-  EXPECT_EQ(r.windows, 1298u);
-  EXPECT_EQ(r.shard_windows, 3841u);
-  EXPECT_EQ(r.stalled, 6411u);
+  const PinnedSchedule r = sparse_ring_run();
+  EXPECT_EQ(r.runs, 3771u);
   EXPECT_EQ(r.messages, 1076u);
   EXPECT_EQ(r.events, 4284u);
   EXPECT_EQ(r.hashes, kHashes);
 }
 
-// Outbox stress: a 4-message outbox under a message rate far beyond it
-// spills in nearly every round; the spilled messages must keep their push
-// order, so the hash is the one captured with the sorting merge.
-TEST(ShardedSimulator, OutboxSpillsKeepTheMergeOrder) {
-  std::uint64_t spills = 0;
-  EXPECT_EQ(mesh_workload_hash(4, 4, 800, &spills), 8102669783069899077ull);
-  EXPECT_EQ(spills, 2441u);
+// Inbox stress: a 4-message reservation (one slot a shard) under a
+// message rate far beyond it grows the inboxes, and the order (the hash)
+// is the one a roomy reservation gives.
+TEST(ShardedSimulator, InboxesGrowPastTheirReservationInOrder) {
+  EXPECT_EQ(mesh_workload_hash(4, 4, 800), mesh_workload_hash(4, 1024, 800));
+  EXPECT_EQ(mesh_workload_hash(4, 4, 800), 12151710738761179435ull);
 }
 
-// The spill count is exact: one per push made while the outbox already
-// holds `mailbox_capacity` messages. The merge empties the outbox, so a
-// later round that stays under the capacity adds none.
-TEST(ShardedSimulator, OutboxSpillCountsPushesPastCapacity) {
+// Each shard reserves its share of mailbox_capacity on its first incoming
+// message, so an engine that posted nothing holds no inbox bytes, and a
+// burst past the reservation is delivered whole (spills are always 0).
+TEST(ShardedSimulator, InboxReservationIsMadeOnTheFirstMessage) {
   ShardedConfig sc;
   sc.shards = 2;
   sc.lookahead = 10;
   sc.mailbox_capacity = 4;
   ShardedSimulator engine(sc);
+  EXPECT_EQ(engine.mailbox_state_bytes(), 0u);
   int delivered = 0;
-  const auto burst = [&engine, &delivered](int n) {
-    for (int i = 0; i < n; ++i) {
+  engine.shard(0).schedule_at(5, [&engine, &delivered] {
+    for (int i = 0; i < 6; ++i) {
       engine.post(0, 1, engine.shard(0).now() + 10,
                   [&delivered] { ++delivered; });
     }
-  };
-  // The first burst caps shard 0's window well before 100, so the two
-  // bursts land in different rounds.
-  engine.shard(0).schedule_at(5, [&burst] { burst(6); });
-  engine.shard(0).schedule_at(100, [&burst] { burst(3); });
+  });
   engine.run();
-  EXPECT_GE(engine.windows(), 2u);
-  EXPECT_EQ(engine.messages(), 9u);
-  EXPECT_EQ(engine.mailbox_spills(), 2u);
-  EXPECT_EQ(delivered, 9);
+  EXPECT_EQ(engine.messages(), 6u);
+  EXPECT_EQ(engine.mailbox_spills(), 0u);
+  EXPECT_EQ(delivered, 6);
+  EXPECT_GT(engine.mailbox_state_bytes(), 0u);
 }
 
-// --- merge tie order, from first principles ---------------------------------
+// --- event key tie order, from first principles -----------------------------
 
 // What the destination executed: a message (src, send index) or its own
-// local event (src = kLocal).
+// local event (src = kTieDst, index 0).
 struct Delivery {
   SimTime time;
   std::uint32_t src;
   std::uint32_t index;
   bool operator==(const Delivery&) const = default;
 };
-constexpr std::uint32_t kLocal = 0xFFFFFFFF;
 void PrintTo(const Delivery& d, std::ostream* os) {
-  *os << "{t=" << d.time;
-  if (d.src == kLocal) {
-    *os << " local}";
-  } else {
-    *os << " src=" << d.src << " #" << d.index << "}";
-  }
+  *os << "{t=" << d.time << " src=" << d.src << " #" << d.index << "}";
 }
 constexpr std::uint32_t kTieDst = 3;
 
-// Four sources on both sides of the destination post to shard 3 in one
-// round: times shared within and across sources, several sent in the
-// opposite order to their times, and a local destination event, scheduled
-// before the run, at a time some messages share. The expected order is
-// derived here from what was posted — (time, local before messages,
-// source, send index) — not from the engine.
-TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
+// Four sources on both sides of the destination post to shard 3 from one
+// action each: times shared within and across sources, several sent in
+// the opposite order to their times, and a local destination event,
+// scheduled before the run, at a time some messages share. The expected
+// order is derived here from what was posted — the key (time, origin,
+// origin counter), where a source's sends take consecutive counters and
+// the local event's origin is the destination — not from the engine.
+TEST(ShardedSimulator, SameTimeEventsRunInOriginThenCounterOrder) {
   constexpr std::size_t kShards = 8;
   constexpr SimTime kSendAt = 500;
   constexpr SimTime kX = 700;
@@ -372,7 +357,7 @@ TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
   };
   std::vector<Delivery> got;
   engine.shard(kTieDst).schedule_at(kX + 10, [&got] {
-    got.push_back(Delivery{kX + 10, kLocal, 0});
+    got.push_back(Delivery{kX + 10, kTieDst, 0});
   });
   for (const auto& [src, times] : sends) {
     engine.shard(src).schedule_at(kSendAt, [&, src = src, times = times] {
@@ -387,7 +372,7 @@ TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
   }
   engine.run();
 
-  std::vector<Delivery> want = {Delivery{kX + 10, kLocal, 0}};
+  std::vector<Delivery> want = {Delivery{kX + 10, kTieDst, 0}};
   for (const auto& [src, times] : sends) {
     for (std::uint32_t i = 0; i < times.size(); ++i) {
       want.push_back(Delivery{times[i], src, i});
@@ -396,52 +381,20 @@ TEST(ShardedSimulator, SameTimeMessagesRunInSourceThenSendOrder) {
   std::sort(want.begin(), want.end(),
             [](const Delivery& a, const Delivery& b) {
               if (a.time != b.time) return a.time < b.time;
-              const bool a_msg = a.src != kLocal, b_msg = b.src != kLocal;
-              if (a_msg != b_msg) return b_msg;  // local event first
               if (a.src != b.src) return a.src < b.src;
               return a.index < b.index;
             });
   EXPECT_EQ(got, want);
 }
 
-// --- per-pair post contract -------------------------------------------------
+// --- post contract boundary and construction limits ------------------------
 
-TEST(ShardedSimulator, PerPairContractUsesTheOracle) {
-  ShardedConfig sc;
-  sc.shards = 3;
-  sc.lookahead = 10;
-  // A metric: 50 on the (0,1) edge, 300 elsewhere. Triangle inequality
-  // holds (300 <= 50 + 300), which the engine spot-checks at construction.
-  sc.pair_lookahead = [](std::size_t from, std::size_t to) -> SimDuration {
-    return (from == 0 && to == 1) ? 50 : 300;
-  };
-  ShardedSimulator engine(sc);
-  EXPECT_EQ(engine.pair_lookahead(0, 1), 50);
-  EXPECT_EQ(engine.pair_lookahead(1, 0), 300);
-  EXPECT_EQ(engine.pair_lookahead(0, 2), 300);
-  // A post riding the cheap pair is legal right at its bound...
-  engine.shard(0).schedule_at(5, [&engine] {
-    engine.post(0, 1, engine.shard(0).now() + 50, [] {});
-  });
-  engine.run();
-  EXPECT_EQ(engine.messages(), 1u);
-  // ...but the same delay toward an expensive pair is a contract breach.
-  ShardedSimulator strict(sc);
-  strict.shard(0).schedule_at(5, [&strict] {
-    strict.post(0, 2, strict.shard(0).now() + 299, [] {});
-  });
-  EXPECT_THROW(strict.run(), CheckError);
-}
-
-TEST(ShardedSimulator, PairBoundBelowTheUniformLookaheadIsTheContract) {
+// A post at exactly now + lookahead is legal and lands when it was
+// addressed (one tick sooner is PostInsideTheLookaheadWindowIsRejected).
+TEST(ShardedSimulator, PostAtExactlyTheLookaheadLandsWhenAddressed) {
   ShardedConfig sc;
   sc.shards = 2;
-  sc.lookahead = 100;
-  sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
-    return 50;
-  };
-  // With an oracle, the uniform lookahead is not a second, larger bound:
-  // a post at exactly now + pair is legal and lands when it was addressed.
+  sc.lookahead = 50;
   ShardedSimulator engine(sc);
   SimTime landed = 0;
   engine.shard(0).schedule_at(5, [&engine, &landed] {
@@ -450,88 +403,41 @@ TEST(ShardedSimulator, PairBoundBelowTheUniformLookaheadIsTheContract) {
   });
   engine.run();
   EXPECT_EQ(engine.messages(), 1u);
-  EXPECT_EQ(landed, 55);
-  // One tick inside the pair bound is still a breach.
-  ShardedSimulator strict(sc);
-  strict.shard(0).schedule_at(5, [&strict] {
-    strict.post(0, 1, strict.shard(0).now() + 49, [] {});
-  });
-  EXPECT_THROW(strict.run(), CheckError);
+  EXPECT_EQ(landed, 55u);
 }
 
-TEST(ShardedSimulator, TriangleInequalityViolationIsRejected) {
+// Shard ids live in the key's 16-bit origin field.
+TEST(ShardedSimulator, MoreShardsThanOriginIdsAreRejected) {
   ShardedConfig sc;
-  sc.shards = 3;
-  sc.lookahead = 10;
-  // 0->2 direct (500) costs more than relaying via 1 (10 + 10): a relayed
-  // event could outrun the direct bound, so construction must refuse.
-  sc.pair_lookahead = [](std::size_t from, std::size_t to) -> SimDuration {
-    return (from == 0 && to == 2) ? 500 : 10;
-  };
+  sc.shards = (std::size_t{1} << Simulator::kOriginBits) + 1;
   EXPECT_THROW(ShardedSimulator{sc}, CheckError);
 }
 
-TEST(ShardedSimulator, OffStrideTriangleViolationIsCaughtBySampling) {
-  // 48 shards put the strided triangle check on stride 2 — even indices
-  // only — so a violation confined to odd shards slips through it.
-  // Odd->odd pairs cost 500 with 10-cost relays through any even shard: a
-  // gross metric violation living entirely off the stride grid, which the
-  // seeded random triple sweep must still catch.
-  ShardedConfig sc;
-  sc.shards = 48;
-  sc.lookahead = 10;
-  sc.pair_lookahead = [](std::size_t from, std::size_t to) -> SimDuration {
-    return (from % 2 == 1 && to % 2 == 1) ? 500 : 10;
-  };
-  EXPECT_THROW(ShardedSimulator{sc}, CheckError);
-}
+// --- echo cap: ping-pong back to the earliest shard -------------------------
 
-TEST(ShardedSimulator, OverstatedSourceFloorIsRejected) {
-  // Above dense_pair_cap the horizons trust the per-source floors, so a
-  // floor that exceeds a real pair latency must fail at construction
-  // instead of silently over-advancing shards.
-  ShardedConfig sc;
-  sc.shards = 8;
-  sc.lookahead = 10;
-  sc.dense_pair_cap = 4;
-  sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
-    return 100;
-  };
-  sc.source_floor = [](std::size_t) -> SimDuration { return 150; };
-  EXPECT_THROW(ShardedSimulator{sc}, CheckError);
-  // An honest floor (== the uniform pair latency) constructs fine.
-  sc.source_floor = [](std::size_t) -> SimDuration { return 100; };
-  EXPECT_NO_THROW(ShardedSimulator{sc});
-}
-
-// --- self-chain echo: ping-pong back to the global-min shard ----------------
-
-// Regression for the adaptive-horizon self-chain hole: shard 0 holds the
-// global floor with dense local work far beyond the echo time, shard 1 is
-// idle and shard 2's only event is distant, so the round-start peer bound
-// leaves shard 0's first window nearly unbounded. Shard 0 pings shard 1,
-// which pongs straight back at the pair bound. Without the post-time echo
-// cap shard 0 runs its local work past the pong's delivery time in round
-// 1 and the merge two rounds later schedules an event in its past.
+// Shard 0 holds the earliest event with dense local work far beyond the
+// echo time, shard 1 is idle and shard 2's only event is distant, so the
+// runner-up bound leaves shard 0's run nearly unbounded. Shard 0 pings
+// shard 1, which pongs straight back (or relays through shard 2 first)
+// `hop` after each step. Without the post-time echo cap shard 0 runs its
+// local work past the pong's time and the pong is scheduled in its past.
 //
 // Each run happens twice: sparse, and after dense background ticks on
-// shard 0 have run through one-round run_until() segments, so the ping's
-// round carries hundreds of events.
-void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
-                        SimDuration hop) {
+// shard 0 have run through short run_until() segments, so the ping's run
+// carries hundreds of events.
+void ping_pong_echo_run(SimDuration hop, bool relay) {
   for (const bool dense : {false, true}) {
     SCOPED_TRACE(dense);
     ShardedConfig sc;
     sc.shards = 3;
     sc.lookahead = 100;
-    tweak(sc);
     ShardedSimulator engine(sc);
     // Scenario start: after the warm-up span in the dense variant.
     const SimTime t0 = dense ? 2000 : 0;
     if (dense) {
       add_ticks(engine.shard(0), 8, 1, t0 + 5000);
-      // Shards 1 and 2 are idle, so each segment is one ~800-event round
-      // on shard 0.
+      // Shards 1 and 2 are idle, so each segment is one ~800-event run of
+      // shard 0.
       for (SimTime b = 100; b <= t0; b += 100) engine.run_until(b);
     }
     for (SimTime t = t0 + 10; t <= t0 + 5000; t += 10) {
@@ -539,57 +445,44 @@ void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
     }
     engine.shard(2).schedule_at(t0 + 1000000, [] {});  // distant, not idle
     SimTime pong_at = 0;
-    engine.shard(0).schedule_at(t0 + 10, [&engine, &pong_at, hop] {
+    const auto pong = [&engine, &pong_at, hop](std::size_t from) {
+      engine.post(from, 0, engine.shard(from).now() + hop,
+                  [&engine, &pong_at] { pong_at = engine.shard(0).now(); });
+    };
+    engine.shard(0).schedule_at(t0 + 10, [&engine, &pong, hop, relay] {
       engine.post(0, 1, engine.shard(0).now() + hop,
-                  [&engine, &pong_at, hop] {
-                    engine.post(1, 0, engine.shard(1).now() + hop,
-                                [&engine, &pong_at] {
-                                  pong_at = engine.shard(0).now();
-                                });
+                  [&engine, &pong, hop, relay] {
+                    if (!relay) return pong(1);
+                    engine.post(1, 2, engine.shard(1).now() + hop,
+                                [&pong] { pong(2); });
                   });
     });
     engine.run();
-    EXPECT_EQ(pong_at, t0 + 10 + 2 * hop);
+    EXPECT_EQ(pong_at, t0 + 10 + (relay ? 3 : 2) * hop);
   }
 }
 
-TEST(ShardedSimulator, EchoToGlobalMinShardUniformLookahead) {
-  ping_pong_echo_run([](ShardedConfig&) {}, 100);
+TEST(ShardedSimulator, EchoToTheEarliestShardAtTheLookahead) {
+  ping_pong_echo_run(100, false);
 }
 
-TEST(ShardedSimulator, EchoToGlobalMinShardDensePairOracle) {
-  ping_pong_echo_run(
-      [](ShardedConfig& sc) {
-        sc.lookahead = 10;
-        sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
-          return 100;
-        };
-      },
-      100);
+TEST(ShardedSimulator, EchoToTheEarliestShardPastTheLookahead) {
+  ping_pong_echo_run(170, false);
 }
 
-TEST(ShardedSimulator, EchoToGlobalMinShardCollapsedFloors) {
-  ping_pong_echo_run(
-      [](ShardedConfig& sc) {
-        sc.lookahead = 10;
-        sc.dense_pair_cap = 2;  // force the collapsed per-source-floor path
-        sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
-          return 100;
-        };
-        sc.source_floor = [](std::size_t) -> SimDuration { return 100; };
-      },
-      100);
+TEST(ShardedSimulator, RelayedEchoToTheEarliestShard) {
+  ping_pong_echo_run(100, true);
 }
 
 // --- imbalanced topology: one hot shard, many cold burst shards -------------
 
 // A global-window engine's worst case: shard 0 fires continuously (it
-// holds the global floor), while shards 1..N-1 wake only in short
+// holds the earliest event), while shards 1..N-1 wake only in short
 // synchronized bursts once per period and sit idle in between. One global
 // window `[floor, floor + lookahead)` would march the whole machine forward
-// one lookahead at a time — (period / lookahead) barriers per period —
-// while per-shard horizons let the hot shard cross an entire quiet gap in
-// one window.
+// one lookahead at a time — (period / lookahead) steps per period — while
+// the runner-up bound lets the hot shard cross an entire quiet gap in one
+// run.
 constexpr std::size_t kImbShards = 64;
 constexpr SimTime kImbPeriod = 20000;
 constexpr int kImbEpochs = 6;
@@ -653,9 +546,7 @@ struct ColdActor {
 
 struct ImbalancedResult {
   std::uint64_t hash = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t shard_windows = 0;
-  std::uint64_t stalled = 0;
+  std::uint64_t runs = 0;
 };
 
 ImbalancedResult imbalanced_run() {
@@ -694,37 +585,28 @@ ImbalancedResult imbalanced_run() {
   combined.mix(engine.events_processed());
   combined.mix(engine.messages());
   combined.mix(engine.windows());
-  combined.mix(engine.shard_windows());
-  combined.mix(engine.stalled_shard_windows());  // deterministic too
   r.hash = combined.h;
-  r.windows = engine.windows();
-  r.shard_windows = engine.shard_windows();
-  r.stalled = engine.stalled_shard_windows();
+  r.runs = engine.windows();
   return r;
 }
 
-// Captured before the engine's host threads were deleted; every thread
-// count the engine offered gave these values.
+// Re-pinned when events were keyed by (time, origin, counter) (ROADMAP
+// item 9: canonical event key); the hash folds in the run count.
 TEST(ShardedSimulator, ImbalancedTopologyHashIsPinned) {
   const ImbalancedResult r = imbalanced_run();
-  EXPECT_EQ(r.hash, 8690796927192043311ull);
-  EXPECT_EQ(r.windows, 131u);
-  EXPECT_EQ(r.shard_windows, 927u);
-  EXPECT_EQ(r.stalled, 5961u);
+  EXPECT_EQ(r.hash, 11924394204750591335ull);
+  EXPECT_EQ(r.runs, 892u);
 }
 
-TEST(ShardedSimulator, AdaptiveHorizonsCrossQuietGapsInOneWindow) {
+TEST(ShardedSimulator, TheHotShardCrossesQuietGapsInOneRun) {
   const ImbalancedResult r = imbalanced_run();
-  // One global window per lookahead would take kImbEpochs * kImbPeriod /
-  // kImbLookahead rounds to cover the run; per-shard horizons cross each
-  // quiet gap in one round, so the count collapses well below that.
-  const std::uint64_t global_window_rounds =
+  // Stepping one lookahead at a time would take the hot shard alone
+  // kImbEpochs * kImbPeriod / kImbLookahead runs, and every cold burst
+  // takes at least one run of its own. The runner-up bound lets the hot
+  // shard cross each quiet gap in one run, so the total stays below that.
+  const std::uint64_t stepped_runs =
       static_cast<std::uint64_t>(kImbEpochs) * kImbPeriod / kImbLookahead;
-  EXPECT_LT(r.windows * 4, global_window_rounds);
-  // The starvation regression proper: a global window would stall every
-  // sleeping cold shard in every one of those rounds; per-shard horizons
-  // keep cold shards from spinning at barriers with empty horizons.
-  EXPECT_LT(r.stalled * 4, global_window_rounds * (kImbShards - 1));
+  EXPECT_LT(r.runs, stepped_runs + (kImbShards - 1) * kImbEpochs);
 }
 
 // --- lookahead queries ------------------------------------------------------
@@ -745,67 +627,6 @@ TEST(Network, MinCrossLatencyOnATwoLevelTree) {
   EXPECT_EQ(net.min_cross_latency(2), 0);
   EXPECT_EQ(net.route_latency(0, 1), nanoseconds(40));
   EXPECT_EQ(net.route_latency(0, 2), nanoseconds(340));
-}
-
-TEST(Network, MinLatencyFromIsThePerSourceFloor) {
-  NetworkConfig nc;
-  LinkParams l0;
-  l0.hop_latency = nanoseconds(20);
-  LinkParams l1;
-  l1.hop_latency = nanoseconds(150);
-  nc.level_params = {{0, l0}, {1, l1}};
-  // Two switches of two endpoints each: {0,1} under one, {2,3} under the
-  // other, switches joined by level-1 links.
-  Network net(make_tree({2, 2}), nc);
-  for (std::size_t e = 0; e < net.endpoint_count(); ++e) {
-    // Nearest peer of any endpoint is its same-switch sibling...
-    EXPECT_EQ(net.min_latency_from(e, 0), nanoseconds(40));
-    // ...while the nearest *cross-tier* peer sits behind two l1 hops.
-    EXPECT_EQ(net.min_latency_from(e, 1), nanoseconds(340));
-    // No route from anywhere crosses a level that does not exist.
-    EXPECT_EQ(net.min_latency_from(e, 2), 0);
-  }
-  // The global min_cross_latency is the min over per-source floors.
-  EXPECT_EQ(net.min_cross_latency(1), nanoseconds(340));
-}
-
-TEST(Network, MinLatencyFromOnALopsidedTree) {
-  NetworkConfig nc;
-  LinkParams l0;
-  l0.hop_latency = nanoseconds(10);
-  LinkParams l1;
-  l1.hop_latency = nanoseconds(100);
-  nc.level_params = {{0, l0}, {1, l1}};
-  // Three switches of 3 endpoints: every endpoint's cheapest peer is
-  // intra-switch (20), and the per-source cross floor (220) is the same
-  // from every source by symmetry — but must be derived per endpoint by
-  // the climb, not read off the global min.
-  Network net(make_tree({3, 3}), nc);
-  for (std::size_t e = 0; e < 9; ++e) {
-    EXPECT_EQ(net.min_latency_from(e, 0), nanoseconds(20));
-    EXPECT_EQ(net.min_latency_from(e, 1), nanoseconds(220));
-  }
-}
-
-TEST(PgasSystem, PerPeerShardLookaheadMatchesTheRouteOracle) {
-  PgasConfig pc;
-  pc.nodes = 4;
-  pc.workers_per_node = 2;
-  PgasSystem pgas(pc);
-  for (std::size_t from = 0; from < 4; ++from) {
-    // The per-source floor out of any node is the cheapest of its
-    // per-peer latencies — the exact relation the adaptive engine's
-    // collapsed-horizon fallback relies on.
-    SimDuration cheapest = 0;
-    for (std::size_t to = 0; to < 4; ++to) {
-      if (from == to) continue;
-      const SimDuration pair = pgas.shard_lookahead(from, to);
-      // Per-peer bounds can never undercut the global cross-node floor.
-      EXPECT_GE(pair, pgas.shard_lookahead());
-      if (cheapest == 0 || pair < cheapest) cheapest = pair;
-    }
-    EXPECT_EQ(pgas.shard_lookahead_floor(from), cheapest);
-  }
 }
 
 TEST(PgasSystem, ShardLookaheadMatchesInterNodeTier) {
@@ -914,7 +735,7 @@ std::uint64_t sharded_runtime_hash(ShardedRuntime::Stats* stats_out,
     g.kernels = &kernels;
     rt.shard(node).schedule_at(static_cast<SimTime>(1 + node),
                                [&g] { g.fire(); });
-    // Background ticks, 32 per lookahead per node (~256 events a round),
+    // Background ticks, 32 per lookahead per node,
     // through the generators' six epochs.
     add_ticks(rt.shard(node), 2, 1, microseconds(180),
               std::max<SimDuration>(rt.lookahead() / 16, 1));
@@ -943,16 +764,19 @@ std::uint64_t sharded_runtime_hash(ShardedRuntime::Stats* stats_out,
   return combined.h;
 }
 
-// Captured before the engine's host threads were deleted; every thread
-// count the engine offered gave these values.
+// Re-pinned when events were keyed by (time, origin, counter) (ROADMAP
+// item 9: canonical event key); the hash folds in the run count.
+constexpr std::uint64_t kRuntimeHash = 13317904375298947061ull;
+constexpr std::uint64_t kRuntimeRuns = 4312u;
+
 TEST(ShardedRuntime, MixedUnimemUnilogicWorkloadHashIsPinned) {
   ShardedRuntime::Stats s{};
-  EXPECT_EQ(sharded_runtime_hash(&s), 18404818494914409895ull);
+  EXPECT_EQ(sharded_runtime_hash(&s), kRuntimeHash);
   // The workload really was mixed and really did cross node boundaries:
   // 8 nodes x 6 epochs x (2 local + 1 forwarded) tasks.
   EXPECT_EQ(s.tasks, 8u * 6u * 3u);
   EXPECT_EQ(s.cross_posts, 48u);
-  EXPECT_EQ(s.windows, 704u);
+  EXPECT_EQ(s.windows, kRuntimeRuns);
   EXPECT_GT(s.makespan, 0u);
 }
 
@@ -1016,7 +840,7 @@ TEST(ShardedSimulator, ControllerMayScheduleAtThePauseOnAnyShard) {
 // pause the controller folds the (deterministic) per-shard counters into
 // the hash and injects boundary events for the first few epochs, so the
 // final hash pins run_until's pause as a consistent cut. `background`
-// chains of ticks per shard add ~28 events per chain a round.
+// chains of ticks per shard add dense local work.
 std::uint64_t segmented_run_hash(std::size_t background) {
   ShardedConfig sc;
   sc.shards = 4;
@@ -1108,10 +932,10 @@ ShardedConfig four_shards(std::size_t threads) {
   return sc;
 }
 
-// Sparse rounds (~40 events, the kv-style regime) and dense ones (~200
-// events) alike run every action on the caller's thread, whatever
-// `threads` says: the engine starts no thread.
-TEST(ShardedSimulator, NarrowRoundsRunEveryActionOnTheCallersThread) {
+// Sparse runs (the kv-style regime) and dense ones alike run every action
+// on the caller's thread, whatever `threads` says: the engine starts no
+// thread.
+TEST(ShardedSimulator, EveryActionRunsOnTheCallersThread) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const bool dense : {false, true}) {
       SCOPED_TRACE(testing::Message() << threads << " threads, dense "
@@ -1147,10 +971,10 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromRun) {
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
 
-TEST(ShardedSimulator, TwoThrowsInOneRoundRethrowLowestShardFirst) {
-  // Shards 1 and 3 both throw inside the same round (shard 3's window
-  // runs after shard 1's). The lowest shard id surfaces first; the other
-  // exception is kept and surfaces on the next run.
+TEST(ShardedSimulator, TwoSameTimeThrowsSurfaceLowestShardFirst) {
+  // Shards 1 and 3 both throw at time 7. The executor picks the lower
+  // shard id on a tie, so shard 1's exception surfaces first; shard 3's
+  // throwing event is still pending and throws on the next run.
   ShardedSimulator engine(four_shards(1));
   for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
   engine.shard(3).schedule_at(7, [] { throw std::runtime_error("shard 3"); });
@@ -1163,8 +987,7 @@ TEST(ShardedSimulator, TwoThrowsInOneRoundRethrowLowestShardFirst) {
       EXPECT_STREQ(e.what(), expected);
     }
   }
-  EXPECT_EQ(engine.windows(), 1u);  // both threw in the first round
-  engine.run();  // nothing left to rethrow: drains
+  engine.run();  // nothing left to throw: drains
   EXPECT_EQ(engine.events_processed(), 6u);
 }
 
@@ -1184,8 +1007,8 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromRunUntil) {
   EXPECT_EQ(late, 4);
 }
 
-// A window that throws after posting still ends its round normally: the
-// message is merged at the round boundary and runs on the next run().
+// A message posted before its action throws stays in the destination's
+// inbox and runs on the next run().
 TEST(ShardedSimulator, MessagesPostedBeforeAThrowAreDeliveredOnTheNextRun) {
   ShardedConfig sc;
   sc.shards = 2;
@@ -1238,9 +1061,9 @@ TEST(ShardedSimulator, RunOnAnEmptyEngineDoesNothing) {
   EXPECT_EQ(engine.shard_wall_time_ns(), 0u);
 }
 
-// With no pending peer nothing bounds a shard's horizon, so a lone shard
-// drains in one window however much work it holds.
-TEST(ShardedSimulator, OneShardDrainsInOneWindow) {
+// With no pending peer nothing bounds a shard's run, so a lone shard
+// drains in one run however much work it holds.
+TEST(ShardedSimulator, OneShardDrainsInOneRun) {
   ShardedConfig sc;
   sc.shards = 1;
   sc.lookahead = 10;
@@ -1254,8 +1077,8 @@ TEST(ShardedSimulator, OneShardDrainsInOneWindow) {
   EXPECT_EQ(engine.now(), 499u);
 }
 
-// Idle shards cost a round nothing: they neither run a window nor count
-// as stalled, and the one busy shard is bounded by no peer.
+// Idle shards cost nothing: they never run, and the one busy shard is
+// bounded by no peer.
 TEST(ShardedSimulator, IdleShardsAreNeitherRunNorStalled) {
   ShardedSimulator engine(four_shards(1));
   const std::uint64_t events = add_ticks(engine.shard(2), 2, 1, 300);
@@ -1279,15 +1102,14 @@ TEST(ShardedSimulator, ThreadsFieldIsANoOp) {
     ShardedSimulator engine(four_shards(threads));
     EXPECT_EQ(engine.threads_used(), 1u);
     EXPECT_EQ(engine.steals(), 0u);
-    EXPECT_EQ(mesh_workload_hash(8, 1024, 400, nullptr, threads),
-              6437149492501349650ull);
+    EXPECT_EQ(mesh_workload_hash(8, 1024, 400, threads), kMeshHash);
   }
 }
 
 TEST(ShardedRuntime, ThreadsFieldIsANoOp) {
   ShardedRuntime::Stats s{};
-  EXPECT_EQ(sharded_runtime_hash(&s, 4), 18404818494914409895ull);
-  EXPECT_EQ(s.windows, 704u);
+  EXPECT_EQ(sharded_runtime_hash(&s, 4), kRuntimeHash);
+  EXPECT_EQ(s.windows, kRuntimeRuns);
   EXPECT_EQ(s.steals, 0u);
 }
 

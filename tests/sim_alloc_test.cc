@@ -279,22 +279,17 @@ struct ShardPumpActor {
   }
 };
 
-// The round's pending list, next times and horizons are sized at
-// construction or run() entry, and the merge reads the outbox in place, so
-// once the engine has run, a second run of many more rounds must not
-// allocate at all. `per_shard` actors run on each of 8 shards under a dense
-// pair oracle. `threads = 4` is ignored: the engine runs on the caller
-// either way.
-void expect_sharded_rounds_allocation_free(std::size_t per_shard) {
+// The tournament tree is sized at construction, the inboxes are reserved
+// on their first message and admitted in place, so once the engine has
+// run, a second run of many more shard runs must not allocate at all.
+// `per_shard` actors run on each of 8 shards. `threads = 4` is ignored:
+// the engine runs on the caller either way.
+void expect_sharded_runs_allocation_free(std::size_t per_shard) {
   constexpr std::size_t kShards = 8;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = 50;
   sc.threads = 4;
-  sc.pair_lookahead = [](std::size_t a, std::size_t b) -> SimDuration {
-    const std::size_t d = a > b ? a - b : b - a;
-    return 20 + 30 * std::min(d, kShards - d);  // ring distance: a metric
-  };
   ShardedSimulator engine(sc);
   std::array<std::uint64_t, kShards> sinks{};
   std::vector<ShardPumpActor> actors(kShards * per_shard);
@@ -315,28 +310,29 @@ void expect_sharded_rounds_allocation_free(std::size_t per_shard) {
   }
   start(200);
   engine.run();  // warm: TLS, the action pool, the first run's reserves
-  const std::uint64_t warm_windows = engine.windows();
+  const std::uint64_t warm_runs = engine.windows();
+  const std::size_t warm_inbox_bytes = engine.mailbox_state_bytes();
   start(2000);
   const std::uint64_t before = g_allocations.load();
   engine.run();
   EXPECT_EQ(g_allocations.load(), before)
-      << "a sharded round allocated in steady state";
-  // Ten times the fires: the rounds scale with the work.
-  EXPECT_GT(engine.windows() - warm_windows, 5 * warm_windows);
-  EXPECT_EQ(engine.mailbox_spills(), 0u)
-      << "the outbox overflowed; spills allocate and void the comparison";
+      << "a sharded run allocated in steady state";
+  // Ten times the fires: the shard runs scale with the work.
+  EXPECT_GT(engine.windows() - warm_runs, 5 * warm_runs);
+  EXPECT_EQ(engine.mailbox_state_bytes(), warm_inbox_bytes)
+      << "an inbox outgrew its reservation; growth allocates and voids the "
+         "comparison";
   EXPECT_GT(engine.messages(), 0u);
 }
 
-// One actor per shard: the kv-style regime, a few events a round and most
-// shards stalled.
-TEST(SimulatorAllocation, SparseShardedRoundsAreAllocationFreeOnceWarm) {
-  expect_sharded_rounds_allocation_free(1);
+// One actor per shard: the kv-style regime, a few events a shard run.
+TEST(SimulatorAllocation, SparseShardedRunsAreAllocationFreeOnceWarm) {
+  expect_sharded_runs_allocation_free(1);
 }
 
-// Eight actors per shard: ~170 events a round, the mesh regime.
-TEST(SimulatorAllocation, DenseShardedRoundsAreAllocationFreeOnceWarm) {
-  expect_sharded_rounds_allocation_free(8);
+// Eight actors per shard: the mesh regime.
+TEST(SimulatorAllocation, DenseShardedRunsAreAllocationFreeOnceWarm) {
+  expect_sharded_runs_allocation_free(8);
 }
 
 TEST(SimulatorAllocation, ColdStartAllocatesOnlyStorageGrowth) {

@@ -57,6 +57,40 @@ TEST(Simulator, RejectsPastEvents) {
   EXPECT_THROW(sim.schedule_at(50, [] {}), CheckError);
 }
 
+// A keyed event orders by (time, key): at one time, a lower origin (the
+// key's top bits) runs first whatever the insertion order, and a
+// simulator's own events take its origin.
+TEST(Simulator, SameTimeKeyedEventsRunInOriginOrder) {
+  Simulator sim;
+  sim.set_origin(2);
+  std::vector<int> order;
+  const auto key = [](std::uint64_t origin, std::uint64_t counter) {
+    return (origin << Simulator::kOriginShift) | counter;
+  };
+  sim.schedule_at(50, [&] { order.push_back(2); });  // origin 2, counter 0
+  sim.schedule_keyed(50, key(3, 0), [&] { order.push_back(3); });
+  sim.schedule_keyed(50, key(1, 7), [&] { order.push_back(1); });
+  sim.schedule_keyed(50, key(1, 4), [&] { order.push_back(0); });
+  sim.schedule_keyed(40, key(9, 0), [&] { order.push_back(-1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+  // Local schedules and next_key() share the origin's counter.
+  EXPECT_EQ(sim.next_key(), key(2, 1));
+}
+
+TEST(Simulator, SetOriginAfterSchedulingIsRejected) {
+  Simulator sim;
+  sim.schedule_at(10, [] {});
+  EXPECT_THROW(sim.set_origin(1), CheckError);
+}
+
+TEST(Simulator, KeyedInsertInThePastIsRejected) {
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  sim.run();
+  EXPECT_THROW(sim.schedule_keyed(50, 0, [] {}), CheckError);
+}
+
 TEST(Simulator, RunUntilAdvancesClock) {
   Simulator sim;
   int fired = 0;
