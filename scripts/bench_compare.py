@@ -4,6 +4,7 @@
 Usage:
     scripts/bench_compare.py BEFORE.json AFTER.json [--threshold PCT]
         [--fail-above PCT]
+    scripts/bench_compare.py --self-test
 
 Accepts either format the bench harness emits:
   * a --json dump: {"tables": [{"caption", "headers", "rows"}, ...]}
@@ -18,20 +19,24 @@ everything else, since the remaining units are times/counts). Latency
 percentile columns ("p50 ns" / "p99 ns" / "p999 ns") therefore gate as
 ceilings: committed baselines pre-inflate them x2 (update_baselines.py),
 so only a genuine tail blow-up — not runner noise — can rise past the
-threshold. Hash columns are compared exactly, any drift fails. A
+threshold. Hash columns are compared exactly, as text (a float keeps
+only 53 of a 64-bit hash's bits), and any drift fails. A
 deterministic baseline column (hash or count) that is *absent* from the
 fresh dump is a hard failure, not a silent skip — renaming or dropping a
 gated column must force a baseline regeneration, never an empty diff.
+--self-test checks that a one-bit change of a 64-bit hash fails.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
+import tempfile
 
 
 def parse_file(path):
-    """Return {table_key: {row_key: {col_name: float}}}."""
+    """Return {table_key: {row_key: {col_name: value}}}; see to_cell."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     try:
@@ -47,7 +52,7 @@ def parse_file(path):
             for row in table.get("rows", []):
                 cells = {}
                 for name, cell in zip(headers[1:], row[1:]):
-                    value = to_float(cell)
+                    value = to_cell(name, cell)
                     if value is not None:
                         cells[name] = value
                 rows[str(row[0])] = cells
@@ -61,7 +66,7 @@ def parse_file(path):
             continue
         rows = {}
         for key, value in flat.items():
-            v = to_float(value)
+            v = to_cell(key, value)
             if v is not None:
                 rows[key] = {"value": v}
         out[match.group(1)] = rows
@@ -76,6 +81,13 @@ def to_float(cell):
         return float(cell)
     except (TypeError, ValueError):
         return None
+
+
+def to_cell(column, cell):
+    """Exact columns keep their text, every other column its float."""
+    if exact_match(column):
+        return None if cell is None else str(cell).strip()
+    return to_float(cell)
 
 
 def higher_is_better(column):
@@ -106,8 +118,10 @@ def deterministic(column):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("before")
-    ap.add_argument("after")
+    ap.add_argument("before", nargs="?")
+    ap.add_argument("after", nargs="?")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check that a one-bit hash change fails, then exit")
     ap.add_argument("--threshold", type=float, default=None,
                     help="fail if any metric regresses by more than PCT%%")
     ap.add_argument("--fail-above", type=float, default=None, metavar="PCT",
@@ -115,11 +129,18 @@ def main():
                          "metric regresses by more than PCT%% (synonym for "
                          "--threshold; the stricter of the two wins)")
     args = ap.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.after is None:
+        ap.error("BEFORE and AFTER are required")
     gates = [t for t in (args.threshold, args.fail_above) if t is not None]
-    gate = min(gates) if gates else None
+    return compare(args.before, args.after,
+                   min(gates) if gates else None)
 
-    before = parse_file(args.before)
-    after = parse_file(args.after)
+
+def compare(before_path, after_path, gate):
+    before = parse_file(before_path)
+    after = parse_file(after_path)
 
     # Positional fallback lets renamed captions still line up.
     keys = [k for k in before if k in after]
@@ -150,14 +171,15 @@ def main():
                                     f"column '{col}' absent from the fresh "
                                     "dump"))
                     continue
-                if new is None or old == 0:
-                    continue
-                change = 100.0 * (new - old) / old
                 if exact_match(col):
                     # Determinism gate: any drift fails regardless of the
                     # numeric threshold (hashes are not magnitudes).
+                    change = None  # printed as a same/DIFFERS verdict
                     regression = 0.0 if new == old else float("inf")
                 else:
+                    if new is None or old == 0:
+                        continue
+                    change = 100.0 * (new - old) / old
                     regression = -change if higher_is_better(col) else change
                 worst = max(worst, regression)
                 rows.append((key, row_name, col, old, new, change))
@@ -173,7 +195,12 @@ def main():
             print(f"-- {key}")
             last_key = key
         label = f"{row_name} [{col}]"
-        print(f"{label:<{name_w}}  {old:>12.6g}  {new:>12.6g}  {change:>+7.1f}%")
+        if exact_match(col):
+            verdict = "same" if new == old else "DIFFERS"
+            print(f"{label:<{name_w}}  {old:>12}  {str(new):>12}  {verdict:>8}")
+        else:
+            print(f"{label:<{name_w}}  {old:>12.6g}  {new:>12.6g}  "
+                  f"{change:>+7.1f}%")
 
     if missing:
         print("\nFAIL: deterministic baseline columns (hashes, counts) are "
@@ -186,6 +213,29 @@ def main():
         print(f"\nFAIL: worst regression {worst:.1f}% exceeds "
               f"threshold {gate:.1f}%", file=sys.stderr)
         return 1
+    return 0
+
+
+def self_test():
+    """A one-bit change of a 64-bit hash must fail the gate; equal
+    dumps must pass. As floats the two hashes below compare equal."""
+    pinned = 13681594062957755459
+    table = {"caption": "self-test", "headers": ["row", "events", "hash"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for h in (pinned, pinned, pinned ^ 1):
+            path = os.path.join(tmp, f"dump{len(paths)}.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump({"tables": [dict(table, rows=[["a", "7", str(h)]])]},
+                          f)
+            paths.append(path)
+        same = compare(paths[0], paths[1], 60.0)
+        flipped = compare(paths[0], paths[2], 60.0)
+    if same != 0 or flipped != 1:
+        print(f"self-test FAILED: equal dumps -> {same}, one-bit hash "
+              f"change -> {flipped} (want 0 and 1)", file=sys.stderr)
+        return 1
+    print("self-test passed: a one-bit hash change fails the gate")
     return 0
 
 

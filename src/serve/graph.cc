@@ -92,6 +92,10 @@ GraphEngine::GraphEngine(Machine& machine, const CsrGraph& graph)
   const std::size_t per_node = machine_.workers_per_node();
   PgasSystem& pgas = machine_.pgas();
 
+  bounds_.resize(workers_ + 1);
+  for (std::size_t w = 0; w <= workers_; ++w) {
+    bounds_[w] = (graph.vertices * w) / workers_;
+  }
   owners_.resize(graph.vertices);
   for (std::size_t w = 0; w < workers_; ++w) {
     for (std::size_t v = range_begin(w); v < range_end(w); ++v) {
@@ -167,6 +171,39 @@ SimTime GraphEngine::barrier() {
   return at;
 }
 
+template <typename Step>
+void GraphEngine::sweep(Step&& step) {
+  sweep_in_time_order(
+      cursors_, bounds_,
+      [&](std::size_t w, std::size_t v, SimTime cur) {
+        return step(w, static_cast<std::uint32_t>(v), cur + kVertexCost);
+      },
+      [this](SimTime t) { machine_.release(t); });
+}
+
+template <typename Visit>
+SimTime GraphEngine::pull(std::size_t w, std::uint32_t v, std::size_t buffer,
+                          SimTime cur, Visit&& visit) {
+  PgasSystem& pgas = machine_.pgas();
+  const CsrGraph& g = *graph_;
+  const std::uint64_t deg = g.row[v + 1] - g.row[v];
+  if (deg == 0) return cur;
+  const WorkerCoord self = pgas.coord(w);
+  const GlobalAddress adj = GlobalAddress::from_raw(adj_base_[w]) +
+                            (g.row[v] - g.row[range_begin(w)]) * kEdgeBytes;
+  cur = pgas.load(self, adj, deg * kEdgeBytes, cur).finish;
+  for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
+    const std::uint32_t u = g.col[e];
+    const MemAccess acc =
+        pgas.load(self, value_addr(buffer, u), kValueBytes, cur);
+    cur = acc.finish;
+    ++run_.edge_reads;
+    run_.remote_edge_reads += acc.remote;
+    visit(u);
+  }
+  return cur;
+}
+
 BfsResult GraphEngine::bfs(std::uint32_t source) {
   ECO_CHECK(source < graph_->vertices);
   PgasSystem& pgas = machine_.pgas();
@@ -178,45 +215,26 @@ BfsResult GraphEngine::bfs(std::uint32_t source) {
   fill_values(0, unreached_word());
   write_value(0, source, 0);
 
-  std::vector<std::uint64_t> frontier(workers_, 0);
+  std::vector<std::uint64_t> frontier(workers_);
   for (std::uint64_t level = 1;; ++level) {
     const SimTime iter_start = barrier();
-    for (std::size_t w = 0; w < workers_; ++w) {
-      const WorkerCoord self = pgas.coord(w);
-      SimTime cur = cursors_[w];
-      std::uint64_t found = 0;
-      for (std::size_t v = range_begin(w); v < range_end(w); ++v) {
-        cur += kVertexCost;
-        const auto vv = static_cast<std::uint32_t>(v);
-        if (read_value(0, vv) != unreached_word()) continue;
-        const std::uint64_t deg = g.row[v + 1] - g.row[v];
-        if (deg == 0) continue;
-        // Stream the local adjacency slice (one bulk read), then pull
-        // each neighbour's level — remote neighbours pay the wire.
-        const GlobalAddress adj =
-            GlobalAddress::from_raw(adj_base_[w]) +
-            (g.row[v] - g.row[range_begin(w)]) * kEdgeBytes;
-        cur = pgas.load(self, adj, deg * kEdgeBytes, cur).finish;
-        bool hit = false;
-        for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
-          const std::uint32_t u = g.col[e];
-          const MemAccess acc =
-              pgas.load(self, value_addr(0, u), kValueBytes, cur);
-          cur = acc.finish;
-          ++run_.edge_reads;
-          run_.remote_edge_reads += acc.remote;
-          if (!hit && read_value(0, u) == level - 1) hit = true;
-        }
-        if (hit) {
-          cur = pgas.store(self, value_addr(0, vv), kValueBytes, cur)
-                    .finish;
-          write_value(0, vv, level);
-          ++found;
-        }
+    std::fill(frontier.begin(), frontier.end(), 0);
+    sweep([&](std::size_t w, std::uint32_t v, SimTime cur) {
+      if (read_value(0, v) != unreached_word()) return cur;
+      // Pull each neighbour's level; a vertex written this iteration holds
+      // `level`, never level - 1, so the sweep order cannot matter.
+      bool hit = false;
+      cur = pull(w, v, 0, cur, [&](std::uint32_t u) {
+        if (!hit && read_value(0, u) == level - 1) hit = true;
+      });
+      if (hit) {
+        cur = pgas.store(pgas.coord(w), value_addr(0, v), kValueBytes, cur)
+                  .finish;
+        write_value(0, v, level);
+        ++frontier[w];
       }
-      cursors_[w] = cur;
-      frontier[w] = found;
-    }
+      return cur;
+    });
     const SimTime iter_end = barrier();
     ECO_TRACE_SPAN(obs::Cat::kServe, graph_trace_names().iter,
                    (obs::Lane{0, 0}), iter_start, iter_end,
@@ -252,48 +270,27 @@ PagerankResult GraphEngine::pagerank(std::size_t iterations,
   fill_values(0, std::bit_cast<std::uint64_t>(1.0 / n));
 
   std::size_t cur_buf = 0;
-  std::vector<double> delta(workers_, 0.0);
+  std::vector<double> delta(workers_);
   for (std::size_t it = 0; it < iterations; ++it) {
     const std::size_t next_buf = 1 - cur_buf;
     const SimTime iter_start = barrier();
-    for (std::size_t w = 0; w < workers_; ++w) {
-      const WorkerCoord self = pgas.coord(w);
-      SimTime cur = cursors_[w];
-      double d = 0.0;
-      for (std::size_t v = range_begin(w); v < range_end(w); ++v) {
-        cur += kVertexCost;
-        const auto vv = static_cast<std::uint32_t>(v);
-        double sum = 0.0;
-        const std::uint64_t deg = g.row[v + 1] - g.row[v];
-        if (deg > 0) {
-          const GlobalAddress adj =
-              GlobalAddress::from_raw(adj_base_[w]) +
-              (g.row[v] - g.row[range_begin(w)]) * kEdgeBytes;
-          cur = pgas.load(self, adj, deg * kEdgeBytes, cur).finish;
-          for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
-            const std::uint32_t u = g.col[e];
-            const MemAccess acc =
-                pgas.load(self, value_addr(cur_buf, u), kValueBytes, cur);
-            cur = acc.finish;
-            ++run_.edge_reads;
-            run_.remote_edge_reads += acc.remote;
-            const double ru =
-                std::bit_cast<double>(read_value(cur_buf, u));
-            const double udeg =
-                static_cast<double>(g.row[u + 1] - g.row[u]);
-            sum += ru / udeg;  // udeg >= 1: u has at least edge (u, v)
-          }
-        }
-        const double next = (1.0 - damping) / n + damping * sum;
-        cur = pgas.store(self, value_addr(next_buf, vv), kValueBytes, cur)
-                  .finish;
-        const double prev = std::bit_cast<double>(read_value(cur_buf, vv));
-        d += std::abs(next - prev);
-        write_value(next_buf, vv, std::bit_cast<std::uint64_t>(next));
-      }
-      cursors_[w] = cur;
-      delta[w] = d;
-    }
+    std::fill(delta.begin(), delta.end(), 0.0);
+    sweep([&](std::size_t w, std::uint32_t v, SimTime cur) {
+      double sum = 0.0;
+      cur = pull(w, v, cur_buf, cur, [&](std::uint32_t u) {
+        const double ru = std::bit_cast<double>(read_value(cur_buf, u));
+        const double udeg = static_cast<double>(g.row[u + 1] - g.row[u]);
+        sum += ru / udeg;  // udeg >= 1: u has at least edge (u, v)
+      });
+      const double next = (1.0 - damping) / n + damping * sum;
+      cur = pgas.store(pgas.coord(w), value_addr(next_buf, v), kValueBytes,
+                       cur)
+                .finish;
+      const double prev = std::bit_cast<double>(read_value(cur_buf, v));
+      delta[w] += std::abs(next - prev);
+      write_value(next_buf, v, std::bit_cast<std::uint64_t>(next));
+      return cur;
+    });
     const SimTime iter_end = barrier();
     ECO_TRACE_SPAN(obs::Cat::kServe, graph_trace_names().iter,
                    (obs::Lane{0, 1}), iter_start, iter_end,
@@ -333,42 +330,24 @@ CcResult GraphEngine::connected_components() {
   }
 
   std::size_t cur_buf = 0;
-  std::vector<std::uint64_t> changed(workers_, 0);
+  std::vector<std::uint64_t> changed(workers_);
   for (;;) {
     const std::size_t next_buf = 1 - cur_buf;
     const SimTime iter_start = barrier();
-    for (std::size_t w = 0; w < workers_; ++w) {
-      const WorkerCoord self = pgas.coord(w);
-      SimTime cur = cursors_[w];
-      std::uint64_t moved = 0;
-      for (std::size_t v = range_begin(w); v < range_end(w); ++v) {
-        cur += kVertexCost;
-        const auto vv = static_cast<std::uint32_t>(v);
-        std::uint64_t best = read_value(cur_buf, vv);
-        const std::uint64_t deg = g.row[v + 1] - g.row[v];
-        if (deg > 0) {
-          const GlobalAddress adj =
-              GlobalAddress::from_raw(adj_base_[w]) +
-              (g.row[v] - g.row[range_begin(w)]) * kEdgeBytes;
-          cur = pgas.load(self, adj, deg * kEdgeBytes, cur).finish;
-          for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
-            const std::uint32_t u = g.col[e];
-            const MemAccess acc =
-                pgas.load(self, value_addr(cur_buf, u), kValueBytes, cur);
-            cur = acc.finish;
-            ++run_.edge_reads;
-            run_.remote_edge_reads += acc.remote;
-            best = std::min(best, read_value(cur_buf, u));
-          }
-        }
-        if (best != read_value(cur_buf, vv)) ++moved;
-        cur = pgas.store(self, value_addr(next_buf, vv), kValueBytes, cur)
-                  .finish;
-        write_value(next_buf, vv, best);
-      }
-      cursors_[w] = cur;
-      changed[w] = moved;
-    }
+    std::fill(changed.begin(), changed.end(), 0);
+    sweep([&](std::size_t w, std::uint32_t v, SimTime cur) {
+      const std::uint64_t own = read_value(cur_buf, v);
+      std::uint64_t best = own;
+      cur = pull(w, v, cur_buf, cur, [&](std::uint32_t u) {
+        best = std::min(best, read_value(cur_buf, u));
+      });
+      if (best != own) ++changed[w];
+      cur = pgas.store(pgas.coord(w), value_addr(next_buf, v), kValueBytes,
+                       cur)
+                .finish;
+      write_value(next_buf, v, best);
+      return cur;
+    });
     const SimTime iter_end = barrier();
     ECO_TRACE_SPAN(obs::Cat::kServe, graph_trace_names().iter,
                    (obs::Lane{0, 2}), iter_start, iter_end,

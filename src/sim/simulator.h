@@ -124,8 +124,10 @@ class Simulator {
     const auto t0 = Clock::now();
     ECO_TRACE_BEGIN(obs::Cat::kSim, detail::sim_trace_names().run,
                     (obs::Lane{obs::kSimPid, trace_tid_}), now_);
-    while (step_untimed()) {
-    }
+    retiring_on_throw([this] {
+      while (step_untimed()) {
+      }
+    });
     ECO_TRACE_END(obs::Cat::kSim, detail::sim_trace_names().run,
                   (obs::Lane{obs::kSimPid, trace_tid_}), now_);
     wall_ns_ += elapsed_ns(t0);
@@ -135,7 +137,9 @@ class Simulator {
   /// clock to `t`. Returns true if events remain beyond `t`.
   bool run_until(SimTime t) {
     const auto t0 = Clock::now();
-    while (has_due(t)) step_untimed();
+    retiring_on_throw([this, t] {
+      while (has_due(t)) step_untimed();
+    });
     wall_ns_ += elapsed_ns(t0);
     now_ = std::max(now_, t);
     return !idle();
@@ -150,7 +154,9 @@ class Simulator {
   /// (ShardedSimulator::shard_wall_time_ns), so wall_time_ns() excludes it.
   void run_before(SimTime end) {
     run_bound_ = end;
-    while (has_due_before(run_bound_)) step_untimed();
+    retiring_on_throw([this] {
+      while (has_due_before(run_bound_)) step_untimed();
+    });
   }
 
   /// Tighten the bound of the run_before() call currently executing this
@@ -173,7 +179,8 @@ class Simulator {
   /// Execute the single earliest event. Returns false if none is pending.
   bool step() {
     const auto t0 = Clock::now();
-    const bool fired = step_untimed();
+    bool fired = false;
+    retiring_on_throw([this, &fired] { fired = step_untimed(); });
     wall_ns_ += elapsed_ns(t0);
     return fired;
   }
@@ -363,10 +370,30 @@ class Simulator {
                       pending_events());
     now_ = entry.time;
     ++events_processed_;
+    running_slot_ = entry.slot;
     action();
+    running_slot_ = kNoSlot;
     action.reset();
     free_slots_.push_back(entry.slot);
     return true;
+  }
+
+  /// Runs one of the run loops. If an action throws, its capture is
+  /// destroyed and its slot freed before the exception propagates; the
+  /// catch sits around the whole loop, not around each event, so the
+  /// per-event path only records which slot is running.
+  template <typename Loop>
+  void retiring_on_throw(Loop&& loop) {
+    try {
+      loop();
+    } catch (...) {
+      if (running_slot_ != kNoSlot) {
+        slot_ref(running_slot_).reset();
+        free_slots_.push_back(running_slot_);
+        running_slot_ = kNoSlot;
+      }
+      throw;
+    }
   }
 
   static std::uint64_t elapsed_ns(Clock::time_point t0) {
@@ -385,8 +412,11 @@ class Simulator {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   SimTime now_ = 0;
   SimTime run_bound_ = 0;  // live bound of the run_before() in flight
+  std::uint32_t running_slot_ = kNoSlot;  // slot of the action in flight
   std::uint16_t trace_tid_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

@@ -76,16 +76,20 @@ class Timeline {
 /// or after its ready time.
 ///
 /// Traffic: reserve() sits on the per-access path of every link and DRAM
-/// channel, and arrivals are far from monotone. The graph engine sweeps
-/// its workers one after another, each from the iteration's barrier time,
-/// so a link calendar sees one monotone stream per worker, each restarting
-/// at the iteration start, and release() runs only at the barrier. On one
-/// ecobench graph run (seed 1: 2.63M reservations over 112 calendars, up
-/// to 13,081 live intervals in one), 21% of the reservations append at
-/// the end. Of the 2.07M that land before the last interval, 23% land
-/// exactly where the previous reservation on that calendar landed, 75%
-/// land after it (61% of those within 7 intervals, 93% within 63), and
-/// 2.3% jump back: the restarts of worker streams.
+/// channel, and arrivals are not monotone: a remote access reserves each
+/// hop and the destination DRAM at its own future arrival time. The graph
+/// engine interleaves its workers in simulated time (serve/graph.h): a
+/// min-heap over (cursor, worker) advances the worker with the earliest
+/// cursor by one vertex, ties to the lower worker id, so all workers'
+/// streams reach a calendar nearly in time order instead of one stream
+/// per worker, each restarting at the iteration start. Every later step
+/// starts at or after the popped cursor, so the engine also releases the
+/// calendars behind it during the sweep, not only at the barrier. One
+/// vertex step still issues its whole adjacency before the next pop, so
+/// on one ecobench graph rep (seed 1, ~2.96M reservations) 67% of the
+/// reservations land before the last interval; with the workers swept
+/// one after another it was 79%. kv_open lands none there and kv_phase
+/// fewer than 0.1%.
 ///
 /// Storage: a gap buffer. The busy intervals live in one array, in start
 /// order, and the free slots form a gap [gs_, ge_) that stays where the

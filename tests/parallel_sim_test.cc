@@ -1007,6 +1007,15 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromRunUntil) {
   EXPECT_EQ(late, 4);
 }
 
+TEST(ShardedSimulator, ThrowingActionReleasesItsCaptureInRunUntil) {
+  ShardedSimulator engine(four_shards(1));
+  const auto token = std::make_shared<int>(0);
+  engine.shard(2).schedule_at(7, [token] { throw std::runtime_error("x"); });
+  EXPECT_THROW(engine.run_until(50), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(engine.run_until(50));
+}
+
 // A message posted before its action throws stays in the destination's
 // inbox and runs on the next run().
 TEST(ShardedSimulator, MessagesPostedBeforeAThrowAreDeliveredOnTheNextRun) {

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
@@ -346,24 +348,25 @@ TEST(Graph, RunsAreDeterministic) {
 // RunsAreDeterministic compares the engine only with itself. These pin its
 // timing to constants, so a change to link or DRAM reservation placement
 // (CalendarTimeline, Network, DramChannel) fails here and not only in the
-// benchmark's fingerprint gate.
+// benchmark's fingerprint gate. Re-pinned once for ROADMAP item 14:
+// time-ordered graph sweeps.
 TEST(Graph, TimingMatchesGoldenValues) {
   {
     GraphFixture f;
     const serve::GraphStats s = f.engine.bfs(0).stats;
-    EXPECT_EQ(s.time, 418966395u);
-    EXPECT_EQ(s.byte_hops, 412480u);
+    EXPECT_EQ(s.time, 420225870u);
+    EXPECT_EQ(s.byte_hops, 419520u);
   }
   {
     GraphFixture f;
     const serve::GraphStats s = f.engine.pagerank(6).stats;
-    EXPECT_EQ(s.time, 1695301778u);
+    EXPECT_EQ(s.time, 1695307009u);
     EXPECT_EQ(s.byte_hops, 1457280u);
   }
   {
     GraphFixture f;
     const serve::GraphStats s = f.engine.connected_components().stats;
-    EXPECT_EQ(s.time, 1130888620u);
+    EXPECT_EQ(s.time, 1130893851u);
     EXPECT_EQ(s.byte_hops, 971520u);
   }
 }
@@ -380,6 +383,139 @@ TEST(Graph, SequentialAlgorithmsShareTheLayout) {
   }
   EXPECT_EQ(f.engine.connected_components().label,
             serve::reference_cc(f.graph));
+}
+
+// --- time-ordered sweep scheduler ------------------------------------------
+
+// Per-worker start cursors and step costs: worker w runs cost[w].size()
+// steps, its k-th advancing its cursor by cost[w][k].
+struct SweepCase {
+  std::vector<SimTime> start;
+  std::vector<std::vector<SimDuration>> cost;
+};
+
+struct SweepVisit {
+  std::size_t worker;
+  std::size_t step;
+  SimTime at;
+  bool operator==(const SweepVisit&) const = default;
+};
+
+// `tag_bits` > 0 makes ties impossible: every cursor keeps its worker's
+// distinct tag in its low bits, and costs are multiples of 2^tag_bits.
+SweepCase random_sweep(Rng& rng, std::size_t workers, std::uint64_t span,
+                       std::size_t max_steps, int tag_bits = 0) {
+  SweepCase c;
+  for (std::size_t w = 0; w < workers; ++w) {
+    c.start.push_back((rng.uniform_u64(span) << tag_bits) + (tag_bits ? w : 0));
+    c.cost.emplace_back(rng.uniform_u64(max_steps + 1));
+    for (SimDuration& d : c.cost.back()) d = rng.uniform_u64(span) << tag_bits;
+  }
+  return c;
+}
+
+struct SweepRun {
+  std::vector<SweepVisit> visits;
+  std::vector<std::pair<std::size_t, SimTime>> releases;  // (visit, mark)
+  std::vector<SimTime> cursors;
+};
+
+SweepRun run_sweep(const SweepCase& c) {
+  SweepRun r;
+  std::vector<std::size_t> bounds{0};
+  for (const auto& steps : c.cost) bounds.push_back(bounds.back() + steps.size());
+  r.cursors = c.start;
+  serve::sweep_in_time_order(
+      std::span<SimTime>(r.cursors), std::span<const std::size_t>(bounds),
+      [&](std::size_t w, std::size_t i, SimTime cur) {
+        const std::size_t k = i - bounds[w];
+        r.visits.push_back({w, k, cur});
+        return cur + c.cost[w][k];
+      },
+      [&](SimTime mark) { r.releases.emplace_back(r.visits.size(), mark); });
+  return r;
+}
+
+// Oracle: a linear scan for the least (cursor, worker) among the workers
+// with steps left, one step at a time.
+SweepRun oracle_sweep(const SweepCase& c) {
+  SweepRun r;
+  r.cursors = c.start;
+  std::vector<std::size_t> done(c.cost.size(), 0);
+  for (;;) {
+    std::size_t pick = c.cost.size();
+    for (std::size_t w = 0; w < c.cost.size(); ++w) {
+      if (done[w] == c.cost[w].size()) continue;
+      if (pick == c.cost.size() || r.cursors[w] < r.cursors[pick]) pick = w;
+    }
+    if (pick == c.cost.size()) return r;
+    r.visits.push_back({pick, done[pick], r.cursors[pick]});
+    r.cursors[pick] += c.cost[pick][done[pick]++];
+  }
+}
+
+TEST(GraphSweep, VisitsInLinearScanArgminOrder) {
+  Rng rng(0x5EEB);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t workers = 1 + rng.uniform_u64(40);
+    // Small spans force many tied cursors; large ones almost none.
+    const std::uint64_t span = trial % 2 == 0 ? 4 : 1'000'000;
+    const SweepCase c = random_sweep(rng, workers, span, 12);
+    const SweepRun got = run_sweep(c);
+    const SweepRun want = oracle_sweep(c);
+    ASSERT_EQ(got.visits, want.visits) << "trial " << trial;
+    ASSERT_EQ(got.cursors, want.cursors) << "trial " << trial;
+  }
+}
+
+TEST(GraphSweep, ReleaseMarksNeverPassALaterStep) {
+  Rng rng(0x4E1);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t workers = 1 + rng.uniform_u64(24);
+    const SweepCase c = random_sweep(rng, workers, 1 + rng.uniform_u64(50), 10);
+    const SweepRun r = run_sweep(c);
+    ASSERT_EQ(r.releases.size(), r.visits.size() / workers);
+    SimTime last = 0;
+    for (std::size_t n = 0; n < r.releases.size(); ++n) {
+      const auto [visit, mark] = r.releases[n];
+      ASSERT_EQ(visit, (n + 1) * workers - 1);
+      ASSERT_EQ(mark, r.visits[visit].at);  // the popped cursor
+      ASSERT_GE(mark, last);
+      last = mark;
+      for (std::size_t j = visit; j < r.visits.size(); ++j) {
+        ASSERT_GE(r.visits[j].at, mark) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(GraphSweep, RelabellingWorkersPermutesTheVisits) {
+  Rng rng(0x9E7);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t workers = 2 + rng.uniform_u64(30);
+    const SweepCase c = random_sweep(rng, workers, 64, 10, /*tag_bits=*/6);
+    std::vector<std::size_t> perm(workers);
+    for (std::size_t w = 0; w < workers; ++w) perm[w] = w;
+    for (std::size_t w = workers; w-- > 1;) {
+      std::swap(perm[w], perm[rng.uniform_u64(w + 1)]);
+    }
+    SweepCase relabelled = c;
+    for (std::size_t w = 0; w < workers; ++w) {
+      relabelled.start[perm[w]] = c.start[w];
+      relabelled.cost[perm[w]] = c.cost[w];
+    }
+    std::vector<SweepVisit> want = run_sweep(c).visits;
+    for (SweepVisit& v : want) v.worker = perm[v.worker];
+    ASSERT_EQ(run_sweep(relabelled).visits, want) << "trial " << trial;
+  }
+  // On a tie the lower id goes first whatever its costs, so relabelling
+  // does not permute the visits: permuting tied's would start at worker 1.
+  const SweepCase tied{{5, 5}, {{1}, {2}}};
+  const SweepCase swapped{{5, 5}, {{2}, {1}}};
+  EXPECT_EQ(run_sweep(tied).visits,
+            (std::vector<SweepVisit>{{0, 0, 5}, {1, 0, 5}}));
+  EXPECT_EQ(run_sweep(swapped).visits,
+            (std::vector<SweepVisit>{{0, 0, 5}, {1, 0, 5}}));
 }
 
 }  // namespace

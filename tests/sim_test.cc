@@ -4,13 +4,14 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "sim/inline_action.h"
-#include "sim/server.h"
 #include "sim/simulator.h"
 #include "sim/timeline.h"
 
@@ -368,53 +369,29 @@ TEST(CalendarTimeline, MatchesTimelineForInOrderLoads) {
   EXPECT_EQ(fifo.busy_time(), cal.busy_time());
 }
 
-TEST(Server, ProcessesFifo) {
-  Simulator sim;
-  Server server(sim, "s");
-  std::vector<SimTime> finishes;
-  server.submit(100, [&](SimTime t) { finishes.push_back(t); });
-  server.submit(50, [&](SimTime t) { finishes.push_back(t); });
-  sim.run();
-  EXPECT_EQ(finishes, (std::vector<SimTime>{100, 150}));
-  EXPECT_EQ(server.completed(), 2u);
-  EXPECT_EQ(server.busy_time(), 150u);
-}
-
-TEST(Server, QueueLengthTracksBacklog) {
-  Simulator sim;
-  Server server(sim, "s");
-  server.submit(100, nullptr);
-  server.submit(100, nullptr);
-  server.submit(100, nullptr);
-  EXPECT_EQ(server.queue_length(), 3u);
-  sim.run();
-  EXPECT_EQ(server.queue_length(), 0u);
-}
-
-TEST(Server, CompletionCanSubmitMore) {
-  Simulator sim;
-  Server server(sim, "s");
-  int chain = 0;
-  std::function<void(SimTime)> next = [&](SimTime) {
-    if (++chain < 3) server.submit(10, next);
+// An action that throws is retired like any other: its capture is
+// destroyed and its slot reused, whichever run loop was executing it.
+TEST(Simulator, ThrowingActionReleasesItsCapture) {
+  const std::vector<std::function<void(Simulator&)>> loops = {
+      [](Simulator& sim) { sim.run(); },
+      [](Simulator& sim) { sim.run_until(100); },
+      [](Simulator& sim) { sim.run_before(100); },
+      [](Simulator& sim) { sim.step(); },
   };
-  server.submit(10, next);
-  sim.run();
-  EXPECT_EQ(chain, 3);
-  EXPECT_EQ(sim.now(), 30u);
-}
-
-TEST(Server, SubmittedAfterIdleResumesAtCurrentTime) {
-  Simulator sim;
-  Server server(sim, "s");
-  SimTime second_finish = 0;
-  server.submit(10, nullptr);
-  sim.run();
-  sim.schedule_at(100, [&] {
-    server.submit(5, [&](SimTime t) { second_finish = t; });
-  });
-  sim.run();
-  EXPECT_EQ(second_finish, 105u);
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    Simulator sim;
+    const auto token = std::make_shared<int>(0);
+    sim.schedule_at(5, [token] { throw std::runtime_error("boom"); });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_THROW(loops[i](sim), std::runtime_error) << "loop " << i;
+    EXPECT_EQ(token.use_count(), 1) << "loop " << i;
+    EXPECT_TRUE(sim.idle());
+    // The simulator keeps running afterwards, in the recycled slot.
+    int ran = 0;
+    sim.schedule_at(6, [&ran] { ++ran; });
+    sim.run();
+    EXPECT_EQ(ran, 1) << "loop " << i;
+  }
 }
 
 }  // namespace
