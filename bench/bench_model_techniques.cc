@@ -13,7 +13,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "model/pca.h"
 #include "model/regression.h"
 #include "model/svr.h"

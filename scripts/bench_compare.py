@@ -24,7 +24,10 @@ only 53 of a 64-bit hash's bits), and any drift fails. A
 deterministic baseline column (hash or count) that is *absent* from the
 fresh dump is a hard failure, not a silent skip — renaming or dropping a
 gated column must force a baseline regeneration, never an empty diff.
---self-test checks that a one-bit change of a 64-bit hash fails.
+A deterministic count column whose baseline is 0 has no percentage to
+gate, so any non-zero fresh value fails.
+--self-test checks that a one-bit change of a 64-bit hash fails, and that
+a count pinned at 0 fails when it reads non-zero.
 """
 
 import argparse
@@ -176,8 +179,15 @@ def compare(before_path, after_path, gate):
                     # numeric threshold (hashes are not magnitudes).
                     change = None  # printed as a same/DIFFERS verdict
                     regression = 0.0 if new == old else float("inf")
+                elif old == 0:
+                    # No percentage exists against a zero baseline, but a
+                    # count pinned at 0 (no sheds, no spills) must stay 0.
+                    if new is None or not deterministic(col):
+                        continue
+                    change = 0.0 if new == 0 else float("inf")
+                    regression = change
                 else:
-                    if new is None or old == 0:
+                    if new is None:
                         continue
                     change = 100.0 * (new - old) / old
                     regression = -change if higher_is_better(col) else change
@@ -217,25 +227,35 @@ def compare(before_path, after_path, gate):
 
 
 def self_test():
-    """A one-bit change of a 64-bit hash must fail the gate; equal
-    dumps must pass. As floats the two hashes below compare equal."""
+    """A one-bit change of a 64-bit hash must fail the gate, and so must a
+    count pinned at 0 that reads non-zero; equal dumps must pass. As
+    floats the two hashes below compare equal."""
     pinned = 13681594062957755459
-    table = {"caption": "self-test", "headers": ["row", "events", "hash"]}
+    table = {"caption": "self-test", "headers": ["row", "events", "shed",
+                                                 "hash"]}
+    cases = [  # (events, shed, hash) of the fresh dump, expected exit
+        (("7", "0", str(pinned)), 0),
+        (("7", "0", str(pinned ^ 1)), 1),
+        (("7", "191", str(pinned)), 1),
+    ]
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for h in (pinned, pinned, pinned ^ 1):
-            path = os.path.join(tmp, f"dump{len(paths)}.json")
+        def dump(name, cells):
+            path = os.path.join(tmp, name)
             with open(path, "w", encoding="utf-8") as f:
-                json.dump({"tables": [dict(table, rows=[["a", "7", str(h)]])]},
-                          f)
-            paths.append(path)
-        same = compare(paths[0], paths[1], 60.0)
-        flipped = compare(paths[0], paths[2], 60.0)
-    if same != 0 or flipped != 1:
-        print(f"self-test FAILED: equal dumps -> {same}, one-bit hash "
-              f"change -> {flipped} (want 0 and 1)", file=sys.stderr)
+                json.dump({"tables": [dict(table, rows=[["a", *cells]])]}, f)
+            return path
+        base = dump("base.json", ("7", "0", str(pinned)))
+        for i, (cells, want) in enumerate(cases):
+            got = compare(base, dump(f"fresh{i}.json", cells), 60.0)
+            if got != want:
+                failures.append(f"events/shed/hash {cells} -> {got} "
+                                f"(want {want})")
+    if failures:
+        print("self-test FAILED: " + "; ".join(failures), file=sys.stderr)
         return 1
-    print("self-test passed: a one-bit hash change fails the gate")
+    print("self-test passed: a one-bit hash change and a non-zero count "
+          "against a zero baseline both fail the gate")
     return 0
 
 

@@ -24,14 +24,10 @@ Hash columns are kept exactly and compared exactly (bench_compare treats
 any hash change as a failure) — they encode the engine's determinism, not
 a performance number.
 
-Re-run this script (and commit bench/baselines/) whenever bench workloads
-or engine behavior change intentionally:
-
 Byte-hop columns ("byte hops") are migration/forwarding traffic on the
-simulated interconnect — deterministic in principle, but they shift with
-every intentional workload retune, so they gate as x2 ceilings rather
-than exact matches: only a locality collapse (remote traffic blowing up
-past twice the reference) trips them.
+simulated interconnect. They are deterministic and kept exactly as the
+bench emits them; bench_compare gates them as ceilings, so only traffic
+growing past --fail-above trips them.
 
 Re-run this script (and commit bench/baselines/) whenever bench workloads
 or engine behavior change intentionally:
@@ -58,9 +54,6 @@ WALL_INFLATE = 2.5  # wall-time ("ms") and memory ("MB") ceilings
 # trips them; the scaling gate cares about the big rows, so tiny ones
 # get at least this much absolute headroom.
 WALL_MIN_CEILING = 10.0
-# Interconnect traffic ("byte hops"): a ceiling wide enough to survive
-# intentional retunes, tight enough to catch a locality collapse.
-BYTE_HOP_INFLATE = 2.0
 
 
 def is_latency_column(name):
@@ -92,8 +85,6 @@ def derate(doc):
                     row[i] = f"{v * LATENCY_INFLATE:.6g}"
                 elif "ms" in name.split() or "MB" in name.split():
                     row[i] = f"{max(v * WALL_INFLATE, WALL_MIN_CEILING):.6g}"
-                elif "byte hops" in name:
-                    row[i] = f"{v * BYTE_HOP_INFLATE:.6g}"
     return doc
 
 

@@ -26,7 +26,6 @@
 #include "address/address.h"
 #include "address/page_table.h"
 #include "common/check.h"
-#include "common/stats.h"
 #include "common/units.h"
 
 namespace ecoscale {

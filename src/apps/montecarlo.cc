@@ -50,36 +50,4 @@ McResult price_european_call(const OptionParams& p, std::size_t paths,
   return r;
 }
 
-McResult price_asian_call(const OptionParams& p, std::size_t paths,
-                          std::size_t steps, std::uint64_t seed) {
-  ECO_CHECK(paths > 0 && steps > 0);
-  Rng rng(seed);
-  const double dt = p.maturity / static_cast<double>(steps);
-  const double drift = (p.rate - 0.5 * p.volatility * p.volatility) * dt;
-  const double diffusion = p.volatility * std::sqrt(dt);
-  const double discount = std::exp(-p.rate * p.maturity);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (std::size_t i = 0; i < paths; ++i) {
-    double s = p.spot;
-    double avg = 0.0;
-    for (std::size_t t = 0; t < steps; ++t) {
-      s *= std::exp(drift + diffusion * rng.normal());
-      avg += s;
-    }
-    avg /= static_cast<double>(steps);
-    const double payoff = discount * std::max(avg - p.strike, 0.0);
-    sum += payoff;
-    sum_sq += payoff * payoff;
-  }
-  McResult r;
-  r.paths = paths;
-  r.price = sum / static_cast<double>(paths);
-  const double var =
-      (sum_sq - sum * sum / static_cast<double>(paths)) /
-      static_cast<double>(paths > 1 ? paths - 1 : 1);
-  r.std_error = std::sqrt(var / static_cast<double>(paths));
-  return r;
-}
-
 }  // namespace ecoscale::apps

@@ -29,9 +29,4 @@ McResult price_european_call(const OptionParams& params, std::size_t paths,
 /// Closed-form Black–Scholes price (validation reference).
 double black_scholes_call(const OptionParams& params);
 
-/// Path-wise Asian (arithmetic average) call with `steps` time steps —
-/// the multi-step curve-based variant that actually stresses the pipeline.
-McResult price_asian_call(const OptionParams& params, std::size_t paths,
-                          std::size_t steps, std::uint64_t seed);
-
 }  // namespace ecoscale::apps

@@ -51,10 +51,4 @@ const std::string& CounterRegistry::name(CounterId id) {
   return r.names[id];
 }
 
-std::size_t CounterRegistry::count() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.names.size();
-}
-
 }  // namespace ecoscale

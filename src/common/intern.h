@@ -28,9 +28,6 @@ class CounterRegistry {
   /// Name of a previously interned id. Thread-safe; the reference stays
   /// valid for the process lifetime (names are never freed or moved).
   static const std::string& name(CounterId id);
-
-  /// Number of categories interned so far.
-  static std::size_t count();
 };
 
 }  // namespace ecoscale

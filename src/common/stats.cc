@@ -1,46 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace ecoscale {
-
-void RunningStat::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStat::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(n_ + other.n_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / total;
-  mean_ = (mean_ * static_cast<double>(n_) +
-           other.mean_ * static_cast<double>(other.n_)) /
-          total;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
 
 double Samples::percentile(double p) const {
   ECO_CHECK_MSG(!values_.empty(), "percentile of empty sample set");
@@ -56,99 +20,6 @@ double Samples::percentile(double p) const {
   const auto hi = std::min(lo + 1, values_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values_[lo] + frac * (values_[hi] - values_[lo]);
-}
-
-QuantileEstimator::QuantileEstimator(double q) : q_(q) {
-  ECO_CHECK(q > 0.0 && q < 1.0);
-  desired_[0] = 1;
-  desired_[1] = 1 + 2 * q;
-  desired_[2] = 1 + 4 * q;
-  desired_[3] = 3 + 2 * q;
-  desired_[4] = 5;
-  increments_[0] = 0;
-  increments_[1] = q / 2;
-  increments_[2] = q;
-  increments_[3] = (1 + q) / 2;
-  increments_[4] = 1;
-}
-
-void QuantileEstimator::add(double x) {
-  ++n_;
-  if (n_ <= 5) {
-    heights_[n_ - 1] = x;
-    if (n_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  // Find the cell containing x and clamp the extremes.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  // Adjust interior markers with parabolic (or linear) interpolation.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double dp = positions_[i + 1] - positions_[i];
-    const double dm = positions_[i - 1] - positions_[i];
-    if ((d >= 1 && dp > 1) || (d <= -1 && dm < -1)) {
-      const double sign = d >= 1 ? 1.0 : -1.0;
-      // Parabolic prediction.
-      const double hp = (heights_[i + 1] - heights_[i]) / dp;
-      const double hm = (heights_[i - 1] - heights_[i]) / dm;
-      const double candidate =
-          heights_[i] + sign / (dp - dm) *
-                            ((sign - dm) * hp + (dp - sign) * hm);
-      if (heights_[i - 1] < candidate && candidate < heights_[i + 1]) {
-        heights_[i] = candidate;
-      } else {
-        // Linear fallback.
-        const int j = sign > 0 ? i + 1 : i - 1;
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double QuantileEstimator::value() const {
-  if (n_ == 0) return 0.0;
-  if (n_ < 5) {
-    // Exact small-sample quantile (sorted copy of the prefix).
-    double tmp[5];
-    std::copy(heights_, heights_ + n_, tmp);
-    std::sort(tmp, tmp + n_);
-    const double rank = q_ * static_cast<double>(n_ - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, n_ - 1);
-    return tmp[lo] + (rank - static_cast<double>(lo)) * (tmp[hi] - tmp[lo]);
-  }
-  return heights_[2];
-}
-
-void CounterSet::add(CounterId id, std::uint64_t delta) {
-  if (id >= counters_.size()) {
-    counters_.resize(id + 1, 0);
-    touched_.resize(id + 1, 0);
-  }
-  counters_[id] += delta;
-  touched_[id] = 1;
-}
-
-std::map<std::string, std::uint64_t> CounterSet::all() const {
-  std::map<std::string, std::uint64_t> out;
-  for (CounterId id = 0; id < counters_.size(); ++id) {
-    if (touched_[id]) out.emplace(CounterRegistry::name(id), counters_[id]);
-  }
-  return out;
 }
 
 double Samples::mean() const {

@@ -1,41 +1,10 @@
-// Streaming statistics and histograms for experiment reporting.
+// Sample sets with exact percentiles for experiment reporting.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/intern.h"
-
 namespace ecoscale {
-
-/// Welford streaming mean/variance plus min/max.
-class RunningStat {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  void merge(const RunningStat& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Reservoir of samples with exact percentiles. For simulator-sized sample
 /// counts (<= millions) exact storage is fine and avoids sketch error.
@@ -53,64 +22,6 @@ class Samples {
  private:
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Streaming quantile estimation without sample storage: the P² algorithm
-/// (Jain & Chlamtac 1985). Five markers track the target quantile and its
-/// neighbourhood; memory is O(1) and estimates converge for stationary
-/// streams. Robust statistics built on this (median, IQR) resist the
-/// outliers that contaminate mean/stddev.
-class QuantileEstimator {
- public:
-  /// `q` in (0, 1), e.g. 0.5 for the median.
-  explicit QuantileEstimator(double q);
-
-  void add(double x);
-  std::size_t count() const { return n_; }
-
-  /// Current estimate. Exact while fewer than 5 samples have been seen.
-  double value() const;
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  double heights_[5] = {0, 0, 0, 0, 0};
-  double positions_[5] = {1, 2, 3, 4, 5};
-  double desired_[5] = {0, 0, 0, 0, 0};
-  double increments_[5] = {0, 0, 0, 0, 0};
-};
-
-/// Named monotonically increasing counters (traffic bytes, messages, hits…).
-/// Same fast-lane discipline as EnergyMeter: interned CounterIds index a
-/// dense array; the string-keyed view is materialized only on read.
-class CounterSet {
- public:
-  /// Fast lane: pre-interned id, dense array bump.
-  void add(CounterId id, std::uint64_t delta = 1);
-
-  /// Slow lane: interns `name` per call.
-  void add(std::string_view name, std::uint64_t delta = 1) {
-    add(CounterRegistry::intern(name), delta);
-  }
-
-  std::uint64_t get(CounterId id) const {
-    return id < counters_.size() ? counters_[id] : 0;
-  }
-  std::uint64_t get(std::string_view name) const {
-    return get(CounterRegistry::intern(name));
-  }
-
-  /// String-keyed view, materialized on demand (read path only).
-  std::map<std::string, std::uint64_t> all() const;
-
-  void clear() {
-    counters_.assign(counters_.size(), 0);
-    touched_.assign(touched_.size(), 0);
-  }
-
- private:
-  std::vector<std::uint64_t> counters_;  // dense by CounterId
-  std::vector<unsigned char> touched_;
 };
 
 }  // namespace ecoscale

@@ -142,12 +142,4 @@ std::size_t Floorplan::defragment() {
   return moved;
 }
 
-std::vector<RegionId> Floorplan::live_regions() const {
-  std::vector<RegionId> out;
-  for (std::size_t i = 0; i < regions_.size(); ++i) {
-    if (regions_[i]) out.push_back(static_cast<RegionId>(i));
-  }
-  return out;
-}
-
 }  // namespace ecoscale

@@ -65,8 +65,6 @@ class Floorplan {
   /// relocation: readback + rewrite, charged by the ReconfigManager).
   std::size_t defragment();
 
-  std::vector<RegionId> live_regions() const;
-
  private:
   bool fits_at(std::size_t x, std::size_t y, const ModuleShape& s) const;
   void mark(const Placement& p, bool occupied);

@@ -58,7 +58,6 @@ Network::Network(Topology topology, NetworkConfig config)
   for (const auto& [level, params] : config_.level_params) {
     if (level >= 0) level_params_[static_cast<std::size_t>(level)] = params;
   }
-  bytes_per_level_.assign(level_params_.size(), 0);
   level_factor_.assign(level_params_.size(), 1.0);
 
   // Pre-intern the per-packet-type energy categories so send() never
@@ -241,7 +240,6 @@ TransferResult Network::send(std::size_t src, std::size_t dst,
     result.energy += p.pj_per_byte * static_cast<double>(wire);
     result.energy += p.pj_per_packet;
     byte_hops_ += wire;
-    bytes_per_level_[static_cast<std::size_t>(link.level)] += wire;
   }
   // Last-byte arrival: head arrival plus one serialization tail on the
   // final (bottleneck-approximated) link.
@@ -482,22 +480,6 @@ void Network::set_level_degradation(int level, double factor) {
   level_factor_[l] = factor;
 }
 
-std::map<int, std::uint64_t> Network::bytes_per_level() const {
-  std::map<int, std::uint64_t> out;
-  for (std::size_t l = 0; l < bytes_per_level_.size(); ++l) {
-    if (bytes_per_level_[l] != 0) out.emplace(static_cast<int>(l),
-                                              bytes_per_level_[l]);
-  }
-  return out;
-}
-
-SimTime Network::max_link_busy() const {
-  if (config_.shared_medium) return bus_timeline_.busy_time();
-  SimTime best = 0;
-  for (const auto& tl : link_timelines_) best = std::max(best, tl.busy_time());
-  return best;
-}
-
 void Network::release(SimTime watermark) {
   bus_timeline_.release(watermark);
   for (auto& tl : link_timelines_) tl.release(watermark);
@@ -507,16 +489,6 @@ std::size_t Network::peak_live_intervals() const {
   std::size_t best = bus_timeline_.peak_live_intervals();
   for (const auto& tl : link_timelines_) {
     best = std::max(best, tl.peak_live_intervals());
-  }
-  return best;
-}
-
-double Network::max_link_utilization(SimTime horizon) const {
-  if (horizon == 0) return 0.0;
-  if (config_.shared_medium) return bus_timeline_.utilization(horizon);
-  double best = 0.0;
-  for (const auto& tl : link_timelines_) {
-    best = std::max(best, tl.utilization(horizon));
   }
   return best;
 }

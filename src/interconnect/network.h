@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/energy.h"
-#include "common/stats.h"
 #include "common/units.h"
 #include "interconnect/packet.h"
 #include "interconnect/topology.h"
@@ -118,12 +117,6 @@ class Network {
   std::uint64_t total_packets() const { return packets_; }
   /// Sum over links of bytes carried: the "byte-hops" traffic metric.
   std::uint64_t byte_hops() const { return byte_hops_; }
-  /// Bytes carried per level (materialized from the dense per-level array;
-  /// levels never traversed are omitted, matching the old map semantics).
-  std::map<int, std::uint64_t> bytes_per_level() const;
-  /// Peak serialization backlog seen on any link timeline.
-  SimTime max_link_busy() const;
-  double max_link_utilization(SimTime horizon) const;
 
   /// True when routes are computed implicitly from the topology tree.
   bool implicit_routing() const { return tree_routing_; }
@@ -199,10 +192,8 @@ class Network {
   // Dense hot tables, built at construction (see DESIGN.md §7.3):
   //  * level_params_[l] — O(1) per-hop parameter lookup (absent levels
   //    fall back to a copy of level 0);
-  //  * bytes_per_level_[l] — per-level traffic tally;
   //  * packet_energy_ids_[type] — pre-interned "net.<type>" CounterIds.
   std::vector<LinkParams> level_params_;
-  std::vector<std::uint64_t> bytes_per_level_;
   std::vector<double> level_factor_;  // serialization multiplier, >= 1.0
   std::array<CounterId, kPacketTypeCount> packet_energy_ids_{};
 

@@ -4,16 +4,6 @@
 
 namespace ecoscale {
 
-const char* line_state_name(LineState s) {
-  switch (s) {
-    case LineState::kInvalid: return "I";
-    case LineState::kShared: return "S";
-    case LineState::kExclusive: return "E";
-    case LineState::kModified: return "M";
-  }
-  return "?";
-}
-
 Cache::Cache(std::string name, CacheConfig config)
     : name_(std::move(name)), config_(config) {
   ECO_CHECK(config_.line_size > 0 && config_.ways > 0);

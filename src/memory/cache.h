@@ -16,8 +16,6 @@ namespace ecoscale {
 
 enum class LineState : std::uint8_t { kInvalid, kShared, kExclusive, kModified };
 
-const char* line_state_name(LineState s);
-
 struct CacheConfig {
   Bytes capacity = 256 * kKiB;
   Bytes line_size = 64;

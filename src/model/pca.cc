@@ -6,13 +6,11 @@ namespace ecoscale {
 
 StreamingPca::StreamingPca(std::size_t dims, std::size_t components,
                            double learning_rate)
-    : dims_(dims), lr_(learning_rate), mean_(dims, 0.0),
-      var_accum_(dims, 0.0) {
+    : dims_(dims), lr_(learning_rate), mean_(dims, 0.0) {
   ECO_CHECK(dims >= 1);
   ECO_CHECK(components >= 1 && components <= dims);
   ECO_CHECK(learning_rate > 0 && learning_rate < 1);
   components_.resize(components);
-  comp_var_.resize(components, 0.0);
   // Deterministic orthogonal-ish initialisation: axis-aligned unit vectors.
   for (std::size_t k = 0; k < components; ++k) {
     components_[k].assign(dims, 0.0);
@@ -29,11 +27,9 @@ void StreamingPca::center(std::span<const double> x,
 void StreamingPca::observe(std::span<const double> x) {
   ECO_CHECK(x.size() == dims_);
   ++n_;
-  // Running mean and per-dim variance.
+  // Running mean.
   for (std::size_t i = 0; i < dims_; ++i) {
-    const double delta = x[i] - mean_[i];
-    mean_[i] += delta / static_cast<double>(n_);
-    var_accum_[i] += delta * (x[i] - mean_[i]);
+    mean_[i] += (x[i] - mean_[i]) / static_cast<double>(n_);
   }
   if (n_ < 2) return;
   std::vector<double> centered;
@@ -45,7 +41,6 @@ void StreamingPca::observe(std::span<const double> x) {
     auto& w = components_[k];
     double y = 0.0;
     for (std::size_t i = 0; i < dims_; ++i) y += w[i] * residual[i];
-    comp_var_[k] += (y * y - comp_var_[k]) * 0.02;  // EWMA of variance
     for (std::size_t i = 0; i < dims_; ++i) {
       w[i] += lr * y * (residual[i] - y * w[i]);
     }
@@ -79,17 +74,6 @@ std::vector<double> StreamingPca::project(std::span<const double> x) const {
 std::span<const double> StreamingPca::component(std::size_t k) const {
   ECO_CHECK(k < components_.size());
   return components_[k];
-}
-
-std::vector<double> StreamingPca::explained_variance_ratio() const {
-  double total = 0.0;
-  for (const double v : comp_var_) total += v;
-  std::vector<double> out(comp_var_.size(), 0.0);
-  if (total <= 0) return out;
-  for (std::size_t k = 0; k < comp_var_.size(); ++k) {
-    out[k] = comp_var_[k] / total;
-  }
-  return out;
 }
 
 }  // namespace ecoscale

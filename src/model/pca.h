@@ -1,8 +1,7 @@
 // Streaming principal-component analysis via Oja's rule — the "PCA
 // technique" of the paper's model toolbox (§4.2). Used to decorrelate the
 // task-feature stream (items, bytes and reuse are strongly collinear for
-// streaming kernels) before regression, and as a diagnostic of how many
-// effective input dimensions a kernel's cost actually has.
+// streaming kernels) before regression.
 #pragma once
 
 #include <cmath>
@@ -33,9 +32,6 @@ class StreamingPca {
   /// Current estimate of component k (unit norm).
   std::span<const double> component(std::size_t k) const;
 
-  /// Fraction of (running) variance captured by each component.
-  std::vector<double> explained_variance_ratio() const;
-
  private:
   void center(std::span<const double> x, std::vector<double>& out) const;
 
@@ -43,9 +39,7 @@ class StreamingPca {
   double lr_;
   std::size_t n_ = 0;
   std::vector<double> mean_;
-  std::vector<double> var_accum_;              // per input dim
   std::vector<std::vector<double>> components_;  // row-major unit vectors
-  std::vector<double> comp_var_;               // variance along component
 };
 
 }  // namespace ecoscale

@@ -4,15 +4,6 @@
 
 namespace ecoscale {
 
-const char* device_class_name(DeviceClass d) {
-  switch (d) {
-    case DeviceClass::kCpu: return "cpu";
-    case DeviceClass::kLocalFabric: return "local_fabric";
-    case DeviceClass::kRemoteFabric: return "remote_fabric";
-  }
-  return "?";
-}
-
 void CostPredictor::observe(const HistoryRecord& record) {
   auto& m = models_[{record.kernel, record.device}];
   const auto x = record.features.vector();

@@ -21,8 +21,6 @@ namespace ecoscale {
 enum class DeviceClass : std::uint8_t { kCpu = 0, kLocalFabric = 1,
                                         kRemoteFabric = 2 };
 
-const char* device_class_name(DeviceClass d);
-
 /// Task input descriptor — the "static and dynamic properties of the
 /// input" the models correlate with cost.
 struct TaskFeatures {

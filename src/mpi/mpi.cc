@@ -15,9 +15,8 @@ MpiWorld::MpiWorld(std::size_t ranks, MpiConfig config)
 }
 
 MsgResult MpiWorld::send(std::size_t src, std::size_t dst, Bytes bytes,
-                         SimTime ready, int tag) {
+                         SimTime ready) {
   ECO_CHECK(src < ranks_ && dst < ranks_);
-  (void)tag;
   MsgResult r;
   ++messages_;
   bytes_ += bytes;
@@ -49,23 +48,6 @@ MsgResult MpiWorld::send(std::size_t src, std::size_t dst, Bytes bytes,
   return r;
 }
 
-MsgResult MpiWorld::send_data(std::size_t src, std::size_t dst,
-                              std::span<const std::uint8_t> data,
-                              SimTime ready, int tag) {
-  data_plane_[Key{src, dst, tag}].emplace_back(data.begin(), data.end());
-  return send(src, dst, data.size(), ready, tag);
-}
-
-std::optional<std::vector<std::uint8_t>> MpiWorld::recv_data(std::size_t src,
-                                                             std::size_t dst,
-                                                             int tag) {
-  auto it = data_plane_.find(Key{src, dst, tag});
-  if (it == data_plane_.end() || it->second.empty()) return std::nullopt;
-  auto out = std::move(it->second.front());
-  it->second.pop_front();
-  return out;
-}
-
 namespace {
 
 /// Number of rounds in a power-of-two-style schedule.
@@ -80,90 +62,6 @@ std::size_t ceil_log2(std::size_t n) {
 }
 
 }  // namespace
-
-CollectiveResult MpiWorld::barrier(std::span<const SimTime> arrivals) {
-  // Dissemination barrier: ceil(log2(P)) rounds, each rank sends to
-  // (rank + 2^k) mod P.
-  ECO_CHECK(arrivals.size() == ranks_);
-  CollectiveResult result;
-  std::vector<SimTime> t(arrivals.begin(), arrivals.end());
-  const std::size_t rounds = ceil_log2(ranks_);
-  for (std::size_t k = 0; k < rounds; ++k) {
-    const std::size_t stride = 1ull << k;
-    std::vector<SimTime> next = t;
-    for (std::size_t r = 0; r < ranks_; ++r) {
-      const std::size_t peer = (r + stride) % ranks_;
-      const auto m = send(r, peer, 8, t[r]);
-      next[peer] = std::max(next[peer], m.delivered);
-      result.energy += m.energy;
-      ++result.messages;
-      result.bytes_on_wire += 8;
-    }
-    t = std::move(next);
-  }
-  result.per_rank = t;
-  result.finish = *std::max_element(t.begin(), t.end());
-  return result;
-}
-
-CollectiveResult MpiWorld::broadcast(std::size_t root, Bytes bytes,
-                                     std::span<const SimTime> arrivals) {
-  // Binomial tree rooted at `root`.
-  ECO_CHECK(arrivals.size() == ranks_ && root < ranks_);
-  CollectiveResult result;
-  std::vector<SimTime> have(ranks_, 0);
-  std::vector<bool> has(ranks_, false);
-  have[root] = arrivals[root];
-  has[root] = true;
-  // Relabel so root is 0 in the tree schedule.
-  auto rel = [&](std::size_t v) { return (v + root) % ranks_; };
-  const std::size_t rounds = ceil_log2(ranks_);
-  for (std::size_t k = 0; k < rounds; ++k) {
-    const std::size_t stride = 1ull << (rounds - 1 - k);
-    for (std::size_t v = 0; v + stride < ranks_; ++v) {
-      if (v % (stride * 2) != 0) continue;
-      const std::size_t src = rel(v);
-      const std::size_t dst = rel(v + stride);
-      if (!has[src] || has[dst]) continue;
-      const SimTime ready = std::max(have[src], arrivals[dst]);
-      const auto m = send(src, dst, bytes, ready);
-      have[dst] = m.delivered;
-      has[dst] = true;
-      result.energy += m.energy;
-      ++result.messages;
-      result.bytes_on_wire += bytes;
-    }
-  }
-  for (std::size_t r = 0; r < ranks_; ++r) {
-    have[r] = std::max(have[r], arrivals[r]);
-  }
-  result.per_rank = have;
-  result.finish = *std::max_element(have.begin(), have.end());
-  return result;
-}
-
-CollectiveResult MpiWorld::reduce(std::size_t root, Bytes bytes,
-                                  std::span<const SimTime> arrivals) {
-  // Binomial tree, mirrored: leaves send up.
-  ECO_CHECK(arrivals.size() == ranks_ && root < ranks_);
-  CollectiveResult result;
-  std::vector<SimTime> t(arrivals.begin(), arrivals.end());
-  auto rel = [&](std::size_t v) { return (v + root) % ranks_; };
-  for (std::size_t stride = 1; stride < ranks_; stride *= 2) {
-    for (std::size_t v = 0; v + stride < ranks_; v += stride * 2) {
-      const std::size_t parent = rel(v);
-      const std::size_t child = rel(v + stride);
-      const auto m = send(child, parent, bytes, t[child]);
-      t[parent] = std::max(t[parent], m.delivered);
-      result.energy += m.energy;
-      ++result.messages;
-      result.bytes_on_wire += bytes;
-    }
-  }
-  result.per_rank = t;
-  result.finish = t[root];
-  return result;
-}
 
 CollectiveResult MpiWorld::allreduce(Bytes bytes,
                                      std::span<const SimTime> arrivals) {
@@ -187,29 +85,6 @@ CollectiveResult MpiWorld::allreduce(Bytes bytes,
       result.energy += a.energy + b.energy;
       result.messages += 2;
       result.bytes_on_wire += 2 * bytes;
-    }
-    t = std::move(next);
-  }
-  result.per_rank = t;
-  result.finish = *std::max_element(t.begin(), t.end());
-  return result;
-}
-
-CollectiveResult MpiWorld::allgather(Bytes bytes_per_rank,
-                                     std::span<const SimTime> arrivals) {
-  // Ring: P-1 rounds, each rank forwards the next block to its successor.
-  ECO_CHECK(arrivals.size() == ranks_);
-  CollectiveResult result;
-  std::vector<SimTime> t(arrivals.begin(), arrivals.end());
-  for (std::size_t round = 0; round + 1 < ranks_; ++round) {
-    std::vector<SimTime> next = t;
-    for (std::size_t r = 0; r < ranks_; ++r) {
-      const std::size_t succ = (r + 1) % ranks_;
-      const auto m = send(r, succ, bytes_per_rank, t[r]);
-      next[succ] = std::max(next[succ], m.delivered);
-      result.energy += m.energy;
-      ++result.messages;
-      result.bytes_on_wire += bytes_per_rank;
     }
     t = std::move(next);
   }

@@ -6,16 +6,13 @@
 // MpiWorld models ranks = Compute Nodes joined by an inter-node network.
 // Point-to-point transfers use a LogP-style cost model (software send /
 // receive overhead on the CPU-based routers, rendezvous handshake for bulk
-// messages) on top of the shared Network substrate; collectives implement
-// the classic algorithms (binomial broadcast, recursive-doubling
-// allreduce, ring allgather, pairwise exchange alltoall) so message counts
-// and critical paths are faithful. A functional data plane carries real
-// payload bytes for the application kernels.
+// messages) on top of the shared Network substrate; the two collectives
+// the benches run implement the classic algorithms (recursive-doubling
+// allreduce, pairwise-exchange alltoall) so message counts and critical
+// paths are faithful.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -69,27 +66,10 @@ class MpiWorld {
 
   // --- point to point ------------------------------------------------------
   MsgResult send(std::size_t src, std::size_t dst, Bytes bytes,
-                 SimTime ready, int tag = 0);
-
-  /// Attach functional payload to a send (stored in the data plane).
-  MsgResult send_data(std::size_t src, std::size_t dst,
-                      std::span<const std::uint8_t> data, SimTime ready,
-                      int tag = 0);
-
-  /// Pop the oldest matching payload (FIFO per (src, dst, tag)).
-  std::optional<std::vector<std::uint8_t>> recv_data(std::size_t src,
-                                                     std::size_t dst,
-                                                     int tag = 0);
+                 SimTime ready);
 
   // --- collectives -----------------------------------------------------------
-  CollectiveResult barrier(std::span<const SimTime> arrivals);
-  CollectiveResult broadcast(std::size_t root, Bytes bytes,
-                             std::span<const SimTime> arrivals);
-  CollectiveResult reduce(std::size_t root, Bytes bytes,
-                          std::span<const SimTime> arrivals);
   CollectiveResult allreduce(Bytes bytes, std::span<const SimTime> arrivals);
-  CollectiveResult allgather(Bytes bytes_per_rank,
-                             std::span<const SimTime> arrivals);
   CollectiveResult alltoall(Bytes bytes_per_pair,
                             std::span<const SimTime> arrivals);
 
@@ -100,13 +80,6 @@ class MpiWorld {
   Network& network() { return *network_; }
 
  private:
-  struct Key {
-    std::size_t src;
-    std::size_t dst;
-    int tag;
-    auto operator<=>(const Key&) const = default;
-  };
-
   std::size_t ranks_;
   MpiConfig config_;
   std::unique_ptr<Network> network_;
@@ -114,7 +87,6 @@ class MpiWorld {
   // own send and receive processing.
   std::vector<Timeline> send_cpu_;
   std::vector<Timeline> recv_cpu_;
-  std::map<Key, std::deque<std::vector<std::uint8_t>>> data_plane_;
   std::uint64_t messages_ = 0;
   Bytes bytes_ = 0;
   EnergyMeter energy_;

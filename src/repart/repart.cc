@@ -72,26 +72,18 @@ void Repartitioner::on_epoch(std::size_t epoch, SimTime at) {
   const std::size_t n = rt_.node_count();
   const std::size_t items = dir_.items();
 
-  // Balance mass per node: windowed work of its items, plus (optionally)
-  // the scheduler backlog. Capacity: what the heartbeat monitor believes
-  // is alive — a degraded node keeps its offered load but loses capacity,
-  // which is exactly what makes diffusion drain it under faults.
+  // Balance mass per node: windowed work of its items. Capacity: what the
+  // heartbeat monitor believes is alive — a degraded node keeps its
+  // offered load but loses capacity, which is exactly what makes
+  // diffusion drain it under faults.
   node_load_.assign(n, 0.0);
   node_cap_.assign(n, 0.0);
   for (std::size_t i = 0; i < items; ++i) {
     node_load_[dir_.holder(i)] += static_cast<double>(window_.work[i]);
   }
   for (std::size_t d = 0; d < n; ++d) {
-    RuntimeSystem& rs = rt_.runtime(d);
-    node_cap_[d] = static_cast<double>(rs.believed_alive_workers());
-    if (cfg_.queue_depth_weight > 0) {
-      std::uint64_t depth = 0;
-      for (std::size_t w = 0; w < rs.worker_count(); ++w) {
-        depth += rs.queue_depth(w);
-      }
-      node_load_[d] +=
-          static_cast<double>(depth * cfg_.queue_depth_weight);
-    }
+    node_cap_[d] =
+        static_cast<double>(rt_.runtime(d).believed_alive_workers());
   }
 
   // Capacity-normalized imbalance (max per-alive-worker load over the

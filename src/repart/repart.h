@@ -58,9 +58,6 @@ struct RepartConfig {
   /// the preferred node, and the preference must repeat on two
   /// consecutive epochs (transient skew never migrates).
   std::uint64_t min_gain = 16;
-  /// Weight of one queued-or-running task in the balance load vector
-  /// (work-cost units). 0 ignores queue depths.
-  std::uint64_t queue_depth_weight = 0;
 
   /// The RuntimeConfig::repartition_* knob surface.
   static RepartConfig from(const RuntimeConfig& rc);

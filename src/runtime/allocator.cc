@@ -27,11 +27,6 @@ const BufferPartition& DistributedBuffer::partition_of(Bytes offset) const {
   return *(it - 1);
 }
 
-GlobalAddress DistributedBuffer::address_of(Bytes offset) const {
-  const BufferPartition& p = partition_of(offset);
-  return p.base + (offset - p.offset);
-}
-
 WorkerCoord DistributedBuffer::home_of(Bytes offset) const {
   return partition_of(offset).home;
 }
@@ -86,24 +81,6 @@ DistributedBuffer TopologyAllocator::allocate(
     }
   }
   return DistributedBuffer(std::move(parts));
-}
-
-MigrationResult TopologyAllocator::migrate_partition(
-    DistributedBuffer& buffer, std::size_t partition, NodeId dst,
-    SimTime now) {
-  ECO_CHECK(partition < buffer.partitions().size());
-  const BufferPartition& p = buffer.partitions()[partition];
-  MigrationResult total;
-  total.finish = now;
-  const PageId first = page_of(p.base);
-  const PageId last = page_of(p.base + (p.size - 1));
-  for (PageId page = first; page <= last; ++page) {
-    const auto r = pgas_.migrate_page(page, dst, total.finish);
-    total.finish = r.finish;
-    total.bytes_moved += r.bytes_moved;
-    total.energy += r.energy;
-  }
-  return total;
 }
 
 }  // namespace ecoscale

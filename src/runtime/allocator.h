@@ -31,8 +31,8 @@ struct BufferPartition {
 };
 
 /// A logically contiguous buffer physically partitioned across NUMA
-/// domains. Offsets are logical buffer offsets; address_of() maps them to
-/// global addresses.
+/// domains. Offsets are logical buffer offsets; partition_of() maps them to
+/// the partition (home worker and global base) that holds them.
 class DistributedBuffer {
  public:
   DistributedBuffer() = default;
@@ -41,7 +41,6 @@ class DistributedBuffer {
   Bytes size() const { return total_; }
   const std::vector<BufferPartition>& partitions() const { return parts_; }
 
-  GlobalAddress address_of(Bytes offset) const;
   WorkerCoord home_of(Bytes offset) const;
   const BufferPartition& partition_of(Bytes offset) const;
 
@@ -57,12 +56,6 @@ class TopologyAllocator {
   /// Allocate `total` bytes distributed over `workers`.
   DistributedBuffer allocate(Bytes total, Distribution dist,
                              const std::vector<WorkerCoord>& workers);
-
-  /// Move one partition's pages to another node (UNIMEM page migration);
-  /// returns the aggregate migration cost.
-  MigrationResult migrate_partition(DistributedBuffer& buffer,
-                                    std::size_t partition, NodeId dst,
-                                    SimTime now);
 
  private:
   PgasSystem& pgas_;

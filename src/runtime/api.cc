@@ -109,63 +109,4 @@ EcoEvent EcoRuntime::enqueue(EcoKernel& kernel, EcoBuffer& buffer,
   return event;
 }
 
-EcoEvent EcoRuntime::enqueue_on(EcoKernel& kernel, WorkerCoord worker,
-                                std::uint64_t items, SimTime release) {
-  ECO_CHECK(items > 0);
-  Task task;
-  task.id = next_task_id_++;
-  task.kernel = kernel.ir_.id;
-  task.items = items;
-  task.features.items = static_cast<double>(items);
-  task.features.bytes = static_cast<double>(
-      items * (kernel.ir_.bytes_in + kernel.ir_.bytes_out));
-  task.home = worker;
-  task.release = release;
-  runtime_->submit(task);
-  EcoEvent event;
-  event.tasks.push_back(task.id);
-  return event;
-}
-
-EcoEvent EcoRuntime::enqueue_after(EcoKernel& kernel, EcoBuffer& buffer,
-                                   std::uint64_t total_items,
-                                   const EcoEvent& wait_list) {
-  // Resolve the dependency: run the simulation until the awaited tasks
-  // have results, then release the new work no earlier than their last
-  // completion.
-  runtime_->run();
-  SimTime release = sim_.now();
-  for (const auto& r : wait(wait_list)) {
-    release = std::max(release, r.finished);
-  }
-  return enqueue(kernel, buffer, total_items, release);
-}
-
-ChainRun EcoRuntime::enqueue_chain(std::vector<EcoKernel*> kernels,
-                                   WorkerCoord worker, std::uint64_t items,
-                                   SimTime now) {
-  ECO_CHECK(!kernels.empty());
-  std::vector<KernelIR> irs;
-  std::vector<AcceleratorModule> stages;
-  for (const EcoKernel* k : kernels) {
-    ECO_CHECK(k != nullptr);
-    ECO_CHECK_MSG(!k->variants().empty(), "kernel has no hardware variants");
-    irs.push_back(k->ir());
-    // Smallest variant per stage: the chain must co-reside.
-    stages.push_back(k->variants().front());
-  }
-  return run_chained(machine_->worker(worker), stages, irs, items, now);
-}
-
-std::vector<TaskResult> EcoRuntime::wait(const EcoEvent& event) const {
-  std::vector<TaskResult> out;
-  for (const auto& r : runtime_->results()) {
-    if (std::find(event.tasks.begin(), event.tasks.end(), r.id) !=
-        event.tasks.end()) {
-      out.push_back(r);
-    }
-  }
-  return out;
-}
-
 }  // namespace ecoscale

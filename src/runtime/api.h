@@ -24,7 +24,6 @@
 
 #include "hls/dse.h"
 #include "runtime/allocator.h"
-#include "runtime/chain.h"
 #include "runtime/machine.h"
 #include "runtime/scheduler.h"
 #include "sim/simulator.h"
@@ -98,28 +97,8 @@ class EcoRuntime {
   EcoEvent enqueue(EcoKernel& kernel, EcoBuffer& buffer,
                    std::uint64_t total_items, SimTime release = 0);
 
-  /// Launch on an explicit worker (classic single-device enqueue).
-  EcoEvent enqueue_on(EcoKernel& kernel, WorkerCoord worker,
-                      std::uint64_t items, SimTime release = 0);
-
-  /// OpenCL-style event dependency: launch after every task of
-  /// `wait_list` has completed (the dependency is resolved by running the
-  /// simulation up to the dependencies' completion).
-  EcoEvent enqueue_after(EcoKernel& kernel, EcoBuffer& buffer,
-                         std::uint64_t total_items, const EcoEvent& wait_list);
-
-  /// §4.3 accelerator chaining at the host-API level: run `kernels` as one
-  /// fused on-fabric pipeline on `worker`, returning the timed result
-  /// (intermediates never touch DRAM). Falls back to `fits == false` when
-  /// the worker's fabric cannot host every stage simultaneously.
-  ChainRun enqueue_chain(std::vector<EcoKernel*> kernels, WorkerCoord worker,
-                         std::uint64_t items, SimTime now = 0);
-
   /// Block until all enqueued work completes (runs the simulation).
   void finish() { runtime_->run(); }
-
-  /// Results of the completed tasks of an event.
-  std::vector<TaskResult> wait(const EcoEvent& event) const;
 
   RuntimeStats stats() const { return runtime_->stats(); }
 

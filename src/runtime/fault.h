@@ -12,7 +12,7 @@
 //    serialization bandwidth is scaled down (Network::set_level_degradation);
 //  * fabric SEUs     — Poisson upsets that corrupt (unload) an idle loaded
 //    bitstream on a random worker's fabric; the next call pays a full
-//    reconfiguration (the scrubbing cost model the analytic layer prices).
+//    reconfiguration, as a bitstream reload after a scrub would.
 //
 // Liveness flows through the Machine's HealthRegistry; the runtime layer
 // learns of it only through its heartbeat monitor (detect_timeout later),

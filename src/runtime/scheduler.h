@@ -154,14 +154,6 @@ class RuntimeSystem {
   FaultInjector* faults() { return injector_.get(); }
 
   std::size_t worker_count() const { return workers_.size(); }
-  /// Queue depth (queued + running) of `worker` — the same metric
-  /// admission control limits, exposed for the repartitioner's epoch
-  /// sampling (read only at engine pauses, when nothing runs).
-  std::size_t queue_depth(std::size_t worker) const {
-    ECO_CHECK(worker < workers_.size());
-    const WorkerState& w = workers_[worker];
-    return w.queue.size() + (w.busy ? 1 : 0);
-  }
   /// Workers the heartbeat monitor currently believes alive — the node's
   /// effective capacity as far as any placement policy may legally know
   /// (known_down, never the injector's ground truth).

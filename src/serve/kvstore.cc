@@ -63,15 +63,6 @@ struct ServeTraceNames {
 
 }  // namespace
 
-const char* kv_op_name(KvOp op) {
-  switch (op) {
-    case KvOp::kGet: return "get";
-    case KvOp::kSet: return "set";
-    case KvOp::kDelete: return "del";
-  }
-  return "?";
-}
-
 KernelIR make_kv_kernel() {
   KernelIR k;
   k.name = "kv.request";
@@ -171,7 +162,6 @@ KvStore::KvStore(ShardedRuntime& rt, KvConfig config)
   }
 
   apply_log_.resize(nodes_);
-  sheds_.assign(nodes_, 0);
   remote_issues_.assign(nodes_, 0);
   forwards_.assign(nodes_, 0);
   byte_hops_.assign(nodes_, 0);
@@ -329,7 +319,6 @@ void KvStore::on_complete(std::size_t owner, const Task& task,
 
 void KvStore::on_shed(std::size_t owner, const Task& task, SimTime at) {
   const Decoded req = unpack_request(task.payload[0]);
-  ++sheds_[owner];
   ECO_TRACE_INSTANT(obs::Cat::kServe, serve_trace_names().shed,
                     (obs::Lane{static_cast<std::uint16_t>(owner), 0}), at,
                     task.id);
@@ -444,12 +433,6 @@ KvStore::CrossStats KvStore::cross_stats() const {
         a.byte_hops += b.byte_hops;
         return a;
       });
-}
-
-std::uint64_t KvStore::sheds() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t s : sheds_) total += s;
-  return total;
 }
 
 std::uint64_t KvStore::apply_log_hash() const {

@@ -34,8 +34,6 @@ namespace ecoscale::serve {
 
 enum class KvOp : std::uint8_t { kGet = 0, kSet = 1, kDelete = 2 };
 
-const char* kv_op_name(KvOp op);
-
 struct KvConfig {
   /// Distinct keys; must fit the payload's 44-bit key field.
   std::uint64_t key_space = 1ull << 16;
@@ -143,8 +141,6 @@ class KvStore : public repart::RepartClient {
   const std::vector<KvApplyRecord>& apply_log(std::size_t node) const {
     return apply_log_[node];
   }
-  /// Admission-control sheds observed by this store, all nodes.
-  std::uint64_t sheds() const;
   /// Deterministic fingerprint of every node's apply log (reduction-tree
   /// fold of per-node FNV hashes): the serve determinism gates pin it.
   std::uint64_t apply_log_hash() const;
@@ -177,7 +173,6 @@ class KvStore : public repart::RepartClient {
   repart::Repartitioner* repart_ = nullptr;
   /// Shard-owned: index N is written only by events on shard N.
   std::vector<std::vector<KvApplyRecord>> apply_log_;
-  std::vector<std::uint64_t> sheds_;
   std::vector<std::uint64_t> remote_issues_;
   std::vector<std::uint64_t> forwards_;
   std::vector<std::uint64_t> byte_hops_;

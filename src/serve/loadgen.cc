@@ -146,13 +146,8 @@ void LoadGen::on_response(std::size_t origin, const KvResponse& resp) {
                  static_cast<std::uint32_t>(resp.request));
   if (config_.mode == LoadGenConfig::Mode::kClosedLoop &&
       o.issued < budget_per_node()) {
-    // The answered client issues its next request after thinking.
-    if (config_.think_time == 0) {
-      issue_one(origin);
-    } else {
-      rt_.shard(origin).schedule_after(config_.think_time,
-                                       [this, origin] { issue_one(origin); });
-    }
+    // The answered client issues its next request at once.
+    issue_one(origin);
   }
 }
 

@@ -11,7 +11,7 @@
 //    throughput-vs-offered-load knee and the admission-control shed
 //    count visible.
 //  * Closed loop: clients_per_node clients per origin, each issuing its
-//    next request (after think_time) when the previous one answers —
+//    next request as soon as the previous one answers —
 //    sheds answer too, so overload degrades, never livelocks.
 //
 // Latency is recorded at response delivery on the origin shard into a
@@ -43,11 +43,9 @@ struct LoadGenConfig {
   double burst_mean = 0.0;
   std::uint64_t burst_cap = 8;
 
-  /// Closed loop: concurrent clients per origin, requests each, think
-  /// time between a response and the client's next request.
+  /// Closed loop: concurrent clients per origin, requests each.
   std::size_t clients_per_node = 8;
   std::size_t requests_per_client = 200;
-  SimDuration think_time = 0;
 
   /// Key popularity skew (0 = uniform) over the store's key space.
   double zipf_skew = 0.99;

@@ -116,11 +116,4 @@ SyncResult flat_barrier(PgasSystem& pgas,
   return result;
 }
 
-SyncResult mailbox_signal(PgasSystem& pgas, WorkerCoord from, WorkerCoord to,
-                          SimTime now, SimDuration interrupt_latency) {
-  Packet p{PacketType::kInterrupt, from, to, 8};
-  const auto t = pgas.network().send(pgas.flat(from), pgas.flat(to), p, now);
-  return SyncResult{t.arrival + interrupt_latency, t.energy, 1};
-}
-
 }  // namespace ecoscale

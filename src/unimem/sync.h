@@ -44,10 +44,4 @@ SyncResult flat_barrier(PgasSystem& pgas,
                         std::span<const WorkerCoord> workers,
                         std::span<const SimTime> arrivals);
 
-/// Mailbox doorbell: a small synchronisation message plus the remote
-/// interrupt delivery cost. Returns delivery completion time.
-SyncResult mailbox_signal(PgasSystem& pgas, WorkerCoord from, WorkerCoord to,
-                          SimTime now,
-                          SimDuration interrupt_latency = nanoseconds(500));
-
 }  // namespace ecoscale

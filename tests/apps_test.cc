@@ -5,7 +5,6 @@
 
 #include "apps/cart.h"
 #include "apps/kmeans.h"
-#include "apps/linalg.h"
 #include "apps/montecarlo.h"
 #include "apps/sort.h"
 #include "apps/stencil.h"
@@ -101,14 +100,6 @@ TEST(MonteCarlo, DeepInTheMoneyNearIntrinsic) {
   const double intrinsic =
       p.spot - p.strike * std::exp(-p.rate * p.maturity);
   EXPECT_NEAR(mc.price, intrinsic, 2.0);
-}
-
-TEST(MonteCarlo, AsianBelowEuropean) {
-  OptionParams p;
-  const auto euro = price_european_call(p, 50000, 5);
-  const auto asian = price_asian_call(p, 50000, 16, 5);
-  // Averaging reduces volatility: the Asian call is cheaper.
-  EXPECT_LT(asian.price, euro.price);
 }
 
 // --- CART ----------------------------------------------------------------------
@@ -255,65 +246,6 @@ TEST(Kmeans, MoreClustersNeverWorseInertia) {
   const auto k2 = kmeans(points, 2, 100, 7);
   const auto k4 = kmeans(points, 4, 100, 7);
   EXPECT_LE(k4.inertia, k2.inertia);
-}
-
-// --- linear algebra ---------------------------------------------------------------
-
-TEST(Linalg, MatmulIdentity) {
-  const std::size_t n = 8;
-  std::vector<double> a(n * n, 0.0);
-  std::vector<double> b(n * n);
-  for (std::size_t i = 0; i < n; ++i) a[i * n + i] = 1.0;
-  for (std::size_t i = 0; i < n * n; ++i) b[i] = static_cast<double>(i);
-  std::vector<double> c;
-  matmul(a, b, c, n, n, n);
-  EXPECT_EQ(c, b);
-}
-
-TEST(Linalg, BlockedMatchesNaive) {
-  const std::size_t m = 13, k = 7, n = 11;  // awkward sizes
-  std::vector<double> a(m * k);
-  std::vector<double> b(k * n);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = 0.01 * double(i) - 0.3;
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = 0.02 * double(i) + 0.1;
-  std::vector<double> c1;
-  std::vector<double> c2;
-  matmul(a, b, c1, m, k, n);
-  matmul_blocked(a, b, c2, m, k, n, 4);
-  ASSERT_EQ(c1.size(), c2.size());
-  for (std::size_t i = 0; i < c1.size(); ++i) {
-    EXPECT_NEAR(c1[i], c2[i], 1e-9);
-  }
-}
-
-TEST(Linalg, SparseMatrixWellFormed) {
-  const auto m = make_sparse(50, 40, 5, 21);
-  EXPECT_EQ(m.row_ptr.size(), 51u);
-  EXPECT_EQ(m.nnz(), m.col_idx.size());
-  for (std::size_t r = 0; r < m.rows; ++r) {
-    for (std::size_t i = m.row_ptr[r]; i + 1 < m.row_ptr[r + 1]; ++i) {
-      EXPECT_LT(m.col_idx[i], m.col_idx[i + 1]);  // sorted per row
-    }
-  }
-}
-
-TEST(Linalg, SpmvMatchesDense) {
-  const auto m = make_sparse(20, 20, 4, 33);
-  std::vector<double> x(20);
-  for (std::size_t i = 0; i < 20; ++i) x[i] = 0.1 * double(i) - 1.0;
-  const auto y = spmv(m, x);
-  // Dense reference.
-  std::vector<double> dense(20 * 20, 0.0);
-  for (std::size_t r = 0; r < 20; ++r) {
-    for (std::size_t i = m.row_ptr[r]; i < m.row_ptr[r + 1]; ++i) {
-      dense[r * 20 + m.col_idx[i]] = m.values[i];
-    }
-  }
-  for (std::size_t r = 0; r < 20; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < 20; ++c) sum += dense[r * 20 + c] * x[c];
-    EXPECT_NEAR(y[r], sum, 1e-9);
-  }
 }
 
 }  // namespace

@@ -113,10 +113,17 @@ TEST(Rng, ExponentialMean) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(17);
-  RunningStat stat;
-  for (int i = 0; i < 20000; ++i) stat.add(rng.normal(2.0, 3.0));
-  EXPECT_NEAR(stat.mean(), 2.0, 0.1);
-  EXPECT_NEAR(stat.stddev(), 3.0, 0.1);
+  const int n = 20000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.normal(2.0, 3.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 2.0, 0.1);
+  EXPECT_NEAR(std::sqrt(sum_sq / n - mean * mean), 3.0, 0.1);
 }
 
 TEST(Rng, ZipfSkewsTowardLowRanks) {
@@ -375,32 +382,6 @@ TEST(LatencyHistogram, PercentileLowTailClampsToMin) {
   }
 }
 
-TEST(RunningStat, BasicMoments) {
-  RunningStat s;
-  for (const double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-}
-
-TEST(RunningStat, MergeMatchesSequential) {
-  RunningStat a;
-  RunningStat b;
-  RunningStat all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 3;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(Samples, ExactPercentiles) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -421,62 +402,6 @@ TEST(Samples, SingleValue) {
 TEST(Samples, EmptyPercentileThrows) {
   Samples s;
   EXPECT_THROW(s.percentile(50), CheckError);
-}
-
-TEST(QuantileEstimator, ExactForSmallSamples) {
-  QuantileEstimator median(0.5);
-  median.add(3);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-  median.add(1);
-  EXPECT_DOUBLE_EQ(median.value(), 2.0);
-  median.add(5);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-}
-
-TEST(QuantileEstimator, ConvergesOnUniform) {
-  QuantileEstimator q10(0.1);
-  QuantileEstimator q50(0.5);
-  QuantileEstimator q90(0.9);
-  Rng rng(33);
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.uniform(0.0, 100.0);
-    q10.add(x);
-    q50.add(x);
-    q90.add(x);
-  }
-  EXPECT_NEAR(q10.value(), 10.0, 1.5);
-  EXPECT_NEAR(q50.value(), 50.0, 1.5);
-  EXPECT_NEAR(q90.value(), 90.0, 1.5);
-}
-
-TEST(QuantileEstimator, MedianResistsOutliers) {
-  QuantileEstimator median(0.5);
-  RunningStat mean;
-  Rng rng(37);
-  for (int i = 0; i < 20000; ++i) {
-    double x = rng.normal(100.0, 5.0);
-    if (rng.chance(0.05)) x *= 50.0;  // gross contamination
-    median.add(x);
-    mean.add(x);
-  }
-  EXPECT_NEAR(median.value(), 100.0, 3.0);
-  EXPECT_GT(mean.mean(), 200.0);  // the mean is dragged far away
-}
-
-TEST(QuantileEstimator, RejectsDegenerateQuantile) {
-  EXPECT_THROW(QuantileEstimator(0.0), CheckError);
-  EXPECT_THROW(QuantileEstimator(1.0), CheckError);
-}
-
-TEST(CounterSet, AccumulatesByName) {
-  CounterSet c;
-  c.add("x");
-  c.add("x", 4);
-  c.add("y", 2);
-  EXPECT_EQ(c.get("x"), 5u);
-  EXPECT_EQ(c.get("y"), 2u);
-  EXPECT_EQ(c.get("z"), 0u);
-  EXPECT_EQ(c.all().size(), 2u);
 }
 
 TEST(EnergyMeter, ChargesAndBreakdown) {

@@ -1,10 +1,9 @@
-// Targeted coverage for thinner corners: logging, MPI occupancy, chassis
+// Targeted coverage for thinner corners: MPI occupancy, chassis
 // hierarchy, 3-D Cartesian topologies, and the accelerator memory bound.
 #include <gtest/gtest.h>
 
 #include <array>
 
-#include "common/log.h"
 #include "hls/dse.h"
 #include "mpi/mpi.h"
 #include "unimem/pgas.h"
@@ -12,19 +11,6 @@
 
 namespace ecoscale {
 namespace {
-
-// --- logging -------------------------------------------------------------------
-
-TEST(Log, LevelGatesOutput) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kOff);
-  ECO_INFO << "suppressed";  // must not crash; nothing observable
-  set_log_level(LogLevel::kWarn);
-  ECO_DEBUG << "suppressed";
-  ECO_WARN << "emitted";
-  set_log_level(before);
-  SUCCEED();
-}
 
 // --- MPI sender occupancy (LogP o_s serialisation) --------------------------------
 

@@ -57,9 +57,9 @@ TEST(Edge, SingleWorkerLazyNeverSpills) {
 TEST(Edge, OneRankMpiWorldCollectives) {
   MpiWorld world(1);
   const std::vector<SimTime> arrivals{microseconds(3)};
-  EXPECT_GE(world.barrier(arrivals).finish, microseconds(3));
   EXPECT_GE(world.allreduce(64, arrivals).finish, microseconds(3));
-  EXPECT_EQ(world.broadcast(0, 64, arrivals).messages, 0u);
+  EXPECT_EQ(world.allreduce(64, arrivals).messages, 0u);
+  EXPECT_EQ(world.alltoall(64, arrivals).messages, 0u);
 }
 
 // --- buffer and allocation boundaries -----------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the extension substrates: PGAS atomics, PA regression,
 // streaming PCA, pre-emptive hardware execution / accelerator migration,
-// the reconfiguration daemon, and fabric configuration scrubbing.
+// and the reconfiguration daemon.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,7 +11,6 @@
 #include "model/pca.h"
 #include "model/svr.h"
 #include "runtime/daemon.h"
-#include "runtime/resilience.h"
 #include "unimem/pgas.h"
 #include "worker/preemption.h"
 
@@ -171,18 +170,6 @@ TEST(Pca, ProjectionCentersData) {
   EXPECT_NEAR(z[0], 0.0, 1.5);
 }
 
-TEST(Pca, ExplainedVarianceConcentrates) {
-  StreamingPca pca(3, 2);
-  Rng rng(11);
-  for (int i = 0; i < 4000; ++i) {
-    const double t = rng.normal(0, 10.0);
-    pca.observe(std::array{t, 0.5 * t + rng.normal(0, 0.2),
-                           rng.normal(0, 0.2)});
-  }
-  const auto ratio = pca.explained_variance_ratio();
-  EXPECT_GT(ratio[0], 0.8);  // first component dominates
-}
-
 // --- pre-emption and accelerator migration ---------------------------------------
 
 WorkerConfig pre_cfg() {
@@ -314,32 +301,6 @@ TEST(Daemon, ScoresDecay) {
   daemon.tick(1);
   daemon.tick(2);
   EXPECT_LT(daemon.score(m.kernel), s0);
-}
-
-// --- fabric scrubbing ----------------------------------------------------------------
-
-TEST(Scrubbing, PeriodicBoundsCorruptionWindow) {
-  const SimTime horizon = milliseconds(100);
-  const auto none = scrubbing_policy(
-      /*scrub_period=*/0, /*seu_per_second=*/200.0, 2000, horizon,
-      microseconds(160), 42);
-  const auto slow = scrubbing_policy(milliseconds(5), 200.0, 2000, horizon,
-                                     microseconds(160), 42);
-  const auto fast = scrubbing_policy(microseconds(500), 200.0, 2000,
-                                     horizon, microseconds(160), 42);
-  // Scrubbing strictly reduces silent corruption; faster scrubbing more so.
-  EXPECT_LT(slow.corrupted_calls, none.corrupted_calls);
-  EXPECT_LT(fast.corrupted_calls, slow.corrupted_calls);
-  // Overhead is the price, growing with scrub frequency.
-  EXPECT_GT(fast.overhead, slow.overhead);
-  EXPECT_EQ(none.overhead, 0u);
-}
-
-TEST(Scrubbing, NoSeusNoCorruption) {
-  const auto out = scrubbing_policy(0, 0.0, 100, milliseconds(10),
-                                    microseconds(100), 1);
-  EXPECT_EQ(out.corrupted_calls, 0u);
-  EXPECT_DOUBLE_EQ(out.corrupted_fraction, 0.0);
 }
 
 }  // namespace

@@ -135,17 +135,6 @@ TEST(Floorplan, LargestFreeRectangle) {
   EXPECT_EQ(fp.largest_free_rectangle(), 12u);
 }
 
-TEST(Floorplan, LiveRegions) {
-  Floorplan fp(4, 4);
-  const auto a = fp.place(ModuleShape{1, 1});
-  const auto b = fp.place(ModuleShape{1, 1});
-  ASSERT_TRUE(a && b);
-  fp.remove(*a);
-  const auto live = fp.live_regions();
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(live[0], *b);
-}
-
 // --- accelerator modules ------------------------------------------------------
 
 AcceleratorModule test_module(KernelId id = 1, std::size_t w = 2,

@@ -165,5 +165,16 @@ TEST(Dse, VariantNamesEncodeDesign) {
   }
 }
 
+TEST(FftKernel, RegisteredWithDistinctId) {
+  const auto k = make_fft_kernel();
+  EXPECT_EQ(k.id, 107u);
+  EXPECT_GT(k.ops.total(), 0u);
+  // The butterfly is parallel: pipelining should reach II bounded only by
+  // memory ports.
+  const auto front = pareto_front(enumerate_designs(k));
+  EXPECT_FALSE(front.empty());
+  EXPECT_GE(front.back().items_per_cycle, 1.0);
+}
+
 }  // namespace
 }  // namespace ecoscale

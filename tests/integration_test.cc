@@ -57,19 +57,22 @@ TEST(EcoRuntime, DistributedEnqueueFansOutPerPartition) {
   const auto event = rt.enqueue(kernel, buf, 40000);
   EXPECT_EQ(event.tasks.size(), buf.layout().partitions().size());
   rt.finish();
-  const auto results = rt.wait(event);
+  const auto& results = rt.scheduler().results();
   ASSERT_EQ(results.size(), event.tasks.size());
   // Items split across partitions sum to the request.
   const auto stats = rt.stats();
   EXPECT_EQ(stats.sw_tasks + stats.hw_tasks, results.size());
 }
 
-TEST(EcoRuntime, EnqueueOnTargetsWorker) {
+TEST(EcoRuntime, LocalBufferTaskRunsAtItsAnchor) {
   EcoRuntime rt(machine_2x2());
   auto kernel = rt.create_kernel(make_cart_split_kernel());
-  const auto event = rt.enqueue_on(kernel, WorkerCoord{1, 0}, 1000);
+  auto buf = rt.create_buffer(kPageSize, Distribution::kLocal,
+                              WorkerCoord{1, 0});
+  const auto event = rt.enqueue(kernel, buf, 1000);
+  ASSERT_EQ(event.tasks.size(), 1u);
   rt.finish();
-  const auto results = rt.wait(event);
+  const auto& results = rt.scheduler().results();
   ASSERT_EQ(results.size(), 1u);
   // With the default lazy policy and an idle machine the task runs at home.
   EXPECT_EQ(results[0].executed_on, rt.machine().pgas().flat({1, 0}));
@@ -125,60 +128,6 @@ TEST(EcoRuntime, StencilEndToEndWithHaloSemantics) {
                  std::span(reinterpret_cast<std::uint8_t*>(back.data()),
                            back.size() * sizeof(double)));
   EXPECT_EQ(back, grid.data());
-}
-
-TEST(EcoRuntime, EnqueueChainFusesStages) {
-  EcoRuntime rt(machine_2x2());
-  auto a = rt.create_kernel(make_stencil5_kernel());
-  auto b = rt.create_kernel(make_sha_like_kernel());
-  auto c = rt.create_kernel(make_spmv_kernel());
-  const auto chained =
-      rt.enqueue_chain({&a, &b, &c}, WorkerCoord{0, 0}, 50000);
-  ASSERT_TRUE(chained.fits);
-  // External I/O only: first stage in, last stage out.
-  EXPECT_EQ(chained.dram_bytes,
-            50000 * (a.variants().front().bytes_in_per_item +
-                     c.variants().front().bytes_out_per_item));
-  EXPECT_GT(chained.ops_per_dram_byte, 0.0);
-}
-
-TEST(EcoRuntime, EnqueueAfterOrdersStages) {
-  EcoRuntime rt(machine_2x2());
-  auto producer = rt.create_kernel(make_stencil5_kernel());
-  auto consumer = rt.create_kernel(make_spmv_kernel());
-  auto buf = rt.create_buffer(2 * kPageSize, Distribution::kBlock);
-  const auto first = rt.enqueue(producer, buf, 20000);
-  const auto second = rt.enqueue_after(consumer, buf, 20000, first);
-  rt.finish();
-  const auto produced = rt.wait(first);
-  const auto consumed = rt.wait(second);
-  ASSERT_FALSE(produced.empty());
-  ASSERT_FALSE(consumed.empty());
-  SimTime stage1_done = 0;
-  for (const auto& r : produced) stage1_done = std::max(stage1_done, r.finished);
-  for (const auto& r : consumed) {
-    EXPECT_GE(r.release, stage1_done);
-    EXPECT_GE(r.started, stage1_done);
-  }
-}
-
-TEST(EcoRuntime, EnqueueAfterChainOfThree) {
-  EcoRuntime rt(machine_2x2());
-  auto kernel = rt.create_kernel(make_cart_split_kernel());
-  auto buf = rt.create_buffer(kPageSize, Distribution::kLocal,
-                              WorkerCoord{0, 0});
-  auto a = rt.enqueue(kernel, buf, 5000);
-  auto b = rt.enqueue_after(kernel, buf, 5000, a);
-  auto c = rt.enqueue_after(kernel, buf, 5000, b);
-  rt.finish();
-  const auto ra = rt.wait(a);
-  const auto rb = rt.wait(b);
-  const auto rc = rt.wait(c);
-  ASSERT_EQ(ra.size(), 1u);
-  ASSERT_EQ(rb.size(), 1u);
-  ASSERT_EQ(rc.size(), 1u);
-  EXPECT_LE(ra[0].finished, rb[0].started);
-  EXPECT_LE(rb[0].finished, rc[0].started);
 }
 
 TEST(EcoRuntime, SharedFabricToggleChangesRemoteUse) {

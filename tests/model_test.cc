@@ -172,12 +172,5 @@ TEST(Predictor, PredictionsClampedNonNegative) {
   EXPECT_GE(p.time_ns, 0.0);
 }
 
-TEST(DeviceClassNames, Stable) {
-  EXPECT_STREQ(device_class_name(DeviceClass::kCpu), "cpu");
-  EXPECT_STREQ(device_class_name(DeviceClass::kLocalFabric), "local_fabric");
-  EXPECT_STREQ(device_class_name(DeviceClass::kRemoteFabric),
-               "remote_fabric");
-}
-
 }  // namespace
 }  // namespace ecoscale

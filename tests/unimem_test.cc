@@ -273,13 +273,6 @@ TEST(Barrier, ReleaseBroadcastSerializesOnSenderCpu) {
   EXPECT_EQ(real.messages, 2u * (workers.size() - 1));
 }
 
-TEST(Mailbox, SignalDeliversWithInterruptLatency) {
-  PgasSystem pgas(small_pgas());
-  const auto r = mailbox_signal(pgas, {0, 0}, {1, 1}, 0);
-  EXPECT_GT(r.finish, nanoseconds(500));
-  EXPECT_EQ(r.messages, 1u);
-}
-
 // --- dead-owner failover edge cases ------------------------------------------
 
 TEST(PgasFailover, RequesterNodeDownFallsBackToReplica) {
