@@ -58,6 +58,19 @@ TEST(PageTable, MapLookupUnmap) {
   EXPECT_EQ(pt.levels(), 4);
 }
 
+TEST(PageTable, EntryCountTracksMappings) {
+  PageTable pt(3);
+  pt.map(1, 100);
+  pt.map(2, 200);
+  EXPECT_EQ(pt.entry_count(), 2u);
+  pt.map(1, 101);  // remapping replaces, it does not add
+  EXPECT_EQ(pt.entry_count(), 2u);
+  EXPECT_EQ(pt.lookup(1).value(), 101u);
+  pt.unmap(2);
+  pt.unmap(2);  // unmapping an absent page is harmless
+  EXPECT_EQ(pt.entry_count(), 1u);
+}
+
 TEST(PageTable, RejectsBadLevelCount) {
   EXPECT_THROW(PageTable(0), CheckError);
   EXPECT_THROW(PageTable(7), CheckError);
@@ -176,6 +189,25 @@ TEST(Ownership, MigrationMovesCacheability) {
   dir.migrate(10, 3);
   EXPECT_EQ(dir.migrations(), 1u);
   EXPECT_THROW(dir.migrate(99, 0), CheckError);
+}
+
+TEST(Ownership, SparseOffsetsBehaveLikeDenseOnes) {
+  // Offsets past the dense per-segment cap take the hash-map fallback;
+  // the directory must answer identically for both.
+  OwnershipDirectory dir;
+  const PageId dense = (PageId{3} << 36) | 5;
+  const PageId sparse = (PageId{3} << 36) | (PageId{1} << 30);
+  dir.register_page(dense, 1);
+  dir.register_page(sparse, 1);
+  EXPECT_EQ(dir.page_count(), 2u);
+  EXPECT_TRUE(dir.is_registered(sparse));
+  EXPECT_TRUE(dir.cacheable_at(sparse, 1));
+  EXPECT_EQ(dir.migrate(sparse, 4), 1);
+  EXPECT_EQ(dir.owner(sparse).value(), 4);
+  EXPECT_EQ(dir.owner(dense).value(), 1);
+  EXPECT_EQ(dir.migrations(), 1u);
+  EXPECT_THROW(dir.register_page(sparse, 2), CheckError);
+  EXPECT_FALSE(dir.owner(sparse + 1).has_value());
 }
 
 TEST(Progressive, LocalNeedsOnlyLevelZero) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "apps/cart.h"
 #include "apps/kmeans.h"
@@ -26,6 +28,13 @@ TEST(Stencil, StepAveragesNeighbours) {
   const double res = jacobi_step(g, out);
   EXPECT_DOUBLE_EQ(out.at(1, 1), 5.0);
   EXPECT_DOUBLE_EQ(res, 5.0);
+}
+
+TEST(Stencil, InteriorCellsExcludeTheHaloRing) {
+  const Grid2D grid(6, 4);
+  EXPECT_EQ(grid.interior_cells(), 4u * 2u);
+  EXPECT_EQ(grid.data().size(), 6u * 4u);
+  EXPECT_EQ(Grid2D(3, 3).interior_cells(), 1u);
 }
 
 TEST(Stencil, SolveConvergesToBoundaryValue) {
@@ -195,6 +204,19 @@ TEST(Sort, PartitionRespectsSplitters) {
   EXPECT_EQ(buckets[0], (std::vector<std::uint64_t>{5, 10}));
   EXPECT_EQ(buckets[1], (std::vector<std::uint64_t>{15, 20}));
   EXPECT_EQ(buckets[2], (std::vector<std::uint64_t>{25}));
+}
+
+TEST(Sort, SplittersAreSortedAndOneFewerThanBuckets) {
+  const std::vector<std::vector<std::uint64_t>> per_rank{
+      {9, 1, 5, 3}, {8, 2, 6, 4}, {}};
+  const auto splitters = choose_splitters(per_rank, 4);
+  ASSERT_EQ(splitters.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(splitters.begin(), splitters.end()));
+  EXPECT_GE(splitters.front(), 1u);
+  EXPECT_LE(splitters.back(), 9u);
+  // With no keys anywhere every key lands in the single bucket.
+  EXPECT_TRUE(choose_splitters({{}, {}}, 4).empty());
+  EXPECT_THROW(choose_splitters(per_rank, 0), CheckError);
 }
 
 TEST(Sort, SplittersRoughlyBalance) {

@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/energy.h"
 #include "common/fingerprint.h"
+#include "common/health.h"
 #include "common/latency.h"
 #include "common/reduce.h"
 #include "common/rng.h"
@@ -43,6 +44,14 @@ TEST(Units, BandwidthTransferTime) {
   const auto fast = Bandwidth::from_gib_per_s(8.0);
   EXPECT_NEAR(static_cast<double>(fast.transfer_time(8)),
               8.0 * 1e12 / (8.0 * static_cast<double>(kGiB)), 1.0);
+}
+
+TEST(Units, EnergyAndMillisecondConversions) {
+  EXPECT_DOUBLE_EQ(to_nanojoules(2.5e3), 2.5);
+  EXPECT_DOUBLE_EQ(to_microjoules(3e6), 3.0);
+  EXPECT_DOUBLE_EQ(to_millijoules(4e9), 4.0);
+  EXPECT_DOUBLE_EQ(to_milliseconds(milliseconds(9)), 9.0);
+  EXPECT_DOUBLE_EQ(to_milliseconds(microseconds(500)), 0.5);
 }
 
 TEST(Check, ThrowsOnFailure) {
@@ -450,6 +459,54 @@ TEST(TableFormat, Helpers) {
   EXPECT_EQ(fmt_bytes(2048), "2.00 KiB");
   EXPECT_EQ(fmt_time_ps(1500.0), "1.50 ns");
   EXPECT_EQ(fmt_energy_pj(2.5e6), "2.50 uJ");
+}
+
+TEST(TableFormat, ScientificAndRowAccess) {
+  EXPECT_EQ(fmt_sci(12345.0, 2), "1.23e+04");
+  EXPECT_EQ(fmt_sci(0.00042, 1), "4.2e-04");
+  Table t({"x", "y"});
+  t.add_row({"1", "2"}).add_row({"3", "4"});
+  EXPECT_EQ(t.headers(), (std::vector<std::string>{"x", "y"}));
+  ASSERT_EQ(t.rows().size(), 2u);
+  EXPECT_EQ(t.rows()[1][0], "3");
+}
+
+// --- health registry -------------------------------------------------------
+
+TEST(HealthRegistry, NodeStaysUpWhileAnyWorkerIsUp) {
+  HealthRegistry health(4, 2);
+  EXPECT_EQ(health.worker_count(), 4u);
+  EXPECT_EQ(health.up_workers(), 4u);
+  health.mark_down(2);
+  EXPECT_TRUE(health.node_up(1));
+  EXPECT_EQ(health.up_workers(), 3u);
+  health.mark_down(3);
+  EXPECT_FALSE(health.node_up(1));
+  EXPECT_TRUE(health.node_up(0));
+  health.mark_up(3);
+  EXPECT_TRUE(health.node_up(1));
+  EXPECT_EQ(health.up_workers(), 3u);
+}
+
+TEST(HealthRegistry, BlacklistOnlyExtendsAndThenExpires) {
+  HealthRegistry health(2, 1);
+  health.blacklist(1, microseconds(10));
+  health.blacklist(1, microseconds(4));  // an earlier expiry never shortens
+  EXPECT_EQ(health.blacklists(), 2u);
+  EXPECT_TRUE(health.blacklisted(1, microseconds(9)));
+  EXPECT_FALSE(health.available(1, microseconds(9)));
+  EXPECT_FALSE(health.blacklisted(1, microseconds(10)));
+  EXPECT_TRUE(health.available(1, microseconds(10)));
+  // A dead worker is unavailable whatever its blacklist says.
+  health.mark_down(0);
+  EXPECT_FALSE(health.blacklisted(0, 0));
+  EXPECT_FALSE(health.available(0, 0));
+}
+
+TEST(HealthRegistry, RejectsAPartialNode) {
+  HealthRegistry health;
+  EXPECT_THROW(health.reset(5, 2), CheckError);
+  EXPECT_THROW(health.reset(4, 0), CheckError);
 }
 
 // --- fingerprint fold ------------------------------------------------------

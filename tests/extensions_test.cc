@@ -159,6 +159,21 @@ TEST(Pca, ComponentsStayUnitNorm) {
   }
 }
 
+TEST(Pca, ShapeChecksAndObservationCount) {
+  EXPECT_THROW(StreamingPca(2, 3), CheckError);
+  EXPECT_THROW(StreamingPca(2, 0), CheckError);
+  EXPECT_THROW(StreamingPca(2, 1, 1.0), CheckError);
+  StreamingPca pca(3, 2);
+  EXPECT_EQ(pca.dims(), 3u);
+  EXPECT_EQ(pca.components(), 2u);
+  pca.observe(std::array{1.0, 2.0, 3.0});
+  pca.observe(std::array{2.0, 1.0, 0.0});
+  EXPECT_EQ(pca.observations(), 2u);
+  EXPECT_THROW(pca.observe(std::array{1.0, 2.0}), CheckError);
+  EXPECT_THROW(pca.component(2), CheckError);
+  EXPECT_EQ(pca.project(std::array{0.0, 0.0, 0.0}).size(), 2u);
+}
+
 TEST(Pca, ProjectionCentersData) {
   StreamingPca pca(2, 1);
   Rng rng(8);

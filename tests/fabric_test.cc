@@ -80,6 +80,23 @@ TEST(Floorplan, PlaceAndRemove) {
   EXPECT_THROW(fp.remove(*r), CheckError);
 }
 
+TEST(Floorplan, PlacementRecordsShapeAndSlotsBalance) {
+  Floorplan fp(4, 3);
+  EXPECT_EQ(fp.total_slots(), 12u);
+  const auto a = fp.place(ModuleShape{2, 3});
+  const auto b = fp.place(ModuleShape{1, 1});
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(fp.placement(*a).shape.slots(), 6u);
+  EXPECT_EQ(fp.used_slots() + fp.free_slots(), fp.total_slots());
+  EXPECT_EQ(fp.free_slots(), 5u);
+  fp.remove(*a);
+  EXPECT_FALSE(fp.is_live(*a));
+  EXPECT_TRUE(fp.is_live(*b));
+  EXPECT_EQ(fp.free_slots(), 11u);
+  EXPECT_THROW(fp.placement(*a), CheckError);
+  EXPECT_FALSE(fp.is_live(*b + 100));
+}
+
 TEST(Floorplan, PlacementsDoNotOverlap) {
   Floorplan fp(4, 2);
   const auto a = fp.place(ModuleShape{2, 2});

@@ -49,6 +49,26 @@ TEST(Topology, Mesh2dShape) {
   EXPECT_EQ(t.vertex_count(), 12u);
 }
 
+TEST(Topology, AddLinkCreatesTwoDirectedLinks) {
+  Topology t;
+  const auto a = t.add_vertex(/*is_endpoint=*/true);
+  const auto s = t.add_vertex(/*is_endpoint=*/false);
+  const auto b = t.add_vertex(/*is_endpoint=*/true);
+  t.add_link(a, s, 0);
+  t.add_link(s, b, 1);
+  EXPECT_EQ(t.endpoint_count(), 2u);
+  EXPECT_EQ(t.endpoint(1), b);
+  EXPECT_EQ(t.link_count(), 4u);
+  ASSERT_EQ(t.out_links(s).size(), 2u);
+  const TopoLink& up = t.link(t.out_links(a).front());
+  EXPECT_EQ(up.from, a);
+  EXPECT_EQ(up.to, s);
+  EXPECT_EQ(up.level, 0);
+  EXPECT_EQ(t.link(t.out_links(b).front()).level, 1);
+  EXPECT_THROW(t.add_link(a, a, 0), CheckError);
+  EXPECT_THROW(t.add_link(a, 9, 0), CheckError);
+}
+
 TEST(Network, TreeHopCounts) {
   Network net(make_tree({4, 2}), simple_config());
   // Same L0 switch: ep -> sw -> ep = 2 hops.
@@ -148,6 +168,30 @@ TEST(Network, RejectsMissingLevelZero) {
   NetworkConfig cfg;
   cfg.level_params.clear();
   EXPECT_THROW(Network(make_crossbar(2), cfg), CheckError);
+}
+
+TEST(Network, LevelDegradationStretchesSerialisationOnly) {
+  Packet p{PacketType::kRead, {}, {}, 1024 - kHeaderBytes};
+  Network healthy(make_crossbar(2), simple_config());
+  Network degraded(make_crossbar(2), simple_config());
+  degraded.set_level_degradation(0, 2.0);
+  EXPECT_DOUBLE_EQ(degraded.level_degradation(0), 2.0);
+  EXPECT_DOUBLE_EQ(degraded.level_degradation(1), 1.0);
+  const auto h = healthy.send(0, 1, p, 0);
+  const auto d = degraded.send(0, 1, p, 0);
+  EXPECT_EQ(d.hops, h.hops);
+  const SimDuration hops = 2 * nanoseconds(10);
+  const auto ser_h = static_cast<double>(h.arrival - hops);
+  const auto ser_d = static_cast<double>(d.arrival - hops);
+  EXPECT_NEAR(ser_d, 2.0 * ser_h, 1.0);
+}
+
+TEST(Network, RejectsBadDegradation) {
+  Network net(make_crossbar(2), simple_config());
+  EXPECT_THROW(net.set_level_degradation(0, 0.5), CheckError);
+  EXPECT_THROW(net.set_level_degradation(-1, 2.0), CheckError);
+  EXPECT_THROW(net.set_level_degradation(7, 2.0), CheckError);
+  EXPECT_DOUBLE_EQ(net.level_degradation(7), 1.0);
 }
 
 TEST(Packet, WireBytesIncludeHeader) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/check.h"
@@ -57,6 +60,92 @@ TEST_P(CollectiveSize, AllreduceSynchronisesAllRanks) {
   }
 }
 
+TEST_P(CollectiveSize, AllreduceMessageCountFollowsRecursiveDoubling) {
+  // Round k pairs r with r + 2^k (bit k of r clear); each pair exchanges
+  // two messages. Power-of-two P gives P * log2(P).
+  const std::map<std::size_t, std::uint64_t> expected{
+      {1, 0}, {2, 2}, {3, 4}, {4, 8}, {8, 24}, {16, 64}};
+  MpiWorld world(GetParam());
+  const auto r = world.allreduce(kibibytes(1), zeros(GetParam()));
+  EXPECT_EQ(r.messages, expected.at(GetParam()));
+  EXPECT_EQ(r.bytes_on_wire, r.messages * kibibytes(1));
+}
+
+TEST_P(CollectiveSize, AlltoallExchangesEveryOrderedPairOnce) {
+  const std::size_t p = GetParam();
+  MpiWorld world(p);
+  const auto r = world.alltoall(kibibytes(2), zeros(p));
+  EXPECT_EQ(r.messages, p * (p - 1));
+  EXPECT_EQ(r.bytes_on_wire, p * (p - 1) * kibibytes(2));
+}
+
+TEST_P(CollectiveSize, AlltoallEveryRankWaitsForEveryPeer) {
+  // Every rank receives a block from every peer, so no rank can finish
+  // before the last one has arrived.
+  const std::size_t p = GetParam();
+  MpiWorld world(p);
+  std::vector<SimTime> arrivals(p, 0);
+  arrivals.back() = milliseconds(1);
+  const auto r = world.alltoall(kibibytes(1), arrivals);
+  ASSERT_EQ(r.per_rank.size(), p);
+  for (const auto t : r.per_rank) EXPECT_GE(t, milliseconds(1));
+}
+
+TEST_P(CollectiveSize, PerRankTimesNeverPrecedeOwnArrival) {
+  const std::size_t p = GetParam();
+  std::vector<SimTime> arrivals(p);
+  for (std::size_t i = 0; i < p; ++i) arrivals[i] = nanoseconds(100) * i;
+  MpiWorld world(p);
+  for (const auto& r : {world.allreduce(512, arrivals),
+                        world.alltoall(512, arrivals)}) {
+    ASSERT_EQ(r.per_rank.size(), p);
+    SimTime last = 0;
+    for (std::size_t i = 0; i < p; ++i) {
+      EXPECT_GE(r.per_rank[i], arrivals[i]);
+      last = std::max(last, r.per_rank[i]);
+    }
+    EXPECT_EQ(r.finish, last);
+  }
+}
+
+TEST_P(CollectiveSize, WorldCountersMatchCollectiveResults) {
+  const std::size_t p = GetParam();
+  MpiWorld world(p);
+  const auto a = world.allreduce(kibibytes(1), zeros(p));
+  const auto b = world.alltoall(kibibytes(32), zeros(p));
+  EXPECT_EQ(world.messages_sent(), a.messages + b.messages);
+  EXPECT_EQ(world.bytes_sent(), a.bytes_on_wire + b.bytes_on_wire);
+  EXPECT_NEAR(world.energy().total(), a.energy + b.energy,
+              1e-9 * (a.energy + b.energy));
+  EXPECT_EQ(world.energy().total() > 0.0, p > 1);
+}
+
+TEST_P(CollectiveSize, LargerPayloadNeverFinishesEarlier) {
+  const std::size_t p = GetParam();
+  MpiWorld small_world(p);
+  MpiWorld big_world(p);
+  const auto small = small_world.allreduce(kibibytes(1), zeros(p));
+  const auto big = big_world.allreduce(kibibytes(64), zeros(p));
+  EXPECT_GE(big.finish, small.finish);
+  EXPECT_EQ(big.finish > small.finish, p > 1);
+  const auto small_x = small_world.alltoall(kibibytes(1), zeros(p));
+  const auto big_x = big_world.alltoall(kibibytes(64), zeros(p));
+  EXPECT_EQ(big_x.finish > small_x.finish, p > 1);
+}
+
+TEST_P(CollectiveSize, PeriodicRingHasTwoNeighboursPerRank) {
+  const std::size_t p = GetParam();
+  CartTopology ring({p}, /*periodic=*/true);
+  ASSERT_EQ(ring.size(), p);
+  for (std::size_t r = 0; r < p; ++r) {
+    EXPECT_EQ(ring.neighbors(r).size(), p == 1 ? 0u : 2u);
+    const auto next = ring.shift(r, 0, 1);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(*next, (r + 1) % p);
+    EXPECT_EQ(ring.shift(*next, 0, -1).value(), r);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSize,
                          ::testing::Values(1, 2, 3, 4, 8, 16));
 
@@ -70,6 +159,32 @@ TEST(Collectives, NonPowerOfTwoRanksWork) {
   MpiWorld world(5);
   EXPECT_NO_THROW(world.allreduce(512, zeros(5)));
   EXPECT_NO_THROW(world.alltoall(512, zeros(5)));
+}
+
+TEST(Collectives, PowerOfTwoAllreduceWaitsForEveryRank) {
+  // Recursive doubling is exact at power-of-two sizes: every rank's
+  // result depends on every contribution, whichever rank arrives last.
+  for (std::size_t late = 0; late < 8; ++late) {
+    MpiWorld world(8);
+    std::vector<SimTime> arrivals(8, 0);
+    arrivals[late] = milliseconds(1);
+    const auto r = world.allreduce(kibibytes(1), arrivals);
+    for (const auto t : r.per_rank) EXPECT_GT(t, milliseconds(1));
+  }
+}
+
+TEST(CartTopology, ThreeDimensionalGrid) {
+  CartTopology cart({3, 3, 3}, /*periodic=*/false);
+  EXPECT_EQ(cart.ndims(), 3u);
+  EXPECT_EQ(cart.dims(), (std::vector<std::size_t>{3, 3, 3}));
+  EXPECT_EQ(cart.size(), 27u);
+  const std::vector<std::size_t> centre{1, 1, 1};
+  EXPECT_EQ(cart.neighbors(cart.rank_of(centre)).size(), 6u);
+  EXPECT_EQ(cart.neighbors(0).size(), 3u);  // corner
+  // The last dimension varies fastest.
+  EXPECT_EQ(cart.shift(0, 2, 1).value(), 1u);
+  EXPECT_EQ(cart.shift(0, 0, 1).value(), 9u);
+  EXPECT_THROW(cart.coords_of(27), CheckError);
 }
 
 TEST(CartTopology, RankCoordsRoundTrip) {

@@ -27,6 +27,15 @@ TEST(Machine, ConstructionWiresEverything) {
   EXPECT_EQ(m.worker(WorkerCoord{1, 1}).coord(), (WorkerCoord{1, 1}));
 }
 
+TEST(TaskResult, QueueWaitAndTurnaroundMeasureFromRelease) {
+  TaskResult r;
+  r.release = microseconds(2);
+  r.started = microseconds(5);
+  r.finished = microseconds(12);
+  EXPECT_EQ(r.queue_wait(), microseconds(3));
+  EXPECT_EQ(r.turnaround(), microseconds(10));
+}
+
 // --- allocator -------------------------------------------------------------
 
 TEST(Allocator, LocalPlacesEverythingAtAnchor) {

@@ -453,6 +453,20 @@ SweepRun oracle_sweep(const SweepCase& c) {
   }
 }
 
+TEST(TailSummary, ReportsNanosecondsAndGoodput) {
+  LatencyHistogram h;
+  for (std::uint64_t i = 1; i <= 1000; ++i) h.record(i * 1000);  // 1..1000 ns
+  const serve::TailSummary s = serve::summarize(h);
+  EXPECT_EQ(s.count, 1000u);
+  EXPECT_DOUBLE_EQ(s.mean_ns, 500.5);
+  EXPECT_DOUBLE_EQ(s.max_ns, 1000.0);
+  EXPECT_LE(s.p50_ns, s.p99_ns);
+  EXPECT_LE(s.p99_ns, s.p999_ns);
+  EXPECT_NEAR(s.p50_ns, 500.0, 500.0 / LatencyHistogram::kSub);
+  EXPECT_DOUBLE_EQ(serve::goodput_per_sec(1000, milliseconds(2)), 5e5);
+  EXPECT_DOUBLE_EQ(serve::goodput_per_sec(1000, 0), 0.0);
+}
+
 TEST(GraphSweep, VisitsInLinearScanArgminOrder) {
   Rng rng(0x5EEB);
   for (int trial = 0; trial < 300; ++trial) {

@@ -18,6 +18,21 @@ TEST(Cpu, ExecutionTimeMatchesClock) {
   EXPECT_DOUBLE_EQ(e.energy, cfg.pj_per_cycle * 1000.0);
 }
 
+TEST(Cpu, EarliestFreeIsTheIdlestCore) {
+  CpuConfig cfg;
+  cfg.cores = 3;
+  cfg.clock_ghz = 2.0;  // 2 cycles per ns
+  CpuCluster cpu("c", cfg);
+  EXPECT_EQ(cpu.core_count(), 3u);
+  EXPECT_EQ(cpu.cycles_to_time(2000.0), nanoseconds(1000));
+  EXPECT_EQ(cpu.earliest_free(), 0u);
+  cpu.execute(0, 2000.0);
+  cpu.execute(0, 4000.0);
+  EXPECT_EQ(cpu.earliest_free(), 0u);  // one core still idle
+  cpu.execute(0, 6000.0);
+  EXPECT_EQ(cpu.earliest_free(), nanoseconds(1000));
+}
+
 TEST(Cpu, PicksEarliestFreeCore) {
   CpuConfig cfg;
   cfg.cores = 2;
