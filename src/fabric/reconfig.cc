@@ -8,13 +8,15 @@ namespace ecoscale {
 
 namespace {
 /// Reconfiguration span names, one per compression scheme so a Perfetto
-/// query can split latency by wire format without parsing args.
+/// query can split latency by wire format without parsing args, and the
+/// energy category a load charges.
 struct ReconfigTraceNames {
   CounterId by_compression[3] = {
       CounterRegistry::intern("fabric.reconfig.none"),
       CounterRegistry::intern("fabric.reconfig.rle"),
       CounterRegistry::intern("fabric.reconfig.lz"),
   };
+  CounterId config_energy = CounterRegistry::intern("fabric.config");
 };
 [[maybe_unused]] const ReconfigTraceNames& reconfig_trace_names() {
   static const ReconfigTraceNames names;
@@ -131,7 +133,7 @@ std::optional<LoadResult> ReconfigManager::ensure_loaded(
       trace_lane_, now, result.ready, wire);
   config_bytes_total_ += wire;
   ++loads_;
-  energy_.charge("fabric.config",
+  energy_.charge(reconfig_trace_names().config_energy,
                  config_.pj_per_config_byte * static_cast<double>(wire));
   loaded_[module.kernel] =
       Loaded{module.kernel, *region, /*busy_until=*/result.ready,

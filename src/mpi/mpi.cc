@@ -4,6 +4,14 @@
 
 namespace ecoscale {
 
+namespace {
+/// Energy category of a point-to-point message, interned once.
+CounterId p2p_energy_id() {
+  static const CounterId id = CounterRegistry::intern("mpi.p2p");
+  return id;
+}
+}  // namespace
+
 MpiWorld::MpiWorld(std::size_t ranks, MpiConfig config)
     : ranks_(ranks), config_(config) {
   ECO_CHECK(ranks_ >= 1);
@@ -44,38 +52,34 @@ MsgResult MpiWorld::send(std::size_t src, std::size_t dst, Bytes bytes,
   r.delivered =
       recv_cpu_[dst].reserve_until(d.arrival, config_.recv_overhead);
   r.energy += d.energy;
-  energy_.charge("mpi.p2p", r.energy);
+  energy_.charge(p2p_energy_id(), r.energy);
   return r;
 }
-
-namespace {
-
-/// Number of rounds in a power-of-two-style schedule.
-std::size_t ceil_log2(std::size_t n) {
-  std::size_t r = 0;
-  std::size_t v = 1;
-  while (v < n) {
-    v <<= 1;
-    ++r;
-  }
-  return r;
-}
-
-}  // namespace
 
 CollectiveResult MpiWorld::allreduce(Bytes bytes,
                                      std::span<const SimTime> arrivals) {
-  // Recursive doubling (exact for power-of-two, padded schedule otherwise).
+  // Recursive doubling over the largest power of two p2 <= P. A rank
+  // r >= p2 first folds its contribution into rank r - p2, and gets the
+  // result back from it at the end (MPICH's scheme for non-power-of-two
+  // sizes), so every rank's result depends on every contribution.
   ECO_CHECK(arrivals.size() == ranks_);
   CollectiveResult result;
   std::vector<SimTime> t(arrivals.begin(), arrivals.end());
-  const std::size_t rounds = ceil_log2(ranks_);
-  for (std::size_t k = 0; k < rounds; ++k) {
-    const std::size_t stride = 1ull << k;
+  std::size_t p2 = 1;
+  while (2 * p2 <= ranks_) p2 <<= 1;
+  const auto one_way = [&](std::size_t from, std::size_t to) {
+    const auto m = send(from, to, bytes, t[from]);
+    t[to] = std::max(t[to], m.delivered);
+    result.energy += m.energy;
+    result.messages += 1;
+    result.bytes_on_wire += bytes;
+  };
+  for (std::size_t r = p2; r < ranks_; ++r) one_way(r, r - p2);
+  for (std::size_t stride = 1; stride < p2; stride <<= 1) {
     std::vector<SimTime> next = t;
-    for (std::size_t r = 0; r < ranks_; ++r) {
+    for (std::size_t r = 0; r < p2; ++r) {
       const std::size_t peer = r ^ stride;
-      if (peer >= ranks_ || peer < r) continue;
+      if (peer < r) continue;
       // Pairwise exchange.
       const auto a = send(r, peer, bytes, t[r]);
       const auto b = send(peer, r, bytes, t[peer]);
@@ -88,6 +92,7 @@ CollectiveResult MpiWorld::allreduce(Bytes bytes,
     }
     t = std::move(next);
   }
+  for (std::size_t r = p2; r < ranks_; ++r) one_way(r - p2, r);
   result.per_rank = t;
   result.finish = *std::max_element(t.begin(), t.end());
   return result;

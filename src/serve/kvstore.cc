@@ -1,5 +1,6 @@
 #include "serve/kvstore.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <span>
@@ -123,6 +124,9 @@ KvStore::KvStore(ShardedRuntime& rt, KvConfig config)
         ++cursor[w];
       }
     }
+    // Staging for migrate_item, sized for the largest block.
+    move_buf_.reserve((config_.key_space + config_.repart_blocks - 1) /
+                      config_.repart_blocks * kSlotBytes);
   } else {
     // Partition pass 1: count keys per (node, worker).
     std::vector<std::vector<std::uint64_t>> counts(
@@ -379,42 +383,29 @@ void KvStore::migrate_item(std::uint32_t block, std::uint32_t from,
   PgasSystem& src = rt_.machine(from).pgas();
   PgasSystem& dst = rt_.machine(to).pgas();
   const std::uint64_t first = block_first(block);
-  const std::uint64_t count = block_keys(block);
-  // Functional move, slot by slot; the source slots are wiped so a bug
-  // that reads them after the cut surfaces as data loss, not stale data.
-  std::array<std::uint64_t, 2> words{};
-  const std::array<std::uint64_t, 2> zero{};
-  for (std::uint64_t key = first; key < first + count; ++key) {
-    const auto s = GlobalAddress::from_raw(block_slot_addr_[from][key]);
-    const auto d = GlobalAddress::from_raw(block_slot_addr_[to][key]);
-    src.read_bytes(s, std::span<std::uint8_t>(
-                          reinterpret_cast<std::uint8_t*>(words.data()),
-                          static_cast<std::size_t>(kSlotBytes)));
-    dst.write_bytes(d, std::span<const std::uint8_t>(
-                           reinterpret_cast<const std::uint8_t*>(words.data()),
-                           static_cast<std::size_t>(kSlotBytes)));
-    src.write_bytes(s, std::span<const std::uint8_t>(
-                           reinterpret_cast<const std::uint8_t*>(zero.data()),
-                           static_cast<std::size_t>(kSlotBytes)));
-  }
+  const Bytes bytes = block_keys(block) * kSlotBytes;
+  const auto from_addr = GlobalAddress::from_raw(block_slot_addr_[from][first]);
+  const auto to_addr = GlobalAddress::from_raw(block_slot_addr_[to][first]);
+  // Functional move. A block's slots are contiguous in both regions (the
+  // constructor assigns them in key order), so one read and one write
+  // carry the whole block. The source slots are then wiped so a bug that
+  // reads them after the cut surfaces as data loss, not stale data.
+  move_buf_.resize(bytes);
+  src.read_bytes(from_addr, move_buf_);
+  dst.write_bytes(to_addr, move_buf_);
+  std::fill(move_buf_.begin(), move_buf_.end(), std::uint8_t{0});
+  src.write_bytes(from_addr, move_buf_);
   // Timed UNIMEM block DMA: one bulk read out of the donor, the wire
-  // latency, one bulk write into the receiver. A block's slots are
-  // contiguous in both regions, so each end is a single access. We are at
-  // an epoch pause (no shard running), so issuing timed accesses here is
-  // single-threaded and in deterministic plan order.
+  // latency, one bulk write into the receiver, a single access at each
+  // end. We are at an epoch pause (no shard running), so issuing timed
+  // accesses here is single-threaded and in deterministic plan order.
   const auto worker = static_cast<WorkerId>(
       block % rt_.machine(0).workers_per_node());
-  const Bytes bytes = count * kSlotBytes;
-  const MemAccess rd =
-      src.load(WorkerCoord{0, worker},
-               GlobalAddress::from_raw(block_slot_addr_[from][first]), bytes,
-               at);
+  const MemAccess rd = src.load(WorkerCoord{0, worker}, from_addr, bytes, at);
   const SimTime arrive =
       std::max(rd.finish, at + rt_.inter_node_latency(from, to));
   const MemAccess wr =
-      dst.store(WorkerCoord{0, worker},
-                GlobalAddress::from_raw(block_slot_addr_[to][first]), bytes,
-                arrive);
+      dst.store(WorkerCoord{0, worker}, to_addr, bytes, arrive);
   ECO_TRACE_SPAN(obs::Cat::kUnimem, serve_trace_names().block_move,
                  (obs::Lane{static_cast<std::uint16_t>(to),
                             static_cast<std::uint16_t>(worker)}),

@@ -110,6 +110,11 @@ class KvStore : public repart::RepartClient {
     return static_cast<std::uint32_t>(key * config_.repart_blocks /
                                       config_.key_space);
   }
+  /// The slot of `key` in node `node`'s region: every node holds one for
+  /// every key, live while the node owns the key's block.
+  GlobalAddress block_slot(std::size_t node, std::uint64_t key) const {
+    return GlobalAddress::from_raw(block_slot_addr_[node][key]);
+  }
   /// The canonical initial placement (contiguous key ranges) — construct
   /// the Repartitioner with this.
   std::vector<std::uint32_t> initial_block_owners() const {
@@ -168,6 +173,7 @@ class KvStore : public repart::RepartClient {
   /// the attached repartitioner's, else the initial placement that nobody
   /// flips (dropped when a repartitioner attaches).
   std::vector<std::vector<std::uint64_t>> block_slot_addr_;
+  std::vector<std::uint8_t> move_buf_;  // migrate_item's staging, reused
   std::optional<ShardedDirectory> static_blocks_;
   const ShardedDirectory* blocks_ = nullptr;
   repart::Repartitioner* repart_ = nullptr;

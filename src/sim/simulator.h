@@ -1,20 +1,29 @@
 // Discrete-event simulation kernel.
 //
-// A Simulator owns a monotonic picosecond clock and a binary heap of pending
-// events. Ties are broken by the event's key, its insertion sequence number,
-// so a run is fully deterministic: the same seed and the same schedule order
-// always produce the same trace. The key's top 16 bits name the event's
-// origin (0 for a plain Simulator); the sharded engine gives each shard its
-// own origin, so events order by (time, origin, origin counter) there
-// (sim/parallel.h).
+// A Simulator owns a monotonic picosecond clock and a 4-ary min-heap of
+// pending events. Ties are broken by the event's key, its insertion
+// sequence number, so a run is fully deterministic: the same seed and the
+// same schedule order always produce the same trace. The key's top 16 bits
+// name the event's origin (0 for a plain Simulator); the sharded engine
+// gives each shard its own origin, so events order by (time, origin, origin
+// counter) there (sim/parallel.h).
 //
 // Hot-path layout: actions are InlineAction (captures up to 64 bytes live
 // inside the slot, larger ones spill to a recycled block pool) and are
 // parked in a chunked slab of recycled slots; the heap itself orders only
 // POD (time, seq, slot) entries. Sifting therefore moves 24-byte PODs
-// instead of whole events, and because slab chunks never move, a popped
+// instead of whole events, and because slab chunks never move, a retired
 // action runs in place — retiring an event copies nothing and performs no
 // heap allocation at all.
+//
+// Held root: the running event stays at the heap root while its action
+// runs. The action's first schedule on this simulator replaces the root
+// with one sift-down (replace-top), so the common "retire one event,
+// schedule its one follow-up" costs one sift instead of a pop plus a push;
+// an action that schedules nothing has its root dropped after it returns.
+// While the root is held, idle() and pending_events() count the running
+// event as gone, and the calls that read the queue front (next_event_time,
+// step, run, run_until, run_before) fail an ECO_CHECK.
 #pragma once
 
 #include <algorithm>
@@ -81,7 +90,12 @@ class Simulator {
       slot = slot_count_++;
     }
     slot_ref(slot).emplace(std::forward<F>(action));
-    heap_push(Entry{t, key, slot});
+    if (held_) {
+      held_ = false;
+      sift_down(Entry{t, key, slot});
+    } else {
+      heap_push(Entry{t, key, slot});
+    }
   }
 
   /// Stamp every event this simulator creates from now on with `origin`.
@@ -121,6 +135,7 @@ class Simulator {
 
   /// Run until the event queue is empty.
   void run() {
+    check_not_running();
     const auto t0 = Clock::now();
     ECO_TRACE_BEGIN(obs::Cat::kSim, detail::sim_trace_names().run,
                     (obs::Lane{obs::kSimPid, trace_tid_}), now_);
@@ -136,6 +151,7 @@ class Simulator {
   /// Run while events exist and their time is <= `t`; then advance the
   /// clock to `t`. Returns true if events remain beyond `t`.
   bool run_until(SimTime t) {
+    check_not_running();
     const auto t0 = Clock::now();
     retiring_on_throw([this, t] {
       while (has_due(t)) step_untimed();
@@ -153,6 +169,7 @@ class Simulator {
   /// its whole executor loop with one clock pair instead
   /// (ShardedSimulator::shard_wall_time_ns), so wall_time_ns() excludes it.
   void run_before(SimTime end) {
+    check_not_running();
     run_bound_ = end;
     retiring_on_throw([this] {
       while (has_due_before(run_bound_)) step_untimed();
@@ -171,6 +188,7 @@ class Simulator {
 
   /// Timestamp of the earliest pending event. Precondition: !idle().
   SimTime next_event_time() const {
+    check_not_running();
     const Entry* e = peek_min();
     ECO_CHECK_MSG(e != nullptr, "next_event_time() on an idle simulator");
     return e->time;
@@ -178,6 +196,7 @@ class Simulator {
 
   /// Execute the single earliest event. Returns false if none is pending.
   bool step() {
+    check_not_running();
     const auto t0 = Clock::now();
     bool fired = false;
     retiring_on_throw([this, &fired] { fired = step_untimed(); });
@@ -185,7 +204,8 @@ class Simulator {
     return fired;
   }
 
-  bool idle() const { return heap_.empty() && sorted_.empty(); }
+  /// Inside a running action the running event already counts as gone.
+  bool idle() const { return heap_pending() == 0 && sorted_.empty(); }
 
   /// Trace lane (tid under the kSimPid process) this kernel's spans land
   /// in. The default 0 is the classic single-engine lane; the sharded
@@ -194,7 +214,7 @@ class Simulator {
   void set_trace_lane(std::uint16_t tid) { trace_tid_ = tid; }
   std::uint16_t trace_lane() const { return trace_tid_; }
   std::size_t pending_events() const {
-    return heap_.size() + sorted_.size();
+    return heap_pending() + sorted_.size();
   }
   std::uint64_t events_processed() const { return events_processed_; }
 
@@ -223,14 +243,43 @@ class Simulator {
 #ifdef __SIZEOF_INT128__
     // One branchless 128-bit compare of (time, seq) instead of two
     // dependent branches; sift loops live and die by this comparator.
-    const auto ka =
-        (static_cast<unsigned __int128>(a.time) << 64) | a.seq;
-    const auto kb =
-        (static_cast<unsigned __int128>(b.time) << 64) | b.seq;
-    return ka < kb;
+    return key(a) < key(b);
 #else
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
+#endif
+  }
+
+#ifdef __SIZEOF_INT128__
+  static unsigned __int128 key(const Entry& e) {
+    return (static_cast<unsigned __int128>(e.time) << 64) | e.seq;
+  }
+#endif
+
+  // Index of the earliest of the four children h[first..first+3], as a
+  // two-round tournament of selects: the winners of (c0, c1) and (c2, c3)
+  // meet in a final. The outcome of a compare feeds a conditional move,
+  // never a branch the predictor would have to guess.
+  static std::size_t min_of_four(const Entry* h, std::size_t first) {
+    const Entry* c = h + first;
+#ifdef __SIZEOF_INT128__
+    const auto k0 = key(c[0]);
+    const auto k1 = key(c[1]);
+    const auto k2 = key(c[2]);
+    const auto k3 = key(c[3]);
+    const bool low = k1 < k0;
+    const bool high = k3 < k2;
+    const auto ka = low ? k1 : k0;
+    const auto kb = high ? k3 : k2;
+    const std::size_t a = first + low;
+    const std::size_t b = first + 2 + high;
+    // A mask, not `kb < ka ? b : a`: GCC -O2 compiles that to a branch.
+    const std::size_t take_b = -static_cast<std::size_t>(kb < ka);
+    return a ^ ((a ^ b) & take_b);
+#else
+    const std::size_t a = first + earlier(c[1], c[0]);
+    const std::size_t b = first + 2 + earlier(c[3], c[2]);
+    return earlier(h[b], h[a]) ? b : a;
 #endif
   }
 
@@ -252,53 +301,71 @@ class Simulator {
   static constexpr std::size_t kFloydPopThreshold = 4096;
   static constexpr std::size_t kSortRunThreshold = 8192;
 
-  Entry heap_pop() {
-    const Entry top = heap_[0];
+  // Place `e` in the root hole and restore heap order over the current
+  // entries. Dropping the root (the tail moves in) and replace-top (a new
+  // entry moves in) both end here.
+  void sift_down(Entry e) {
+    Entry* h = heap_.data();
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    if (n <= kFloydPopThreshold) {
+      // Floyd: sink the hole to a leaf choosing the min child only (no
+      // per-level comparison with `e`), then sift `e` back up. Wins while
+      // the heap is cache-resident; on deep cold heaps the up-pass
+      // re-touches evicted lines, so large heaps use the classic
+      // early-exit sift instead.
+      for (;;) {
+        const std::size_t first = 4 * i + 1;
+        std::size_t best;
+        if (first + 4 <= n) {
+          best = min_of_four(h, first);
+        } else if (first < n) {
+          best = first;  // partial last family
+          for (std::size_t c = first + 1; c < n; ++c) {
+            if (earlier(h[c], h[best])) best = c;
+          }
+        } else {
+          break;
+        }
+        h[i] = h[best];
+        i = best;
+      }
+      while (i > 0) {
+        const std::size_t parent = (i - 1) >> 2;
+        if (!earlier(e, h[parent])) break;
+        h[i] = h[parent];
+        i = parent;
+      }
+    } else {
+      for (;;) {
+        const std::size_t first = 4 * i + 1;
+        if (first >= n) break;
+        const std::size_t last = first + 4 < n ? first + 4 : n;
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < last; ++c) {
+          if (earlier(h[c], h[best])) best = c;
+        }
+        if (!earlier(h[best], e)) break;
+        h[i] = h[best];
+        i = best;
+      }
+    }
+    h[i] = e;
+  }
+
+  // Remove the held root: the tail takes its place.
+  void drop_root() {
+    held_ = false;
     const Entry tail = heap_.back();
     heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n != 0) {
-      std::size_t i = 0;
-      if (n <= kFloydPopThreshold) {
-        // Floyd: sink the hole to a leaf choosing the min child only (no
-        // per-level tail comparison), then sift the tail element back up.
-        // Wins while the heap is cache-resident; on deep cold heaps the
-        // up-pass re-touches evicted lines, so large heaps use the
-        // classic early-exit sift instead.
-        for (;;) {
-          const std::size_t first = 4 * i + 1;
-          if (first >= n) break;
-          const std::size_t last = first + 4 < n ? first + 4 : n;
-          std::size_t best = first;
-          for (std::size_t c = first + 1; c < last; ++c) {
-            if (earlier(heap_[c], heap_[best])) best = c;
-          }
-          heap_[i] = heap_[best];
-          i = best;
-        }
-        while (i > 0) {
-          const std::size_t parent = (i - 1) >> 2;
-          if (!earlier(tail, heap_[parent])) break;
-          heap_[i] = heap_[parent];
-          i = parent;
-        }
-      } else {
-        for (;;) {
-          const std::size_t first = 4 * i + 1;
-          if (first >= n) break;
-          const std::size_t last = first + 4 < n ? first + 4 : n;
-          std::size_t best = first;
-          for (std::size_t c = first + 1; c < last; ++c) {
-            if (earlier(heap_[c], heap_[best])) best = c;
-          }
-          if (!earlier(heap_[best], tail)) break;
-          heap_[i] = heap_[best];
-          i = best;
-        }
-      }
-      heap_[i] = tail;
-    }
-    return top;
+    if (!heap_.empty()) sift_down(tail);
+  }
+
+  std::size_t heap_pending() const { return heap_.size() - (held_ ? 1 : 0); }
+
+  void check_not_running() const {
+    ECO_CHECK_MSG(running_slot_ == kNoSlot,
+                  "queue read or run from inside a running action");
   }
 
   bool has_due(SimTime t) const {
@@ -315,7 +382,7 @@ class Simulator {
   // a descending sorted run: popping the minimum becomes pop_back, and one
   // std::sort of POD entries beats draining the same entries through
   // O(log n) sifts. New arrivals keep landing in the (now small) heap;
-  // pop_min takes the smaller of the two fronts, so execution order is
+  // take_min takes the smaller of the two fronts, so execution order is
   // identical to a single priority queue.
   void maybe_convert_backlog() {
     if (heap_.size() < kSortRunThreshold || heap_.size() < sorted_.size() / 4) {
@@ -327,14 +394,18 @@ class Simulator {
               [](const Entry& a, const Entry& b) { return earlier(b, a); });
   }
 
-  Entry pop_min() {
+  // The earliest pending entry. A backlog minimum leaves the sorted run
+  // at once; a heap minimum stays at the root, held, until the running
+  // action's first schedule replaces it or drop_root() removes it.
+  Entry take_min() {
     if (!sorted_.empty() &&
         (heap_.empty() || earlier(sorted_.back(), heap_.front()))) {
       const Entry e = sorted_.back();
       sorted_.pop_back();
       return e;
     }
-    return heap_pop();
+    held_ = true;
+    return heap_.front();
   }
 
   const Entry* peek_min() const {
@@ -353,13 +424,8 @@ class Simulator {
     // the slab) cannot move the running capture. The slot is only
     // returned to the free list after the capture is destroyed, so a
     // nested schedule_at can never overwrite it mid-execution.
-    const Entry entry = pop_min();
+    const Entry entry = take_min();
     Action& action = slot_ref(entry.slot);
-    if (const Entry* next = peek_min()) {
-      // The very next event's capture is a dependent random access into
-      // the slab; start pulling it in while this action runs.
-      __builtin_prefetch(&slot_ref(next->slot));
-    }
     // Dispatch span: the clock advance this event retired, with the queue
     // depth it left behind — the timeline view of where sim-time goes.
     ECO_TRACE_SPAN(obs::Cat::kSim, detail::sim_trace_names().step,
@@ -373,20 +439,23 @@ class Simulator {
     running_slot_ = entry.slot;
     action();
     running_slot_ = kNoSlot;
+    if (held_) drop_root();
     action.reset();
     free_slots_.push_back(entry.slot);
     return true;
   }
 
-  /// Runs one of the run loops. If an action throws, its capture is
-  /// destroyed and its slot freed before the exception propagates; the
-  /// catch sits around the whole loop, not around each event, so the
-  /// per-event path only records which slot is running.
+  /// Runs one of the run loops. If an action throws, a still-held root is
+  /// dropped, and the action's capture is destroyed and its slot freed,
+  /// before the exception propagates; the catch sits around the whole
+  /// loop, not around each event, so the per-event path only records
+  /// which slot is running.
   template <typename Loop>
   void retiring_on_throw(Loop&& loop) {
     try {
       loop();
     } catch (...) {
+      if (held_) drop_root();
       if (running_slot_ != kNoSlot) {
         slot_ref(running_slot_).reset();
         free_slots_.push_back(running_slot_);
@@ -417,6 +486,7 @@ class Simulator {
   SimTime now_ = 0;
   SimTime run_bound_ = 0;  // live bound of the run_before() in flight
   std::uint32_t running_slot_ = kNoSlot;  // slot of the action in flight
+  bool held_ = false;  // heap_[0] is the running event (file comment)
   std::uint16_t trace_tid_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

@@ -7,7 +7,7 @@
 namespace ecoscale {
 
 namespace {
-/// Accelerator-sharing trace names, interned once per process.
+/// Accelerator-sharing trace and energy names, interned once per process.
 struct PoolTraceNames {
   CounterId queue = CounterRegistry::intern("unilogic.queue");
   CounterId exec = CounterRegistry::intern("unilogic.exec");
@@ -15,6 +15,8 @@ struct PoolTraceNames {
   CounterId retry = CounterRegistry::intern("unilogic.retry");
   CounterId fallback = CounterRegistry::intern("unilogic.fallback");
   CounterId wasted = CounterRegistry::intern("unilogic.wasted");
+  CounterId remote = CounterRegistry::intern("unilogic.remote");
+  CounterId local = CounterRegistry::intern("unilogic.local");
 };
 [[maybe_unused]] const PoolTraceNames& pool_trace_names() {
   static const PoolTraceNames names;
@@ -190,10 +192,10 @@ std::optional<UnilogicInvoke> UnilogicPool::invoke(
                                       result.finish);
       result.finish = back.arrival;
       result.energy += back.energy;
-      energy_.charge("unilogic.remote", result.energy);
+      energy_.charge(pool_trace_names().remote, result.energy);
     } else {
       ++local_invocations_;
-      energy_.charge("unilogic.local", result.energy);
+      energy_.charge(pool_trace_names().local, result.energy);
     }
     if (wasted > 0.0) {
       energy_.charge(pool_trace_names().wasted, wasted);

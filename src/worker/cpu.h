@@ -16,6 +16,14 @@
 
 namespace ecoscale {
 
+namespace detail {
+/// Energy category of CPU execution, interned once.
+inline CounterId cpu_dynamic_energy_id() {
+  static const CounterId id = CounterRegistry::intern("cpu.dynamic");
+  return id;
+}
+}  // namespace detail
+
 struct CpuConfig {
   std::size_t cores = 4;
   double clock_ghz = 1.2;
@@ -68,7 +76,7 @@ class CpuCluster {
     e.start = start;
     e.finish = start + service;
     e.energy = config_.pj_per_cycle * cycles;
-    energy_.charge("cpu.dynamic", e.energy);
+    energy_.charge(detail::cpu_dynamic_energy_id(), e.energy);
     return e;
   }
 

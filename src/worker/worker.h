@@ -23,6 +23,19 @@
 
 namespace ecoscale {
 
+namespace detail {
+/// Energy categories a Worker charges per execution, interned once.
+struct WorkerEnergyIds {
+  CounterId sw = CounterRegistry::intern("worker.sw");
+  CounterId hw = CounterRegistry::intern("worker.hw");
+  CounterId hw_mem = CounterRegistry::intern("worker.hw_mem");
+};
+inline const WorkerEnergyIds& worker_energy_ids() {
+  static const WorkerEnergyIds ids;
+  return ids;
+}
+}  // namespace detail
+
 struct WorkerConfig {
   CpuConfig cpu;
   ReconfigConfig fabric;
@@ -68,7 +81,7 @@ class Worker {
     r.finish = e.finish;
     r.energy = e.energy;
     r.hardware = false;
-    energy_.charge("worker.sw", e.energy);
+    energy_.charge(detail::worker_energy_ids().sw, e.energy);
     return r;
   }
 
@@ -99,8 +112,8 @@ class Worker {
                config_.accel_mem_pj_per_byte * static_cast<double>(moved);
     r.hardware = true;
     r.reconfigured = load->reconfigured;
-    energy_.charge("worker.hw", call.energy);
-    energy_.charge("worker.hw_mem",
+    energy_.charge(detail::worker_energy_ids().hw, call.energy);
+    energy_.charge(detail::worker_energy_ids().hw_mem,
                    config_.accel_mem_pj_per_byte * static_cast<double>(moved));
     return r;
   }

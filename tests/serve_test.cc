@@ -169,6 +169,50 @@ TEST(KvStore, GetSetDeleteChainOnOneKey) {
   EXPECT_FALSE(log[4].found);              // gone afterwards
 }
 
+TEST(KvStore, MigrateMovesAContiguousBlockInOneCopy) {
+  const std::size_t nodes = 3;
+  ShardedRuntime rt(serve_config(nodes, 2));
+  serve::KvConfig cfg = small_kv();
+  cfg.repart_blocks = 16;
+  KvStore kv(rt, cfg);
+  // Every block's slots are contiguous, in key order, on every node: the
+  // premise of moving a block with one read and one write.
+  std::vector<std::vector<std::uint64_t>> keys_of(cfg.repart_blocks);
+  for (std::uint64_t key = 0; key < cfg.key_space; ++key) {
+    keys_of[kv.block_of(key)].push_back(key);
+  }
+  for (std::size_t n = 0; n < nodes; ++n) {
+    for (std::uint32_t b = 0; b < cfg.repart_blocks; ++b) {
+      const auto& keys = keys_of[b];
+      ASSERT_FALSE(keys.empty());
+      const std::uint64_t slot_bytes = kv.item_bytes(b) / keys.size();
+      ASSERT_EQ(slot_bytes * keys.size(), kv.item_bytes(b));
+      const std::uint64_t base = kv.block_slot(n, keys.front()).raw();
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(kv.block_slot(n, keys[i]).raw(), base + i * slot_bytes)
+            << "node " << n << " block " << b << " key " << keys[i];
+      }
+    }
+  }
+  // A migration leaves the donor's bytes at the receiver and zeros behind.
+  const std::uint32_t block = 5;
+  const std::uint64_t first = keys_of[block].front();
+  const auto from = static_cast<std::uint32_t>(kv.owner_of(first));
+  const auto to = static_cast<std::uint32_t>((from + 1) % nodes);
+  const auto bytes = static_cast<std::size_t>(kv.item_bytes(block));
+  std::vector<std::uint8_t> before(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    before[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  rt.machine(from).pgas().write_bytes(kv.block_slot(from, first), before);
+  kv.migrate_item(block, from, to, 0);
+  std::vector<std::uint8_t> got(bytes, 0xAA);
+  rt.machine(to).pgas().read_bytes(kv.block_slot(to, first), got);
+  EXPECT_EQ(got, before);
+  rt.machine(from).pgas().read_bytes(kv.block_slot(from, first), got);
+  EXPECT_EQ(got, std::vector<std::uint8_t>(bytes, 0));
+}
+
 TEST(Admission, ShedsInsteadOfHangingUnderOverload) {
   ShardedRuntimeConfig rc = serve_config(4, 2);
   rc.runtime.admission_limit = 8;

@@ -4,7 +4,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <cstdlib>
 #include <memory>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -391,6 +394,256 @@ TEST(Simulator, ThrowingActionReleasesItsCapture) {
     sim.schedule_at(6, [&ran] { ++ran; });
     sim.run();
     EXPECT_EQ(ran, 1) << "loop " << i;
+  }
+}
+
+TEST(Simulator, IdleAndPendingInsideAnActionCountItsEventAsGone) {
+  Simulator sim;
+  std::vector<std::pair<bool, std::size_t>> seen;
+  const auto look = [&] { seen.emplace_back(sim.idle(), sim.pending_events()); };
+  sim.schedule_at(1, look);
+  sim.schedule_at(2, [&] {
+    look();
+    sim.schedule_after(1, look);
+    look();
+  });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<bool, std::size_t>>{
+                      {false, 1}, {true, 0}, {false, 1}, {true, 0}}));
+}
+
+TEST(Simulator, ReentrantQueueCallsFailTheirCheck) {
+  const std::vector<std::function<void(Simulator&)>> calls = {
+      [](Simulator& sim) { (void)sim.next_event_time(); },
+      [](Simulator& sim) { sim.step(); },
+      [](Simulator& sim) { sim.run(); },
+      [](Simulator& sim) { sim.run_until(sim.now() + 10); },
+      [](Simulator& sim) { sim.run_before(sim.now() + 10); },
+  };
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    // Before and after the action's first schedule (which releases the
+    // held root), the call is refused all the same.
+    for (const bool schedule_first : {false, true}) {
+      Simulator sim;
+      int later = 0;
+      sim.schedule_at(5, [&, i, schedule_first] {
+        if (schedule_first) sim.schedule_after(1, [&later] { ++later; });
+        calls[i](sim);
+      });
+      sim.schedule_at(7, [&later] { ++later; });
+      EXPECT_THROW(sim.run(), CheckError) << "call " << i;
+      // The refused call touched nothing: the other events still run.
+      EXPECT_EQ(sim.pending_events(), schedule_first ? 2u : 1u);
+      sim.run();
+      EXPECT_EQ(later, schedule_first ? 2 : 1) << "call " << i;
+      EXPECT_TRUE(sim.idle());
+    }
+  }
+}
+
+// --- differential fuzzer: the kernel against a reference queue -----------
+//
+// Random actions schedule 0-3 follow-ups 0-3 ps out (0 ties at now), and
+// some throw, before or between their schedules. Runs, run_until,
+// run_before and step segments, with outside schedules between them, drive
+// the kernel and a std::priority_queue keyed by (time, insertion seq) that
+// shares no code with it; both must retire the same (time, id) sequence
+// and agree on the clock and queue depth after every segment. One case in
+// 16 starts from a deep batch, so the early-exit sift (heaps past 4096)
+// and the sorted backlog (8192) run too.
+
+struct FuzzThrow {};
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// What event `id` does: drawn from (seed, id) alone, so both sides act
+/// alike as long as they retire the same sequence. No follow-ups once
+/// `budget` events exist.
+struct FuzzPlan {
+  int follow_ups = 0;
+  int throw_after = -1;  // throws after this many schedules; -1: never
+  SimDuration delay[3] = {};
+};
+
+FuzzPlan fuzz_plan(std::uint64_t seed, std::uint64_t id,
+                   std::uint64_t created, std::uint64_t budget) {
+  std::uint64_t h = splitmix(seed ^ splitmix(id));
+  FuzzPlan p;
+  p.follow_ups = created >= budget ? 0 : static_cast<int>(h & 3);
+  h >>= 2;
+  for (SimDuration& d : p.delay) {
+    d = h & 3;
+    h >>= 2;
+  }
+  if (h % 12 == 0) {
+    p.throw_after = static_cast<int>((h >> 4) % (p.follow_ups + 1));
+  }
+  return p;
+}
+
+struct Retired {
+  SimTime time;
+  std::uint64_t id;
+  std::size_t pending;  // queue depth the action saw, itself excluded
+  bool operator==(const Retired&) const = default;
+};
+
+struct KernelSide {
+  Simulator sim;
+  std::uint64_t seed = 0;
+  std::uint64_t budget = 0;
+  std::uint64_t created = 0;
+  std::vector<Retired> log;
+
+  void schedule(SimTime t) {
+    const std::uint64_t id = created++;
+    sim.schedule_at(t, [this, id] { fire(id); });
+  }
+  void fire(std::uint64_t id) {
+    log.push_back({sim.now(), id, sim.pending_events()});
+    ASSERT_EQ(sim.idle(), sim.pending_events() == 0);
+    const FuzzPlan p = fuzz_plan(seed, id, created, budget);
+    for (int i = 0; i < p.follow_ups; ++i) {
+      if (i == p.throw_after) throw FuzzThrow{};
+      schedule(sim.now() + p.delay[i]);
+    }
+    if (p.throw_after == p.follow_ups) throw FuzzThrow{};
+  }
+  /// Runs one segment; returns whether an action threw.
+  template <typename F>
+  bool segment(F&& f) {
+    try {
+      f();
+    } catch (const FuzzThrow&) {
+      return true;
+    }
+    return false;
+  }
+};
+
+struct ReferenceSide {
+  struct Item {
+    SimTime time;
+    std::uint64_t id;  // insertion order
+  };
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      return a.time != b.time ? a.time > b.time : a.id > b.id;
+    }
+  };
+  std::priority_queue<Item, std::vector<Item>, Later> queue;
+  SimTime now = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t budget = 0;
+  std::uint64_t created = 0;
+  std::vector<Retired> log;
+
+  void schedule(SimTime t) { queue.push({t, created++}); }
+  /// Retires the earliest event; returns false if its action threw.
+  bool retire() {
+    const Item e = queue.top();
+    queue.pop();
+    now = e.time;
+    log.push_back({now, e.id, queue.size()});
+    const FuzzPlan p = fuzz_plan(seed, e.id, created, budget);
+    for (int i = 0; i < p.follow_ups; ++i) {
+      if (i == p.throw_after) return false;
+      schedule(now + p.delay[i]);
+    }
+    return p.throw_after != p.follow_ups;
+  }
+  /// Retires while events before (or at, if `inclusive`) `t` remain;
+  /// returns whether an action threw.
+  bool drain(SimTime t, bool inclusive) {
+    while (!queue.empty() &&
+           (queue.top().time < t || (inclusive && queue.top().time == t))) {
+      if (!retire()) return true;
+    }
+    return false;
+  }
+};
+
+std::uint64_t kernel_fuzz_cases() {
+  if (const char* env = std::getenv("ECO_ENGINE_FUZZ_CASES")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 150;
+}
+
+void run_kernel_fuzz_case(std::uint64_t seed) {
+  Rng rng(seed);
+  KernelSide k;
+  ReferenceSide r;
+  const bool deep = rng.uniform_u64(16) == 0;
+  const std::uint64_t initial =
+      deep ? 4000 + rng.uniform_u64(6000) : 1 + rng.uniform_u64(8);
+  k.seed = r.seed = seed;
+  k.budget = r.budget = initial + 50 + rng.uniform_u64(400);
+  for (std::uint64_t i = 0; i < initial; ++i) {
+    const SimTime t = rng.uniform_u64(deep ? 2000 : 6);
+    k.schedule(t);
+    r.schedule(t);
+  }
+  constexpr SimTime kEnd = std::numeric_limits<SimTime>::max();
+  for (int seg = 0; !r.queue.empty() || !k.sim.idle(); ++seg) {
+    ASSERT_LT(seg, 100000) << "seed " << seed << ": no progress";
+    if (rng.chance(0.25)) {
+      const std::uint64_t n = 1 + rng.uniform_u64(3);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const SimTime t = r.now + rng.uniform_u64(4);
+        k.schedule(t);
+        r.schedule(t);
+      }
+    }
+    const SimTime t = r.now + rng.uniform_u64(9);
+    bool k_threw = false;
+    bool r_threw = false;
+    switch (rng.uniform_u64(4)) {
+      case 0:
+        k_threw = k.segment([&] { k.sim.run(); });
+        r_threw = r.drain(kEnd, true);
+        break;
+      case 1:
+        k_threw = k.segment([&] { k.sim.run_until(t); });
+        r_threw = r.drain(t, true);
+        if (!r_threw) r.now = std::max(r.now, t);
+        break;
+      case 2:
+        k_threw = k.segment([&] { k.sim.run_before(t); });
+        r_threw = r.drain(t, false);
+        break;
+      default:
+        k_threw = k.segment([&] { k.sim.step(); });
+        r_threw = !r.queue.empty() && !r.retire();
+        break;
+    }
+    ASSERT_EQ(k_threw, r_threw) << "seed " << seed << " segment " << seg;
+    ASSERT_EQ(k.sim.now(), r.now) << "seed " << seed << " segment " << seg;
+    ASSERT_EQ(k.sim.pending_events(), r.queue.size())
+        << "seed " << seed << " segment " << seg;
+    ASSERT_EQ(k.log.size(), r.log.size())
+        << "seed " << seed << " segment " << seg;
+  }
+  ASSERT_EQ(k.log.size(), r.log.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < r.log.size(); ++i) {
+    ASSERT_EQ(k.log[i], r.log[i])
+        << "seed " << seed << ": retired event " << i << " is (" << k.log[i].time
+        << ", " << k.log[i].id << ", " << k.log[i].pending << "), want ("
+        << r.log[i].time << ", " << r.log[i].id << ", " << r.log[i].pending
+        << ")";
+  }
+}
+
+TEST(Simulator, MatchesAReferenceQueueOnRandomSchedules) {
+  const std::uint64_t cases = kernel_fuzz_cases();
+  for (std::uint64_t i = 0; i < cases; ++i) {
+    run_kernel_fuzz_case(0x5EEDF00Dull + i);
+    if (HasFatalFailure()) return;
   }
 }
 
